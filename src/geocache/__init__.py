@@ -13,6 +13,7 @@ from .coverage import (
     special_J,
 )
 from .errors import (
+    ConvergenceError,
     EnumerationBudgetError,
     GeocacheError,
     IntegrationError,
@@ -34,6 +35,7 @@ from .solvers import (
     greedy_bound_check,
     greedy_disjoint,
     greedy_general,
+    hit_probability_ind,
     independent_caching,
     most_popular,
     solve_dp,
@@ -43,6 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BooleanModelParams",
+    "ConvergenceError",
     "CoverageDistribution",
     "EnumerationBudgetError",
     "GeneralPolicy",
@@ -64,6 +67,7 @@ __all__ = [
     "greedy_disjoint",
     "greedy_general",
     "hit_probability_general",
+    "hit_probability_ind",
     "hit_probability_structured",
     "independent_caching",
     "load_popularity",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import coverage as cov
 from . import oracle, simulate, solvers
-from .errors import GeocacheError
+from .errors import GeocacheError, ParameterError
 from .policy import (
     GeneralPolicy,
     StructuredPolicy,
@@ -76,12 +76,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.model not in ("boolean", "sinr"):
-            raise GeocacheError(f"model must be 'boolean' or 'sinr', got {self.model!r}")
+            raise ParameterError(f"model must be 'boolean' or 'sinr', got {self.model!r}")
         if not self.tau_db_grid:
-            raise GeocacheError("threshold grid must be nonempty")
+            raise ParameterError("threshold grid must be nonempty")
+        if not all(math.isfinite(t) for t in self.tau_db_grid):
+            raise ParameterError(f"threshold grid values must be finite, got {self.tau_db_grid}")
         unknown = set(self.policies) - set(ALL_POLICIES)
         if unknown:
-            raise GeocacheError(f"unknown policies: {sorted(unknown)}")
+            raise ParameterError(f"unknown policies: {sorted(unknown)}")
+        if self.L < 1:
+            raise ParameterError(f"block count L must be >= 1, got {self.L}")
+        if self.J < 1:
+            raise ParameterError(f"catalog size J must be >= 1, got {self.J}")
+        if self.trials < 0:
+            raise ParameterError(f"trials must be >= 0, got {self.trials}")
 
 
 def _build_popularity(config: ExperimentConfig) -> PopularityDistribution:
@@ -113,32 +121,31 @@ def _build_coverage(config: ExperimentConfig, tau: float) -> cov.CoverageDistrib
 
 
 def _run_policy(name, pop, dist, L):
-    """(result_object, hit_prob, general_policy_or_None)."""
-    if name == "ind":
-        ind, hit = solvers.independent_caching(pop, dist, L)
-        return ind, hit, None
-    result = solvers.BLOCK_SOLVERS[name](pop, dist, L)
+    """(SolverResult, general_policy_or_None); None when nothing can be simulated."""
+    # read from the module on every call, never stored in a table, so that
+    # rebinding solvers.independent_caching (a wrapper, a test double) takes effect
+    solve = solvers.independent_caching if name == "ind" else solvers.BLOCK_SOLVERS[name]
+    result = solve(pop, dist, L)
+    policy = result.policy
+    if isinstance(policy, solvers.IndPolicy):
+        return result, None  # randomized marginals, no deterministic block family
     try:
-        general = (
-            result.policy
-            if isinstance(result.policy, GeneralPolicy)
-            else result.policy.to_general()
-        )
+        general = policy if isinstance(policy, GeneralPolicy) else policy.to_general()
     except GeocacheError:
         general = None  # policy caches nothing; nothing to simulate
-    return result, result.hit_prob, general
+    return result, general
 
 
-def _revalidate(name, result, hit, pop, dist) -> bool:
+def _revalidate(result, pop, dist) -> bool:
     """Emitted hit probabilities must match an independent re-evaluation."""
-    if name == "ind":
-        pmf_coeffs, _ = solvers._pgf_coeffs(dist)
-        again = solvers._ind_objective(pop.probs, pmf_coeffs, result.b)
-    elif isinstance(result.policy, StructuredPolicy):
-        again = hit_probability_structured(result.policy, pop, dist)
+    policy = result.policy
+    if isinstance(policy, solvers.IndPolicy):
+        again = solvers.hit_probability_ind(policy, pop, dist)
+    elif isinstance(policy, StructuredPolicy):
+        again = hit_probability_structured(policy, pop, dist)
     else:
-        again = hit_probability_general(result.policy, pop, dist)
-    return abs(again - hit) <= 1e-12
+        again = hit_probability_general(policy, pop, dist)
+    return abs(again - result.hit_prob) <= 1e-12
 
 
 def run_sweep(config: ExperimentConfig):
@@ -146,7 +153,9 @@ def run_sweep(config: ExperimentConfig):
 
     Returns (rows, ok): row dicts sorted by mean coverage then policy
     name, and an all-consistency-checks-passed flag. Failures at single
-    cells are marked (empty hit_prob) without aborting the sweep.
+    cells are marked (empty hit_prob) without aborting the sweep; cells
+    whose coverage build failed (NaN mean coverage) sort last, by
+    threshold then policy.
     """
     pop = _build_popularity(config)
     rows = []
@@ -176,8 +185,9 @@ def run_sweep(config: ExperimentConfig):
             t0 = time.perf_counter()
             sim_estimate = sim_stderr = None
             try:
-                result, hit, general = _run_policy(name, pop, dist, config.L)
-                if not _revalidate(name, result, hit, pop, dist):
+                result, general = _run_policy(name, pop, dist, config.L)
+                hit = result.hit_prob
+                if not _revalidate(result, pop, dist):
                     ok = False
                 if config.trials and general is not None:
                     report = simulate.simulate_hits(
@@ -204,8 +214,15 @@ def run_sweep(config: ExperimentConfig):
                     "wall_time_ms": wall_ms,
                 }
             )
-    rows.sort(key=lambda r: (r["mean_coverage"], r["policy"], r["tau_db"]))
+    rows.sort(key=_row_order)
     return rows, ok
+
+
+def _row_order(row) -> tuple:
+    """By mean coverage, policy, tau; failed cells (NaN coverage) last by tau, policy."""
+    if math.isnan(row["mean_coverage"]):
+        return (1, row["tau_db"], row["policy"])
+    return (0, row["mean_coverage"], row["policy"], row["tau_db"])
 
 
 def _fmt(value) -> str:
@@ -431,21 +448,16 @@ def _cmd_solve(args) -> int:
     config = _config_from_args(args, grid=False)
     pop, dist = _instance_from_config(config)
     name = args.policy
-    result, hit, _ = _run_policy(name, pop, dist, config.L)
-    if name == "ind":
-        payload = {
-            "policy_name": name,
-            "b": result.b.tolist(),
-            "multiplier": result.multiplier,
-            "hit_prob": hit,
-        }
+    result, _ = _run_policy(name, pop, dist, config.L)
+    payload = {
+        "policy_name": name,
+        "hit_prob": result.hit_prob,
+        "diagnostics": result.diagnostics,
+    }
+    if isinstance(result.policy, solvers.IndPolicy):
+        payload.update(b=result.policy.b.tolist(), multiplier=result.policy.multiplier)
     else:
-        payload = {
-            "policy_name": name,
-            "policy": result.policy.to_json_dict(),
-            "hit_prob": hit,
-            "diagnostics": result.diagnostics,
-        }
+        payload["policy"] = result.policy.to_json_dict()
     _emit_json(payload, sys.stdout)
     return 0
 

@@ -29,3 +29,7 @@ class NumericalCancellationError(GeocacheError, ArithmeticError):
 
 class EnumerationBudgetError(GeocacheError, RuntimeError):
     """A brute-force search would exceed its hard enumeration budget."""
+
+
+class ConvergenceError(GeocacheError, ArithmeticError):
+    """An iterative solver stopped short of its convergence criterion."""

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .coverage import CoverageDistribution
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .policy import (
     GeneralPolicy,
     StructuredPolicy,
@@ -35,6 +35,7 @@ __all__ = [
     "greedy_disjoint",
     "most_popular",
     "independent_caching",
+    "hit_probability_ind",
     "greedy_bound_check",
     "BLOCK_SOLVERS",
 ]
@@ -251,81 +252,132 @@ def most_popular(pop: PopularityDistribution, dist: CoverageDistribution, L: int
 # ---------------------------------------------------------------------------
 
 
-def _pgf_coeffs(dist: CoverageDistribution):
-    pmf = dist.pmf
-    deriv = pmf[1:] * np.arange(1, pmf.size)
-    return pmf, deriv
+_TABLE_CELLS = 2**14  # uniform cells of the G' table on [0, 1]
+_POLISH_TOL = 1e-14  # stop polishing once every iterate moves by no more than this
+_POLISH_MAX = 64  # safeguarded steps; bisection alone shrinks a cell below the tol in 33
 
 
-def _ind_objective(probs, pmf_coeffs, b) -> float:
-    hit_terms = probs * (1.0 - npoly.polyval(1.0 - b, pmf_coeffs))
+def hit_probability_ind(
+    policy: IndPolicy, pop: PopularityDistribution, dist: CoverageDistribution
+) -> float:
+    """P_hit of independent sampling: sum_j a_j (1 - G(1 - b_j)), G the coverage pgf."""
+    if policy.b.size != pop.size:
+        raise ParameterError("caching probabilities must cover the catalog exactly")
+    hit_terms = pop.probs * (1.0 - npoly.polyval(1.0 - policy.b, dist.pmf))
     return math.fsum(hit_terms.tolist())
+
+
+def _gprime_inverse(deriv: np.ndarray):
+    """Return ``solve(t)``, the z in (0, 1) with G'(z) = t for G'(0) < t < G'(1).
+
+    ``deriv`` holds the coefficients of the nondecreasing polynomial G'. It
+    is tabulated once on a uniform grid; each solve inverts the table with
+    ``np.interp`` and polishes with Newton steps, evaluating G' and G'' as
+    one power-matrix product. Every iterate stays inside the bracket the
+    table cell gives (tightened by the sign of each residual); a step with
+    G'' <= 0 or one leaving the bracket bisects it instead.
+    """
+    grid = np.linspace(0.0, 1.0, _TABLE_CELLS + 1)
+    table = npoly.polyval(grid, deriv)
+    deriv2 = deriv[1:] * np.arange(1, deriv.size)
+
+    def solve(t: np.ndarray) -> np.ndarray:
+        cell = np.searchsorted(table, t)  # table[cell - 1] < t <= table[cell]
+        lo, hi = grid[cell - 1], grid[cell]
+        z = np.clip(np.interp(t, table, grid), lo, hi)
+        powers = np.empty((t.size, deriv.size))
+        powers[:, 0] = 1.0
+        for _ in range(_POLISH_MAX):
+            powers[:, 1:] = z[:, None]
+            np.cumprod(powers, axis=1, out=powers)
+            resid = powers @ deriv - t
+            slope = powers[:, :-1] @ deriv2
+            lo = np.where(resid < 0.0, z, lo)
+            hi = np.where(resid > 0.0, z, hi)
+            newton = z - resid / np.where(slope > 0.0, slope, np.inf)
+            inside = (slope > 0.0) & (newton >= lo) & (newton <= hi)
+            step = np.where(inside, newton, 0.5 * (lo + hi)) - z
+            z = z + step
+            if np.max(np.abs(step)) <= _POLISH_TOL:
+                break
+        return z
+
+    return solve
+
+
+def _marginals(mu: float, probs: np.ndarray, gp0: float, gp1: float, solve) -> np.ndarray:
+    """b(mu) from the KKT conditions: b_j = 1 where mu/a_j <= G'(0), 0 where
+    mu/a_j >= G'(1), else 1 - z with G'(z) = mu/a_j found by ``solve``."""
+    t = np.where(probs > 0.0, mu / np.where(probs > 0.0, probs, 1.0), np.inf)
+    b = np.zeros(probs.size)
+    b[t <= gp0] = 1.0
+    mid = (t > gp0) & (t < gp1)
+    if np.any(mid):
+        b[mid] = 1.0 - solve(t[mid])
+    return b
 
 
 def independent_caching(
     pop: PopularityDistribution, dist: CoverageDistribution, L: int
-) -> tuple[IndPolicy, float]:
+) -> SolverResult:
     """Optimize marginal caching probabilities b for independent sampling.
 
     Each station draws its cache contents independently with marginals b,
     so item j is hit with probability 1 - G(1-b_j) where G is the pgf of
     the coverage number. The concave program max sum_j a_j (1 - G(1-b_j))
-    s.t. sum b_j <= L, 0 <= b_j <= 1 is solved by bisection on the dual
-    multiplier mu with a per-item root-find of a_j G'(1-b) = mu.
+    s.t. sum b_j <= L, 0 <= b_j <= 1 is solved by an outer bisection on the
+    dual multiplier mu, stopped once |sum(b) - L| < 1e-9. For each mu the
+    KKT condition a_j G'(1-b_j) = mu is solved for all interior items at
+    once by a tabulated inverse of G' with safeguarded Newton polish.
+
+    Returns a ``SolverResult`` holding an ``IndPolicy``; its diagnostics
+    give the number of mu steps and the final |sum(b) - L|. Raises
+    ``ConvergenceError`` if the bisection stalls short of the budget.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
     probs = pop.probs
-    pmf_coeffs, deriv_coeffs = _pgf_coeffs(dist)
+    deriv = dist.pmf[1:] * np.arange(1, dist.pmf.size)
+
+    def result(b, mu, iterations=0):
+        policy = IndPolicy(b=b, multiplier=mu)
+        return SolverResult(
+            policy=policy,
+            hit_prob=hit_probability_ind(policy, pop, dist),
+            solver_name="ind",
+            diagnostics={
+                "mu_iterations": iterations,
+                "budget_gap": abs(float(policy.b.sum()) - L),
+            },
+        )
 
     if L >= J:
-        b = np.ones(J)
-        return IndPolicy(b=b, multiplier=0.0), _ind_objective(probs, pmf_coeffs, b)
+        return result(np.ones(J), 0.0)
 
-    gp0 = float(npoly.polyval(0.0, deriv_coeffs)) if deriv_coeffs.size else 0.0
-    gp1 = float(npoly.polyval(1.0, deriv_coeffs)) if deriv_coeffs.size else 0.0
+    gp0 = float(npoly.polyval(0.0, deriv)) if deriv.size else 0.0
+    gp1 = float(npoly.polyval(1.0, deriv)) if deriv.size else 0.0
 
+    b = np.zeros(J)
+    b[:L] = 1.0
     if gp1 == 0.0:
         # never covered: hit probability is 0 for every feasible b
-        b = np.zeros(J)
-        b[:L] = 1.0
-        return IndPolicy(b=b, multiplier=0.0), 0.0
-
-    if dist.pmf.size <= 2 or not np.any(dist.pmf[2:] > 0.0):
+        return result(b, 0.0)
+    if not np.any(dist.pmf[2:] > 0.0):
         # single-coverage regime: G' is constant, the program is a box LP
-        b = np.zeros(J)
-        b[:L] = 1.0
-        mu = float(probs[L - 1]) * gp1
-        return IndPolicy(b=b, multiplier=mu), _ind_objective(probs, pmf_coeffs, b)
+        return result(b, float(probs[L - 1]) * gp1)
 
-    def b_of_mu(mu: float) -> np.ndarray:
-        t = np.where(probs > 0.0, mu / np.where(probs > 0.0, probs, 1.0), np.inf)
-        b = np.zeros(J)
-        b[t <= gp0] = 1.0
-        mid = (t > gp0) & (t < gp1)
-        if np.any(mid):
-            target = t[mid]
-            zlo = np.zeros(target.size)
-            zhi = np.ones(target.size)
-            for _ in range(80):
-                zm = 0.5 * (zlo + zhi)
-                below = npoly.polyval(zm, deriv_coeffs) < target
-                zlo = np.where(below, zm, zlo)
-                zhi = np.where(below, zhi, zm)
-            b[mid] = 1.0 - 0.5 * (zlo + zhi)
-        return b
-
-    b = b_of_mu(0.0)
+    solve = _gprime_inverse(deriv)
+    b = _marginals(0.0, probs, gp0, gp1, solve)
     total = float(b.sum())
     if total <= L + 1e-12:
-        return IndPolicy(b=b, multiplier=0.0), _ind_objective(probs, pmf_coeffs, b)
+        return result(b, 0.0)
 
     lo, hi = 0.0, float(probs[0]) * gp1
     best = (abs(total - L), b, 0.0)
-    for _ in range(200):
+    for iterations in range(1, 201):
         mu = 0.5 * (lo + hi)
-        b = b_of_mu(mu)
+        b = _marginals(mu, probs, gp0, gp1, solve)
         total = float(b.sum())
         gap = abs(total - L)
         if gap < best[0]:
@@ -340,10 +392,10 @@ def independent_caching(
             break
     gap, b, mu = best
     if gap >= 1e-8:
-        raise ParameterError(
-            f"dual bisection stalled with |sum(b) - L| = {gap:.3e}"
+        raise ConvergenceError(
+            f"dual bisection stalled with |sum(b) - L| = {gap:.3e} after {iterations} steps"
         )
-    return IndPolicy(b=b, multiplier=mu), _ind_objective(probs, pmf_coeffs, b)
+    return result(b, mu, iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -11,7 +12,8 @@ from geocache.cli import (
     parse_grid,
     run_sweep,
 )
-from geocache.errors import GeocacheError
+from geocache import cli, solvers
+from geocache.errors import GeocacheError, NumericalCancellationError, ParameterError
 
 
 def test_db_to_linear():
@@ -55,6 +57,35 @@ def test_config_validation():
         ExperimentConfig(tau_db_grid=())
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"model": "hexagonal"},
+        {"policies": ("onc", "magic")},
+        {"tau_db_grid": ()},
+        {"tau_db_grid": (0.0, float("nan"))},
+        {"tau_db_grid": (float("-inf"), 3.0)},
+        {"L": 0},
+        {"J": 0},
+        {"trials": -1},
+    ],
+)
+def test_config_rejects_bad_values_up_front(overrides):
+    with pytest.raises(ParameterError):
+        ExperimentConfig(**overrides)
+
+
+def test_config_accepts_boundary_values():
+    config = ExperimentConfig(L=1, J=1, trials=0, tau_db_grid=(-30.0, 30.0))
+    assert (config.L, config.J, config.trials) == (1, 1, 0)
+
+
+def test_cli_rejects_bad_config_before_any_work(capsys):
+    code = main(["sweep", "--tau-db", "0", "-J", "0", "-L", "2"])
+    assert code == 1
+    assert "catalog size" in capsys.readouterr().err
+
+
 def test_run_sweep_rows_sorted_and_consistent():
     config = ExperimentConfig(
         tau_db_grid=(6.0, 0.0, 3.0), J=10, L=3, policies=("onc", "mp"), seed=1
@@ -66,6 +97,30 @@ def test_run_sweep_rows_sorted_and_consistent():
     assert keys == sorted(keys)
     for row in rows:
         assert 0.0 <= row["hit_prob"] <= 1.0
+
+
+def test_run_sweep_sorts_failed_cells_last(monkeypatch):
+    real_build = cli._build_coverage
+
+    def build(config, tau):
+        if tau < 1.0:  # every negative-dB threshold fails
+            raise NumericalCancellationError("forced failure")
+        return real_build(config, tau)
+
+    monkeypatch.setattr(cli, "_build_coverage", build)
+    config = ExperimentConfig(
+        tau_db_grid=(3.0, -2.0, 0.0, -5.0, 6.0), J=8, L=2, policies=("onc", "mp")
+    )
+    rows, ok = run_sweep(config)
+    assert ok
+    good, failed = rows[:6], rows[6:]
+    assert [(r["mean_coverage"], r["policy"]) for r in good] == sorted(
+        (r["mean_coverage"], r["policy"]) for r in good
+    )
+    assert [(r["tau_db"], r["policy"]) for r in failed] == [
+        (-5.0, "mp"), (-5.0, "onc"), (-2.0, "mp"), (-2.0, "onc"),
+    ]
+    assert all(math.isnan(r["mean_coverage"]) and r["hit_prob"] is None for r in failed)
 
 
 def test_sinr_sweep_mean_coverage_stays_small():
@@ -153,8 +208,25 @@ def test_solve_cli_ind_reports_marginals(capsys):
     code = main(["solve", "--policy", "ind", "--tau-db", "0", "-J", "6", "-L", "2"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert {"policy_name", "b", "multiplier", "hit_prob"} <= set(payload)
     assert len(payload["b"]) == 6
     assert sum(payload["b"]) == pytest.approx(2.0, abs=1e-6)
+    assert payload["diagnostics"]["mu_iterations"] > 0
+
+
+def test_sweep_resolves_ind_solver_at_call_time(monkeypatch):
+    calls = []
+    real = solvers.independent_caching
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "independent_caching", counting)
+    rows, ok = run_sweep(ExperimentConfig(tau_db_grid=(0.0, 3.0), J=8, L=2, policies=("ind",)))
+    assert ok
+    assert len(calls) == 2
+    assert all(row["hit_prob"] is not None for row in rows)
 
 
 def test_coverage_cli_schema(capsys):
