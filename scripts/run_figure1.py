@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from geocache.cli import ExperimentConfig, run_sweep, write_sweep_csv  # noqa: E402
+from geocache.cli import ExperimentConfig, parse_grid, run_sweep, write_sweep_csv  # noqa: E402
 
 PANELS = [
     ("fig1a_boolean_gamma09", "boolean", 0.9),
@@ -35,18 +35,13 @@ def main() -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    grid = []
-    v = -12.0
-    while v <= 12.0 + 1e-9:
-        grid.append(round(v, 9))
-        v += args.step
-
+    grid = parse_grid(f"-12:12:{args.step}")
     status = 0
     for name, model, gamma in PANELS:
         config = ExperimentConfig(
             model=model,
             gamma=gamma,
-            tau_db_grid=tuple(grid),
+            tau_db_grid=grid,
             trials=args.trials,
             seed=args.seed,
         )

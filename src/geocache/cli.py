@@ -1,10 +1,10 @@
 """Command-line interface: parameter sweeps, single solves, tabulation, simulation.
 
-Subcommands: sweep, solve, coverage, simulate, bound (plus an unlisted
-``brute`` used for debugging the exhaustive oracles). Thresholds are given
-in dB on the command line and converted to linear internally. The sweep
-emits a fixed-schema CSV whose bytes are reproducible for a fixed config
-and seed.
+Subcommands: sweep, solve, coverage, simulate, bound. Thresholds are
+given in dB on the command line and converted to linear internally. The
+sweep emits a fixed-schema CSV whose bytes are reproducible for a fixed
+config and seed. The flags and config-file keys are derived from the
+fields of ``ExperimentConfig`` and ``coverage.IntegrationConfig``.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 from . import coverage as cov
-from . import oracle, simulate, solvers
+from . import simulate, solvers
 from .errors import GeocacheError, ParameterError
 from .policy import (
     GeneralPolicy,
@@ -120,20 +121,18 @@ def _build_coverage(config: ExperimentConfig, tau: float) -> cov.CoverageDistrib
     return cov.sinr_coverage(params)
 
 
-def _run_policy(name, pop, dist, L):
-    """(SolverResult, general_policy_or_None); None when nothing can be simulated."""
+def _run_policy(name, pop, dist, L) -> solvers.SolverResult:
     # read from the module on every call, never stored in a table, so that
     # rebinding solvers.independent_caching (a wrapper, a test double) takes effect
     solve = solvers.independent_caching if name == "ind" else solvers.BLOCK_SOLVERS[name]
-    result = solve(pop, dist, L)
-    policy = result.policy
-    if isinstance(policy, solvers.IndPolicy):
-        return result, None  # randomized marginals, no deterministic block family
-    try:
-        general = policy if isinstance(policy, GeneralPolicy) else policy.to_general()
-    except GeocacheError:
-        general = None  # policy caches nothing; nothing to simulate
-    return result, general
+    return solve(pop, dist, L)
+
+
+def _simulable(policy) -> bool:
+    """A deterministic block policy that caches something: one Monte Carlo can check."""
+    if isinstance(policy, StructuredPolicy):
+        return policy.total_items > 0
+    return isinstance(policy, GeneralPolicy)
 
 
 def _revalidate(result, pop, dist) -> bool:
@@ -185,13 +184,13 @@ def run_sweep(config: ExperimentConfig):
             t0 = time.perf_counter()
             sim_estimate = sim_stderr = None
             try:
-                result, general = _run_policy(name, pop, dist, config.L)
+                result = _run_policy(name, pop, dist, config.L)
                 hit = result.hit_prob
                 if not _revalidate(result, pop, dist):
                     ok = False
-                if config.trials and general is not None:
+                if config.trials and _simulable(result.policy):
                     report = simulate.simulate_hits(
-                        general, pop, dist, config.trials, config.seed
+                        result.policy, pop, dist, config.trials, config.seed
                     )
                     sim_estimate = report.estimate
                     sim_stderr = report.stderr
@@ -256,8 +255,12 @@ def write_sweep_csv(rows, config: ExperimentConfig, stream) -> None:
 # ---------------------------------------------------------------------------
 
 
+_CONFIG_ALIASES = {"lambda": "lam", "tau_db": "tau_db_grid"}
+
+
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` config text; '#' starts a comment."""
+    """Flat ``key = value`` config text; '#' starts a comment. Values stay
+    text; keys ``lambda`` and ``tau_db`` become ``lam`` and ``tau_db_grid``."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -267,9 +270,8 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise GeocacheError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    if "lambda" in values:
-        values["lam"] = values.pop("lambda")
+            key = key.strip()
+            values[_CONFIG_ALIASES.get(key, key)] = value.strip()
     return values
 
 
@@ -295,122 +297,93 @@ def parse_grid(text: str) -> tuple:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-_CONFIG_PARSERS = {
-    "model": str,
-    "lam": float,
-    "beta": float,
-    "K": float,
-    "power_ratio": float,
-    "noise_w": float,
-    "moment_ps": float,
-    "tau_db_grid": parse_grid,
-    "tau_db": float,
-    "L": int,
-    "J": int,
-    "gamma": float,
-    "pop_file": str,
-    "policies": lambda s: tuple(p.strip() for p in s.split(",") if p.strip()),
-    "trials": int,
-    "seed": int,
-    "output": str,
-    "timing": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "rel_tol_1d": float,
-    "qmc_points": int,
-    "qmc_replicates": int,
-    "gauss_nodes": int,
-    "tensor_dim_limit": int,
+def _parse_policies(text: str) -> tuple:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+# How the text of a flag or a config-file value becomes a field value: by
+# the field's annotation, except for the two tuple fields.
+_PARSE_BY_TYPE = {float: float, int: int, str: str, bool: _parse_bool}
+_SPECIAL_PARSERS = {"tau_db_grid": parse_grid, "policies": _parse_policies}
+# Every field is set by --<field-name-with-dashes> unless "flags" says
+# otherwise; the rest of each entry goes to add_argument.
+_FLAG_SPECS = {
+    "model": {"choices": ("boolean", "sinr")},
+    "lam": {"flags": ("--lambda",), "help": "station density"},
+    "beta": {"help": "path-loss exponent (>2)"},
+    "K": {"flags": ("-K", "--path-loss-constant")},
+    "power_ratio": {"help": "Boolean model P/W (linear)"},
+    "noise_w": {"help": "SINR model noise power W"},
+    "moment_ps": {"help": "SINR moment E[(PS)^(2/beta)]"},
+    "tau_db_grid": {"flags": ("--tau-db",), "help": "dB grid: 'start:stop:step' or comma list"},
+    "L": {"flags": ("-L", "--blocks"), "help": "cache blocks"},
+    "J": {"flags": ("-J", "--catalog"), "help": "catalog size"},
+    "gamma": {"help": "Zipf exponent"},
+    "pop_file": {"help": "popularity vector (JSON or CSV)"},
+    "trials": {"help": "Monte Carlo trials per cell (0 = off)"},
+    "output": {"flags": ("--output", "-o"), "help": "CSV output path (default stdout)"},
+    "timing": {"help": "record wall_time_ms (breaks byte-identical reruns)"},
 }
+_SWEEP_ONLY = ("policies", "trials", "output", "timing")
 
 
-def _resolve(args, file_cfg, key, default, parser=None):
-    """CLI flag beats config file beats default."""
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    if key in file_cfg:
-        p = parser or _CONFIG_PARSERS.get(key, str)
-        return p(file_cfg[key])
-    return default
+def _settable_fields() -> dict:
+    """{field name: value parser} for every field a flag or config key sets:
+    those of ``ExperimentConfig`` and of its ``IntegrationConfig``, whose
+    ``seed`` is the config's (``_build_coverage`` copies it)."""
+    hints = typing.get_type_hints(ExperimentConfig) | typing.get_type_hints(cov.IntegrationConfig)
+    del hints["integration"]
+    return {n: _SPECIAL_PARSERS.get(n) or _PARSE_BY_TYPE[t] for n, t in hints.items()}
 
 
-def _resolve_seed(args, file_cfg) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in file_cfg:
-        return int(file_cfg["seed"])
-    env = os.environ.get(ENV_SEED)
-    return int(env) if env else 0
-
-
-def _model_args(parser, *, grid: bool):
+def _config_args(parser, *, sweep: bool) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--model", choices=("boolean", "sinr"))
-    parser.add_argument("--lambda", dest="lam", type=float, help="station density")
-    parser.add_argument("--beta", type=float, help="path-loss exponent (>2)")
-    parser.add_argument("-K", "--path-loss-constant", dest="K", type=float)
-    parser.add_argument("--power-ratio", type=float, help="Boolean model P/W (linear)")
-    parser.add_argument("--noise-w", type=float, help="SINR model noise power W")
-    parser.add_argument("--moment-ps", type=float, help="SINR moment E[(PS)^(2/beta)]")
-    if grid:
-        parser.add_argument(
-            "--tau-db",
-            dest="tau_db_grid",
-            type=parse_grid,
-            help="dB grid: 'start:stop:step' or comma list",
-        )
-    else:
-        parser.add_argument("--tau-db", type=float, help="threshold in dB")
-    parser.add_argument("-L", "--blocks", dest="L", type=int, help="cache blocks")
-    parser.add_argument("-J", "--catalog", dest="J", type=int, help="catalog size")
-    parser.add_argument("--gamma", type=float, help="Zipf exponent")
-    parser.add_argument("--pop-file", help="popularity vector (JSON or CSV)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--rel-tol-1d", type=float)
-    parser.add_argument("--qmc-points", type=int)
-    parser.add_argument("--qmc-replicates", type=int)
-    parser.add_argument("--gauss-nodes", type=int)
-    parser.add_argument("--tensor-dim-limit", type=int)
+    for name, parse in _settable_fields().items():
+        if name in _SWEEP_ONLY and not sweep:
+            continue
+        spec = dict(_FLAG_SPECS.get(name, {}))
+        flags = spec.pop("flags", ("--" + name.replace("_", "-"),))
+        if parse is _parse_bool:
+            spec.update(action="store_const", const=True)
+        else:
+            spec.update(type=parse)
+        parser.add_argument(*flags, dest=name, **spec)
 
 
-def _config_from_args(args, *, grid: bool) -> ExperimentConfig:
+def _config_from_args(args, *, sweep: bool) -> ExperimentConfig:
+    """Each field from its CLI flag, else its config-file key, else (seed
+    only) $GEOCACHE_SEED, else the dataclass default.
+
+    Outside ``sweep`` the threshold is one value, 0 dB unless set.
+    """
     file_cfg = parse_config_file(args.config) if args.config else {}
-    seed = _resolve_seed(args, file_cfg)
-    integration = cov.IntegrationConfig(
-        rel_tol_1d=_resolve(args, file_cfg, "rel_tol_1d", 1e-9),
-        qmc_points=_resolve(args, file_cfg, "qmc_points", 2**17),
-        qmc_replicates=_resolve(args, file_cfg, "qmc_replicates", 8),
-        gauss_nodes=_resolve(args, file_cfg, "gauss_nodes", 48),
-        tensor_dim_limit=_resolve(args, file_cfg, "tensor_dim_limit", 4),
-        seed=seed,
-    )
-    if grid:
-        tau_grid = _resolve(
-            args, file_cfg, "tau_db_grid",
-            tuple(float(d) for d in range(-12, 13)),
-        )
-    else:
-        tau_db = _resolve(args, file_cfg, "tau_db", 0.0)
-        tau_grid = (float(tau_db),)
-    return ExperimentConfig(
-        model=_resolve(args, file_cfg, "model", "boolean"),
-        lam=_resolve(args, file_cfg, "lam", 1.0),
-        beta=_resolve(args, file_cfg, "beta", 3.0),
-        K=_resolve(args, file_cfg, "K", 1.0),
-        power_ratio=_resolve(args, file_cfg, "power_ratio", 1.0),
-        noise_w=_resolve(args, file_cfg, "noise_w", 0.0),
-        moment_ps=_resolve(args, file_cfg, "moment_ps", 1.0),
-        tau_db_grid=tuple(tau_grid),
-        L=_resolve(args, file_cfg, "L", 5),
-        J=_resolve(args, file_cfg, "J", 40),
-        gamma=_resolve(args, file_cfg, "gamma", 0.9),
-        pop_file=_resolve(args, file_cfg, "pop_file", ""),
-        policies=tuple(_resolve(args, file_cfg, "policies", ALL_POLICIES)),
-        trials=int(_resolve(args, file_cfg, "trials", 0) or 0),
-        seed=seed,
-        output=_resolve(args, file_cfg, "output", ""),
-        timing=bool(_resolve(args, file_cfg, "timing", False)),
-        integration=integration,
-    )
+    parsers = _settable_fields()
+    unknown = sorted(set(file_cfg) - set(parsers))
+    if unknown:
+        raise ParameterError(f"{args.config}: unknown config keys {unknown}")
+    values = {}
+    for name, parse in parsers.items():
+        value = getattr(args, name, None)
+        if value is None and name in file_cfg:
+            try:
+                value = parse(file_cfg[name])
+            except (ValueError, GeocacheError) as exc:
+                raise ParameterError(f"{args.config}: bad value for {name}: {exc}") from None
+        if value is not None:
+            values[name] = value
+    if "seed" not in values and os.environ.get(ENV_SEED):
+        values["seed"] = int(os.environ[ENV_SEED])
+    if not sweep:
+        values.setdefault("tau_db_grid", (0.0,))
+        if len(values["tau_db_grid"]) != 1:
+            raise ParameterError(f"this command takes one threshold, got {values['tau_db_grid']}")
+    own = {f.name for f in fields(ExperimentConfig)}
+    integration = {n: values.pop(n) for n in list(values) if n not in own}
+    return ExperimentConfig(**values, integration=cov.IntegrationConfig(**integration))
 
 
 def _instance_from_config(config: ExperimentConfig):
@@ -431,7 +404,7 @@ def _emit_json(payload, stream) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    config = _config_from_args(args, grid=True)
+    config = _config_from_args(args, sweep=True)
     rows, ok = run_sweep(config)
     buffer = io.StringIO()
     write_sweep_csv(rows, config, buffer)
@@ -445,10 +418,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    config = _config_from_args(args, grid=False)
+    config = _config_from_args(args, sweep=False)
     pop, dist = _instance_from_config(config)
     name = args.policy
-    result, _ = _run_policy(name, pop, dist, config.L)
+    result = _run_policy(name, pop, dist, config.L)
     payload = {
         "policy_name": name,
         "hit_prob": result.hit_prob,
@@ -463,7 +436,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    config = _config_from_args(args, grid=False)
+    config = _config_from_args(args, sweep=False)
     tau = db_to_linear(config.tau_db_grid[0])
     dist = _build_coverage(config, tau)
     _emit_json(dist.to_json_dict(), sys.stdout)
@@ -479,35 +452,19 @@ def _load_policy_arg(text: str):
 
 
 def _cmd_simulate(args) -> int:
-    config = _config_from_args(args, grid=False)
+    config = _config_from_args(args, sweep=False)
     pop, dist = _instance_from_config(config)
     policy = _load_policy_arg(args.policy)
-    if isinstance(policy, StructuredPolicy):
-        policy = policy.to_general()
     report = simulate.simulate_hits(policy, pop, dist, args.trials, config.seed)
     _emit_json(report.to_json_dict(), sys.stdout)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    config = _config_from_args(args, grid=False)
+    config = _config_from_args(args, sweep=False)
     pop, dist = _instance_from_config(config)
     report = solvers.greedy_bound_check(pop, dist, config.L, args.greedy_K)
     _emit_json(report, sys.stdout)
-    return 0
-
-
-def _cmd_brute(args) -> int:
-    config = _config_from_args(args, grid=False)
-    pop, dist = _instance_from_config(config)
-    fn = oracle.brute_structured if args.kind == "structured" else oracle.brute_general
-    result = fn(pop, dist, config.L)
-    payload = {
-        "policy": result.policy.to_json_dict(),
-        "hit_prob": result.hit_prob,
-        "diagnostics": result.diagnostics,
-    }
-    _emit_json(payload, sys.stdout)
     return 0
 
 
@@ -516,46 +473,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="geocache",
         description="Geographic caching policies with linear content coding.",
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{sweep,solve,coverage,simulate,bound}",
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="run a threshold sweep and emit CSV")
-    _model_args(p, grid=True)
-    p.add_argument("--policies", type=lambda s: tuple(x.strip() for x in s.split(",")))
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per cell (0 = off)")
-    p.add_argument("--output", "-o", help="CSV output path (default stdout)")
-    p.add_argument("--timing", action="store_const", const=True, default=None,
-                   help="record wall_time_ms (breaks byte-identical reruns)")
+    _config_args(p, sweep=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("solve", help="solve one instance with one policy")
-    _model_args(p, grid=False)
+    _config_args(p, sweep=False)
     p.add_argument("--policy", required=True, choices=ALL_POLICIES)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("coverage", help="tabulate the coverage-number pmf as JSON")
-    _model_args(p, grid=False)
+    _config_args(p, sweep=False)
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("simulate", help="Monte Carlo hit estimate for a policy")
-    _model_args(p, grid=False)
+    _config_args(p, sweep=False)
     p.add_argument("--policy", required=True, help="policy JSON (inline or file path)")
     p.add_argument("--trials", type=int, default=100_000)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bound", help="greedy suboptimality bound report")
-    _model_args(p, grid=False)
+    _config_args(p, sweep=False)
     p.add_argument("--greedy-blocks", dest="greedy_K", type=int, required=True,
                    help="number of blocks handed to the greedy (>= L)")
     p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("brute")  # debugging oracle; intentionally unlisted
-    _model_args(p, grid=False)
-    p.add_argument("--kind", choices=("structured", "general"), default="structured")
-    p.set_defaults(func=_cmd_brute)
 
     return parser
 

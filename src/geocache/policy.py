@@ -7,16 +7,17 @@ cardinality at most the coverage number N. Hence the hit probability
 
     P_hit = sum_j a_j * Pbar(min{|C_i| : j in C_i}),   min{} = infinity.
 
-For pairwise-disjoint consecutive blocks this reduces to
-sum_k A(C_k) * Pbar(|C_k|). Both evaluators below expand to identical
-per-item terms and sum them exactly rounded, so they agree bitwise on
-disjoint-interval policies.
+Both policy types are scored through the per-item threshold vector
+r_j = min{|C_i| : j in C_i} of ``item_thresholds``; for pairwise-disjoint
+consecutive blocks the sum reduces to sum_k A(C_k) * Pbar(|C_k|).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .coverage import CoverageDistribution
 from .errors import ParameterError
@@ -25,7 +26,9 @@ from .popularity import PopularityDistribution
 __all__ = [
     "GeneralPolicy",
     "StructuredPolicy",
+    "UNCACHED",
     "canonical_sizes",
+    "item_thresholds",
     "hit_probability_general",
     "hit_probability_structured",
     "canonicalize",
@@ -52,19 +55,6 @@ class GeneralPolicy:
     @property
     def L(self) -> int:
         return len(self.blocks)
-
-    def max_index(self) -> int:
-        return max(max(b) for b in self.blocks)
-
-    def min_cardinalities(self, J: int) -> list:
-        """Per item j=1..J the smallest cardinality of a block containing j (None if absent)."""
-        r = [None] * J
-        for block in self.blocks:
-            c = len(block)
-            for j in block:
-                if j <= J and (r[j - 1] is None or c < r[j - 1]):
-                    r[j - 1] = c
-        return r
 
     def to_json_dict(self) -> dict:
         return {"type": "general", "blocks": [sorted(b) for b in self.blocks]}
@@ -136,52 +126,61 @@ def policy_from_json_dict(payload: dict):
     raise ParameterError(f"unknown policy type {kind!r}")
 
 
+# r_j of an item no block holds: larger than any coverage number, so its
+# tail Pr{N >= r_j} is exactly 0 whatever the distribution's support
+UNCACHED = np.iinfo(np.int64).max
+
+
+def item_thresholds(policy: GeneralPolicy | StructuredPolicy, J: int) -> np.ndarray:
+    """Per item j = 1..J the size r_j of the smallest block holding j.
+
+    Accepts a ``GeneralPolicy`` or a ``StructuredPolicy``; items held by no
+    block get ``UNCACHED``. Item j is hit iff its coverage number is >= r_j.
+    """
+    r = np.full(J, UNCACHED, dtype=np.int64)
+    if isinstance(policy, StructuredPolicy):
+        if policy.total_items > J:
+            raise ParameterError("policy references items beyond the catalog")
+        for start, end, m in policy.intervals():
+            r[start - 1 : end] = m
+        return r
+    # largest blocks first, so the smallest block holding an item is written last
+    for block in sorted(policy.blocks, key=len, reverse=True):
+        items = [j - 1 for j in block]
+        if max(items) >= J:
+            raise ParameterError("policy references items beyond the catalog")
+        r[items] = len(block)
+    return r
+
+
 def hit_probability_general(
-    policy: GeneralPolicy, pop: PopularityDistribution, dist: CoverageDistribution
+    policy: GeneralPolicy | StructuredPolicy,
+    pop: PopularityDistribution,
+    dist: CoverageDistribution,
 ) -> float:
-    """P_hit of an arbitrary block family (overlap allowed)."""
+    """P_hit = sum_j a_j * Pbar(r_j) of any block policy, summed exactly rounded."""
     J = pop.size
-    if policy.max_index() > J:
-        raise ParameterError("policy references items beyond the catalog")
-    r = policy.min_cardinalities(J)
-    probs = pop.probs
-    terms = [
-        probs[j] * dist.tail_at(r[j]) for j in range(J) if r[j] is not None
-    ]
-    return math.fsum(terms)
+    r = item_thresholds(policy, J)
+    cached = r != UNCACHED
+    terms = pop.probs[cached] * dist.tail_array(J)[r[cached]]
+    return math.fsum(terms.tolist())
 
 
-def hit_probability_structured(
-    policy: StructuredPolicy, pop: PopularityDistribution, dist: CoverageDistribution
-) -> float:
-    """P_hit of consecutive disjoint blocks; expands to the same per-item
-    terms as the general evaluator, so the two agree exactly."""
-    J = pop.size
-    if policy.total_items > J:
-        raise ParameterError("structured policy exceeds the catalog size")
-    probs = pop.probs
-    terms = []
-    for start, end, m in policy.intervals():
-        t = dist.tail_at(m)
-        terms.extend(probs[j - 1] * t for j in range(start, end + 1))
-    return math.fsum(terms)
+# one evaluator serves both policy types; the two names stay so callers say
+# which kind of policy they score
+hit_probability_structured = hit_probability_general
 
 
-def canonicalize(
-    policy: GeneralPolicy, pop: PopularityDistribution, dist: CoverageDistribution
-) -> StructuredPolicy:
+def canonicalize(policy: GeneralPolicy, pop: PopularityDistribution) -> StructuredPolicy:
     """Reduce a general policy to a structured one of no smaller hit probability.
 
     Applies three value-monotone moves: keep each duplicated item only in a
     smallest containing block, repack onto the most popular items, and sort
     block sizes nondecreasing so more popular items land in smaller blocks.
-    The coverage distribution only enters through the monotonicity argument,
-    not the construction; it is accepted to mirror the evaluators' contract.
+    Each move is value-monotone under every coverage distribution, so none
+    is passed in.
     """
-    J = pop.size
-    if policy.max_index() > J:
-        raise ParameterError("policy references items beyond the catalog")
-    del dist
+    item_thresholds(policy, pop.size)  # rejects items beyond the catalog
     blocks = [set(b) for b in policy.blocks]
     owners = {}
     for idx, b in enumerate(blocks):

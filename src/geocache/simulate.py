@@ -15,7 +15,7 @@ from scipy import stats
 
 from .coverage import CoverageDistribution
 from .errors import ParameterError
-from .policy import GeneralPolicy
+from .policy import GeneralPolicy, StructuredPolicy, item_thresholds
 from .popularity import PopularityDistribution
 
 __all__ = ["SimReport", "simulate_hits", "simulate_boolean_ppp", "poisson_gof_pvalue"]
@@ -53,7 +53,7 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 def simulate_hits(
-    policy: GeneralPolicy,
+    policy: GeneralPolicy | StructuredPolicy,
     pop: PopularityDistribution,
     dist: CoverageDistribution,
     trials: int,
@@ -69,13 +69,7 @@ def simulate_hits(
     if seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     J = pop.size
-    if policy.max_index() > J:
-        raise ParameterError("policy references items beyond the catalog")
-
-    # per-item hit threshold; items cached nowhere can never be hit
-    r = policy.min_cardinalities(J)
-    never = dist.kmax + 1
-    threshold = np.array([never if v is None else v for v in r], dtype=np.int64)
+    threshold = item_thresholds(policy, J)  # UNCACHED exceeds every coverage number
 
     support = np.arange(dist.pmf.size)
     successes = 0

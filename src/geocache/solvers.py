@@ -189,17 +189,12 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
 
 
 def greedy_disjoint(
-    pop: PopularityDistribution,
-    dist: CoverageDistribution,
-    L: int,
-    *,
-    nondecreasing: bool = False,
+    pop: PopularityDistribution, dist: CoverageDistribution, L: int
 ) -> SolverResult:
     """Greedy over consecutive disjoint blocks of the popularity ranking.
 
-    Block l >= 2 takes the size maximizing A([used+1, used+m]) * Pbar(m),
-    unconstrained by default; ``nondecreasing`` instead restricts each block
-    to sizes >= the previous one. The result is reported in canonical order.
+    Block l >= 2 takes the size maximizing A([used+1, used+m]) * Pbar(m)
+    over all sizes that fit. The result is reported in canonical order.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
@@ -211,17 +206,10 @@ def greedy_disjoint(
     raw = [m1]
     used = m1
     for _ in range(2, L + 1):
-        lo = raw[-1] if nondecreasing else 0
-        if lo > J - used:
-            raw.append(0)
-            continue
-        best_m, best_gain = lo, (prefix[used + lo] - prefix[used]) * tails[lo]
-        for m in range(lo + 1, J - used + 1):
-            gain = (prefix[used + m] - prefix[used]) * tails[m]
-            if gain > best_gain:
-                best_m, best_gain = m, gain
-        raw.append(best_m)
-        used += best_m
+        gains = (prefix[used:] - prefix[used]) * tails[: J - used + 1]
+        m = int(np.argmax(gains))  # first max: smallest size wins ties
+        raw.append(m)
+        used += m
 
     policy = StructuredPolicy(canonical_sizes(raw))
     hit = hit_probability_structured(policy, pop, dist)
@@ -229,7 +217,7 @@ def greedy_disjoint(
         policy=policy,
         hit_prob=hit,
         solver_name="gdbnc",
-        diagnostics={"raw_sizes": raw, "nondecreasing": nondecreasing},
+        diagnostics={"raw_sizes": raw},
     )
 
 

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
 from geocache.cli import (
@@ -12,7 +14,7 @@ from geocache.cli import (
     parse_grid,
     run_sweep,
 )
-from geocache import cli, solvers
+from geocache import CoverageDistribution, cli, solvers
 from geocache.errors import GeocacheError, NumericalCancellationError, ParameterError
 
 
@@ -78,6 +80,102 @@ def test_config_rejects_bad_values_up_front(overrides):
 def test_config_accepts_boundary_values():
     config = ExperimentConfig(L=1, J=1, trials=0, tau_db_grid=(-30.0, 30.0))
     assert (config.L, config.J, config.trials) == (1, 1, 0)
+
+
+def _sweep_config(argv):
+    args = cli.build_parser().parse_args(["sweep", *argv])
+    return cli._config_from_args(args, sweep=True)
+
+
+def test_sweep_defaults_are_the_dataclass_defaults(monkeypatch):
+    monkeypatch.delenv("GEOCACHE_SEED", raising=False)
+    assert _sweep_config([]) == ExperimentConfig()
+
+
+# a non-default value for every settable field, as flag / config-file text
+FIELD_TEXT = {
+    "model": "sinr", "tau_db_grid": "-3:3:3", "policies": "onc,mp,",
+    "pop_file": "pop.json", "output": "rows.csv", "timing": "true",
+}
+TYPE_TEXT = {float: "2.5", int: "7"}
+
+
+def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path, monkeypatch):
+    monkeypatch.delenv("GEOCACHE_SEED", raising=False)
+    parser = argparse.ArgumentParser()
+    cli._config_args(parser, sweep=True)
+    flags = {
+        a.dest: next(o for o in a.option_strings if o.startswith("--"))
+        for a in parser._actions
+    }
+    settable = cli._settable_fields()
+    assert set(settable) <= set(flags)
+    for name, parse in settable.items():
+        text = FIELD_TEXT.get(name) or TYPE_TEXT[parse]
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(f"{name} = {text}\n")
+        by_file = _sweep_config(["--config", str(path)])
+        argv = [flags[name]] if name == "timing" else [f"{flags[name]}={text}"]
+        assert _sweep_config(argv) == by_file, name
+        owner, default = by_file, ExperimentConfig()
+        if not hasattr(default, name):
+            owner, default = owner.integration, default.integration
+        assert getattr(owner, name) == parse(text) != getattr(default, name), name
+
+
+@pytest.mark.parametrize(
+    "line", ["gama = 0.5", "modle = sinr", "seed_ = 1", "integration = 0", "J = forty",
+             "tau_db = 0:5"],
+)
+def test_bad_config_line_names_key_and_file(tmp_path, capsys, line):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"L = 3\n{line}\n")
+    assert main(["sweep", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert line.split("=")[0].strip() in err and str(path) in err
+
+
+@pytest.mark.parametrize("key", ["tau_db", "tau_db_grid"])
+def test_tau_db_key_read_by_every_command(tmp_path, key):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"{key} = 3\n")
+    for command in ("sweep", "coverage", "solve"):
+        argv = [command, "--config", str(path)]
+        if command == "solve":
+            argv += ["--policy", "onc"]
+        args = cli.build_parser().parse_args(argv)
+        assert cli._config_from_args(args, sweep=command == "sweep").tau_db_grid == (3.0,)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--policy", "onc"],
+        ["coverage"],
+        ["simulate", "--policy", '{"type": "structured", "sizes": [1]}'],
+        ["bound", "--greedy-blocks", "4"],
+    ],
+)
+def test_single_threshold_commands(argv, capsys):
+    args = cli.build_parser().parse_args(argv)
+    assert cli._config_from_args(args, sweep=False).tau_db_grid == (0.0,)
+    assert main(argv + ["--tau-db=-3:3:3", "-J", "8"]) == 1
+    assert "one threshold" in capsys.readouterr().err
+
+
+def test_flag_beats_file_beats_env_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("GEOCACHE_SEED", "9")
+    path = tmp_path / "exp.cfg"
+    path.write_text("seed = 5\nJ = 12\n")
+    assert _sweep_config([]).seed == 9
+    from_file = _sweep_config(["--config", str(path)])
+    assert (from_file.seed, from_file.J) == (5, 12)
+    config = _sweep_config(["--config", str(path), "--seed", "2", "-J", "30"])
+    assert (config.seed, config.J) == (2, 30)
+
+
+def test_sweep_policies_accept_trailing_comma():
+    assert _sweep_config(["--policies", "onc,"]).policies == ("onc",)
 
 
 def test_cli_rejects_bad_config_before_any_work(capsys):
@@ -196,6 +294,18 @@ def test_sweep_sim_columns_present_with_trials(tmp_path):
     assert 0.0 <= estimate <= 1.0
 
 
+def test_sweep_sim_blank_for_policies_caching_nothing(monkeypatch):
+    never_covered = CoverageDistribution(pmf=np.array([1.0]))
+    monkeypatch.setattr(cli, "_build_coverage", lambda config, tau: never_covered)
+    config = ExperimentConfig(
+        tau_db_grid=(0.0,), J=6, L=2, trials=500, policies=("onc", "mp", "ind")
+    )
+    rows, ok = run_sweep(config)
+    assert ok
+    sims = {r["policy"]: r["sim_estimate"] for r in rows}
+    assert sims == {"ind": None, "mp": 0.0, "onc": None}  # onc caches no item here
+
+
 def test_solve_cli_emits_json(capsys):
     code = main(["solve", "--policy", "gdbnc", "--tau-db", "0", "-J", "8", "-L", "2"])
     assert code == 0
@@ -258,13 +368,6 @@ def test_bound_cli(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["satisfied"] is True
-
-
-def test_brute_cli_hidden_but_usable(capsys):
-    code = main(["brute", "--tau-db", "0", "-J", "5", "-L", "1", "--kind", "general"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["policy"]["type"] == "general"
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from geocache import (
     hit_probability_general,
     hit_probability_structured,
 )
-from geocache.policy import canonical_sizes
+from geocache.policy import UNCACHED, canonical_sizes, item_thresholds
 
 from conftest import random_coverage, random_popularity
 
@@ -43,12 +43,19 @@ def test_hit_requires_items_inside_catalog():
     pop2 = PopularityDistribution(np.array([1.0, 0.0]))
     with pytest.raises(ParameterError):
         hit_probability_general(GeneralPolicy((frozenset({3}),)), pop2, DIST_P2)
+    for policy in (GeneralPolicy((frozenset({1, 3}),)), StructuredPolicy((1, 2))):
+        with pytest.raises(ParameterError, match="beyond the catalog"):
+            item_thresholds(policy, 2)
 
 
 def test_hit_zero_when_only_irrelevant_item_cached():
     pop2 = PopularityDistribution(np.array([1.0, 0.0]))
     policy = GeneralPolicy((frozenset({2}),))
-    assert hit_probability_general(policy, pop2, DIST_P2) == 0.0
+    assert item_thresholds(policy, 2).tolist() == [UNCACHED, 1]
+    # coverage far beyond the catalog still never serves an uncached item
+    deep = CoverageDistribution(pmf=np.array([0.0] * 9 + [1.0]))
+    for dist in (DIST_P2, deep):
+        assert hit_probability_general(policy, pop2, dist) == 0.0
 
 
 def test_hit_two_item_block_under_sure_double_coverage():
@@ -58,6 +65,7 @@ def test_hit_two_item_block_under_sure_double_coverage():
 
 def test_hit_overlapping_blocks_use_smallest_cardinality():
     policy = GeneralPolicy((frozenset({1}), frozenset({1, 2})))
+    assert item_thresholds(policy, 4).tolist() == [1, 2, UNCACHED, UNCACHED]
     value = hit_probability_general(policy, POP4, DIST_HALF)
     assert value == pytest.approx(0.4 * 1.0 + 0.3 * 0.5, abs=1e-15)
 
@@ -76,6 +84,7 @@ def test_structured_zero_blocks_are_skipped():
     assert hit_probability_structured(
         StructuredPolicy((0, 0)), POP4, DIST_HALF
     ) == 0.0
+    assert item_thresholds(StructuredPolicy((1, 0, 2)), 4).tolist() == [1, 2, 2, UNCACHED]
 
 
 def test_structured_matches_general_on_expanded_blocks_exactly(rng):
@@ -96,6 +105,9 @@ def test_structured_matches_general_on_expanded_blocks_exactly(rng):
         via_blocks = hit_probability_structured(policy, pop, dist)
         via_items = hit_probability_general(policy.to_general(), pop, dist)
         assert via_blocks == via_items
+        assert np.array_equal(
+            item_thresholds(policy, pop.size), item_thresholds(policy.to_general(), pop.size)
+        )
 
 
 def test_hit_monotone_in_coverage_tail(rng):
@@ -115,13 +127,13 @@ def test_hit_monotone_in_coverage_tail(rng):
 
 def test_canonicalize_swaps_into_prefix_blocks():
     pop3 = PopularityDistribution(np.array([0.5, 0.3, 0.2]))
-    result = canonicalize(GeneralPolicy((frozenset({3}), frozenset({1, 2}))), pop3, DIST_HALF)
+    result = canonicalize(GeneralPolicy((frozenset({3}), frozenset({1, 2}))), pop3)
     assert result.sizes == (1, 2)
 
 
 def test_canonicalize_fixed_point():
     policy = StructuredPolicy((1, 2)).to_general()
-    result = canonicalize(policy, POP4, DIST_HALF)
+    result = canonicalize(policy, POP4)
     assert result.sizes == (1, 2)
 
 
@@ -136,7 +148,7 @@ def test_canonicalize_never_lowers_hit(rng):
             size = int(rng.integers(1, J + 1))
             blocks.append(frozenset(int(j) + 1 for j in rng.choice(J, size=size, replace=False)))
         policy = GeneralPolicy(tuple(blocks))
-        canon = canonicalize(policy, pop, dist)
+        canon = canonicalize(policy, pop)
         before = hit_probability_general(policy, pop, dist)
         after = hit_probability_structured(canon, pop, dist)
         assert after >= before - 1e-12

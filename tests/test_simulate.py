@@ -20,6 +20,14 @@ from conftest import random_coverage, random_popularity
 POP4 = PopularityDistribution(np.array([0.4, 0.3, 0.2, 0.1]))
 
 
+def test_uncached_items_never_hit_under_deep_coverage():
+    # every request sees 9 stations, far more than the catalog holds items
+    dist = CoverageDistribution(pmf=np.array([0.0] * 9 + [1.0]))
+    policy = GeneralPolicy((frozenset({1}),))
+    report = simulate_hits(policy, POP4, dist, trials=20000, seed=5)
+    assert abs(report.estimate - 0.4) <= 4.0 * report.stderr
+
+
 def test_empty_coverage_never_hits():
     dist = CoverageDistribution(pmf=np.array([1.0]))
     policy = GeneralPolicy((frozenset({1}),))
@@ -124,5 +132,6 @@ def test_simulated_hits_match_both_evaluators_on_disjoint_policy():
     analytic_s = hit_probability_structured(structured, pop, dist)
     analytic_g = hit_probability_general(structured.to_general(), pop, dist)
     assert analytic_s == analytic_g
-    report = simulate_hits(structured.to_general(), pop, dist, trials=10**5, seed=17)
+    report = simulate_hits(structured, pop, dist, trials=10**5, seed=17)
+    assert report == simulate_hits(structured.to_general(), pop, dist, trials=10**5, seed=17)
     assert abs(report.estimate - analytic_s) <= 4.0 * report.stderr

@@ -155,16 +155,6 @@ def test_gdbnc_never_beats_dp(rng):
         assert greedy_disjoint(pop, dist, L).hit_prob <= solve_dp(pop, dist, L).hit_prob + 1e-12
 
 
-def test_gdbnc_nondecreasing_flag():
-    pop = zipf(12, 1.2)
-    free = greedy_disjoint(pop, DIST_HALF, 3)
-    constrained = greedy_disjoint(pop, DIST_HALF, 3, nondecreasing=True)
-    raw = constrained.diagnostics["raw_sizes"]
-    used = [m for m in raw if m > 0]
-    assert all(b >= a for a, b in zip(used, used[1:]))
-    assert constrained.hit_prob <= free.hit_prob + 1e-12
-
-
 # ---------------------------------------------------------------------------
 # most popular
 # ---------------------------------------------------------------------------
