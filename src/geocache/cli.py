@@ -10,6 +10,7 @@ fields of ``ExperimentConfig`` and ``coverage.IntegrationConfig``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -109,7 +110,11 @@ def _build_coverage(config: ExperimentConfig, tau: float) -> cov.CoverageDistrib
             power_ratio=config.power_ratio,
         )
         return cov.boolean_coverage(params)
-    params = cov.SinrModelParams(
+    return cov.sinr_coverage(_sinr_params(config, tau))
+
+
+def _sinr_params(config: ExperimentConfig, tau: float) -> cov.SinrModelParams:
+    return cov.SinrModelParams(
         lam=config.lam,
         tau=tau,
         beta=config.beta,
@@ -118,7 +123,16 @@ def _build_coverage(config: ExperimentConfig, tau: float) -> cov.CoverageDistrib
         moment_PS=config.moment_ps,
         integration=replace(config.integration, seed=config.seed),
     )
-    return cov.sinr_coverage(params)
+
+
+def _coverage_scope(config: ExperimentConfig):
+    """For a SINR sweep, a block in which every grid threshold's S_n are
+    built in one pass over n; ``sinr_coverage`` is still called per cell."""
+    if config.model != "sinr":
+        return contextlib.nullcontext()
+    return cov._sinr_grid(
+        [_sinr_params(config, db_to_linear(tau_db)) for tau_db in config.tau_db_grid]
+    )
 
 
 def _run_policy(name, pop, dist, L) -> solvers.SolverResult:
@@ -154,8 +168,16 @@ def run_sweep(config: ExperimentConfig):
     name, and an all-consistency-checks-passed flag. Failures at single
     cells are marked (empty hit_prob) without aborting the sweep; cells
     whose coverage build failed (NaN mean coverage) sort last, by
-    threshold then policy.
+    threshold then policy. A SINR sweep builds the S_n of the whole grid
+    in one pass before its cells.
     """
+    with _coverage_scope(config):
+        rows, ok = _sweep_cells(config)
+    rows.sort(key=_row_order)
+    return rows, ok
+
+
+def _sweep_cells(config: ExperimentConfig):
     pop = _build_popularity(config)
     rows = []
     ok = True
@@ -213,7 +235,6 @@ def run_sweep(config: ExperimentConfig):
                     "wall_time_ms": wall_ms,
                 }
             )
-    rows.sort(key=_row_order)
     return rows, ok
 
 
@@ -260,8 +281,10 @@ _CONFIG_ALIASES = {"lambda": "lam", "tau_db": "tau_db_grid"}
 
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` config text; '#' starts a comment. Values stay
-    text; keys ``lambda`` and ``tau_db`` become ``lam`` and ``tau_db_grid``."""
+    text; keys ``lambda`` and ``tau_db`` become ``lam`` and ``tau_db_grid``.
+    A key may appear once, counting an alias and its target as one key."""
     values = {}
+    seen = {}  # canonical key -> (key as written, line)
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -271,7 +294,14 @@ def parse_config_file(path) -> dict:
                 raise GeocacheError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            values[_CONFIG_ALIASES.get(key, key)] = value.strip()
+            name = _CONFIG_ALIASES.get(key, key)
+            if name in seen:
+                first, first_line = seen[name]
+                raise ParameterError(
+                    f"{path}:{lineno}: key {key!r} repeats {first!r} from line {first_line}"
+                )
+            seen[name] = (key, lineno)
+            values[name] = value.strip()
     return values
 
 
@@ -302,7 +332,12 @@ def _parse_policies(text: str) -> tuple:
 
 
 def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes", "on")
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
 
 
 # How the text of a flag or a config-file value becomes a field value: by
@@ -376,7 +411,11 @@ def _config_from_args(args, *, sweep: bool) -> ExperimentConfig:
         if value is not None:
             values[name] = value
     if "seed" not in values and os.environ.get(ENV_SEED):
-        values["seed"] = int(os.environ[ENV_SEED])
+        text = os.environ[ENV_SEED]
+        try:
+            values["seed"] = int(text)
+        except ValueError:
+            raise ParameterError(f"{ENV_SEED} must be an integer, got {text!r}") from None
     if not sweep:
         values.setdefault("tau_db_grid", (0.0,))
         if len(values["tau_db_grid"]) != 1:

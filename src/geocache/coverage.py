@@ -16,19 +16,26 @@ tau_n = tau / (1 - (n-1) tau), and a = lam * pi * E[(P S)^(2/beta)] / K^2.
 The two special functions I and J are evaluated numerically here:
 I by adaptive 1-D quadrature, J by tensor Gauss-Jacobi quadrature in low
 dimension and by randomized low-discrepancy (Sobol) sampling above it.
+
+A sweep over thresholds builds every S_n of its grid in one pass over n:
+I_n once per n, and each (n, replicate) Sobol point set drawn once and
+shared by all of that n's tau_n (``_sinr_grid``); the values are bitwise
+those of one threshold at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
 from scipy.special import roots_jacobi
 from scipy.stats import poisson, qmc
 
-from .errors import IntegrationError, NumericalCancellationError, ParameterError
+from .errors import GeocacheError, IntegrationError, NumericalCancellationError, ParameterError
 
 __all__ = [
     "CoverageDistribution",
@@ -352,20 +359,25 @@ def _jacobi_rules(d, beta, m):
     return nodes, weights
 
 
-def _eta_denominator(x, vs):
-    """prod_{i=1}^{n} (x + eta_i) for the stick-breaking eta built from vs.
+def _eta_chain(vs):
+    """eta_n, eta_(n-1), ..., eta_1 of the stick-breaking chain built from vs.
 
     eta_1 = v_1 ... v_{n-1}; eta_i = (1 - v_{i-1}) v_i ... v_{n-1}; eta_n = 1 - v_{n-1}.
     Entries of vs may be scalars or broadcastable arrays.
     """
-    n = len(vs) + 1
     suffix = 1.0
+    for v in reversed(vs):
+        yield (1.0 - v) * suffix
+        suffix = suffix * v
+    yield suffix
+
+
+def _eta_denominator(x, etas):
+    """prod_i (x + eta_i), multiplied in the order of ``etas``."""
     denom = 1.0
-    for i in range(n, 1, -1):
-        eta_i = (1.0 - vs[i - 2]) * suffix
-        denom = denom * (x + eta_i)
-        suffix = suffix * vs[i - 2]
-    return denom * (x + suffix)
+    for eta in etas:
+        denom = denom * (x + eta)
+    return denom
 
 
 def _j_tensor_raw(d, beta, x, m):
@@ -377,7 +389,7 @@ def _j_tensor_raw(d, beta, x, m):
             shape = [1] * d
             shape[i] = m
             vs.append(nodes[i].reshape(shape))
-        g = 1.0 / _eta_denominator(x, vs)
+        g = 1.0 / _eta_denominator(x, _eta_chain(vs))
         for i in range(d):
             g = np.tensordot(weights[i], g, axes=(0, 0))
         return float(g)
@@ -389,34 +401,51 @@ def _j_tensor_raw(d, beta, x, m):
         vs_inner.append(nodes[i].reshape(shape))
     total = 0.0
     for k in range(m):
-        g = 1.0 / _eta_denominator(x, [float(nodes[0][k])] + vs_inner)
+        g = 1.0 / _eta_denominator(x, _eta_chain([float(nodes[0][k])] + vs_inner))
         for i in range(1, d):
             g = np.tensordot(weights[i], g, axes=(0, 0))
         total += float(weights[0][k]) * float(g)
     return total
 
 
-def _j_qmc_raw(d, beta, x, cfg, n_tag):
-    """Randomized-Sobol estimate (mean, stderr) of the d-dim J integral.
+def _j_qmc_raw(d, beta, xs, cfg, n_tag):
+    """Randomized-Sobol estimate (mean, stderr) of the d-dim J integral at
+    x = xs, or the list of them when xs is a sequence.
 
     The large monomial weights v^(b_i) are absorbed into the sampling
     measure through v = u^(1/(b_i+1)), leaving a bounded low-variance
-    integrand; replicate scrambles give the error estimate.
+    integrand; replicate scrambles give the error estimate. Only
+    prod_i (x + eta_i) depends on x: each replicate's points, weight and
+    eta chain are built once and shared by every x.
     """
+    scalar = np.ndim(xs) == 0
+    xs = [xs] if scalar else list(xs)
     a = 2.0 / beta
     b = np.array([i * (2.0 / beta + 1.0) - 1.0 for i in range(1, d + 1)])
     scale = float(np.prod(1.0 / (b + 1.0)))
     inv_exp = 1.0 / (b + 1.0)
     npts = int(cfg.qmc_points)
     m2 = npts.bit_length() - 1
-    estimates = []
+    estimates = [[] for _ in xs]
     for rep in range(cfg.qmc_replicates):
         ss = np.random.SeedSequence([int(cfg.seed), int(n_tag), rep])
         engine = qmc.Sobol(d, scramble=True, seed=np.random.default_rng(ss))
         u = engine.random_base2(m2) if (1 << m2) == npts else engine.random(npts)
-        v = u**inv_exp
-        f = np.prod((1.0 - v) ** a, axis=1) / _eta_denominator(x, [v[:, i] for i in range(d)])
-        estimates.append(scale * float(np.mean(f)))
+        # v[i] is dimension i, contiguous; the product over axis 0 multiplies
+        # the dimensions of each point in order, as the row product over u did
+        v = np.power(u.T, inv_exp[:, None], order="C")
+        del u
+        weight = np.prod((1.0 - v) ** a, axis=0)
+        etas = list(_eta_chain(v))
+        del v
+        for x, found in zip(xs, estimates):
+            found.append(scale * float(np.mean(weight / _eta_denominator(x, etas))))
+    results = [_mean_stderr(found) for found in estimates]
+    return results[0] if scalar else results
+
+
+def _mean_stderr(estimates):
+    """Mean of the replicate estimates and its standard error (NaN for one)."""
     mean = math.fsum(estimates) / len(estimates)
     if len(estimates) > 1:
         var = math.fsum((e - mean) ** 2 for e in estimates) / (len(estimates) - 1)
@@ -463,27 +492,90 @@ def special_J(
 # ---------------------------------------------------------------------------
 
 
-def _sn_with_error(n, params: SinrModelParams):
-    """(S_n(tau), error estimate); zero when 1 - (n-1) tau <= 0."""
-    tau = params.tau
-    denom = 1.0 - (n - 1) * tau
-    if denom <= 0.0:
-        return 0.0, 0.0
-    tau_n = tau / denom
+def _special_J_many(n, beta, xs, cfg):
+    """[special_J(n, beta, x, cfg) for x in xs]; above ``tensor_dim_limit``
+    every x shares one set of QMC point sets."""
+    if n - 1 <= cfg.tensor_dim_limit:
+        return [special_J(n, beta, x, cfg) for x in xs]
+    out = []
+    for x, (mean, stderr) in zip(xs, _j_qmc_raw(n - 1, beta, xs, cfg, n_tag=n)):
+        front = (1.0 + n * x) / n
+        out.append((front * mean, front * stderr))
+    return out
+
+
+def _sn_terms(n, taus, params: SinrModelParams):
+    """[(S_n(tau), error estimate)] for each tau of taus; zero where
+    1 - (n-1) tau <= 0. ``params`` gives everything but the threshold."""
+    out = [(0.0, 0.0)] * len(taus)
+    live = {}  # index -> tau_n = tau / (1 - (n-1) tau)
+    for k, tau in enumerate(taus):
+        denom = 1.0 - (n - 1) * tau
+        if denom > 0.0:
+            live[k] = tau / denom
+    if not live:
+        return out
     cfg = params.integration
-    scale = tau_n ** (-2.0 * n / params.beta)
     i_val, i_err = _special_I_with_error(n, params.beta, params.noise_argument, cfg)
-    j_val, j_err = special_J(n, params.beta, tau_n, cfg)
-    value = scale * i_val * j_val
-    error = scale * (abs(i_val) * j_err + abs(j_val) * i_err)
-    return value, error
+    js = _special_J_many(n, params.beta, list(live.values()), cfg)
+    for (k, tau_n), (j_val, j_err) in zip(live.items(), js):
+        scale = tau_n ** (-2.0 * n / params.beta)
+        out[k] = (scale * i_val * j_val, scale * (abs(i_val) * j_err + abs(j_val) * i_err))
+    return out
 
 
 def sinr_Sn(n: int, params: SinrModelParams) -> float:
     """Expected number S_n(tau) of n-tuples of stations jointly above threshold."""
     if n < 1:
         raise ParameterError(f"order n must be >= 1, got {n}")
-    return _sn_with_error(n, params)[0]
+    return _sn_terms(n, [params.tau], params)[0][0]
+
+
+def _sn_rows(grid) -> dict:
+    """{params: (sn, errs) for n = 1..nmax, or the GeocacheError its build
+    raised} for SINR params that differ only in tau, in one pass over n:
+    I_n is computed once per n and J_n once for all of that n's tau_n."""
+    rows = {params: ([], []) for params in grid}
+    for n in range(1, max(params.nmax for params in rows) + 1):
+        live = [p for p, row in rows.items() if n <= p.nmax and isinstance(row, tuple)]
+        if not live:
+            break
+        try:
+            terms = _sn_terms(n, [p.tau for p in live], live[0])
+        except GeocacheError as exc:
+            rows.update(dict.fromkeys(live, exc))
+            continue
+        for p, (value, error) in zip(live, terms):
+            rows[p][0].append(value)
+            rows[p][1].append(error)
+    return rows
+
+
+# The rows of the open ``_sinr_grid`` block, keyed by frozen params. A
+# context variable, because sinr_coverage keeps its one-argument signature:
+# a sweep (and anything wrapping it) still calls it once per threshold.
+_GRID_ROWS: contextvars.ContextVar = contextvars.ContextVar("_GRID_ROWS", default=None)
+
+
+@contextlib.contextmanager
+def _sinr_grid(grid):
+    """Build S_n for every SINR params of ``grid`` in one pass per model,
+    then let ``sinr_coverage`` read them instead of recomputing.
+
+    The rows live until the block exits; params outside the grid are built
+    as usual.
+    """
+    models = {}
+    for params in grid:
+        models.setdefault(replace(params, tau=1.0), []).append(params)
+    rows = {}
+    for group in models.values():
+        rows.update(_sn_rows(group))
+    token = _GRID_ROWS.set(rows)
+    try:
+        yield
+    finally:
+        _GRID_ROWS.reset(token)
 
 
 def sinr_coverage(params: SinrModelParams) -> CoverageDistribution:
@@ -494,12 +586,12 @@ def sinr_coverage(params: SinrModelParams) -> CoverageDistribution:
     cancellation failures raise instead of silently renormalizing.
     """
     nmax = params.nmax
-    sn = []
-    errs = []
-    for n in range(1, nmax + 1):
-        v, e = _sn_with_error(n, params)
-        sn.append(v)
-        errs.append(e)
+    row = (_GRID_ROWS.get() or {}).get(params)
+    if row is None:
+        row = _sn_rows([params])[params]
+    if isinstance(row, GeocacheError):
+        raise row
+    sn, errs = list(row[0]), list(row[1])
 
     pk = [0.0]  # placeholder for p_0
     for k in range(1, nmax + 1):

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 
@@ -14,7 +16,8 @@ from geocache.cli import (
     parse_grid,
     run_sweep,
 )
-from geocache import CoverageDistribution, cli, solvers
+from geocache import CoverageDistribution, IntegrationConfig, cli, solvers
+from geocache import coverage as cov
 from geocache.errors import GeocacheError, NumericalCancellationError, ParameterError
 
 
@@ -135,6 +138,41 @@ def test_bad_config_line_names_key_and_file(tmp_path, capsys, line):
     assert line.split("=")[0].strip() in err and str(path) in err
 
 
+@pytest.mark.parametrize("word", ["1", "TRUE", "yes", "On", "0", "false", "NO", "off"])
+def test_config_booleans_read_every_spelling(tmp_path, word):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"timing = {word}\n")
+    assert _sweep_config(["--config", str(path)]).timing is (word.lower() in ("1", "true", "yes", "on"))
+
+
+@pytest.mark.parametrize("word", ["flase", "ture", "2", "y", ""])
+def test_config_boolean_typo_is_an_error(tmp_path, capsys, word):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"timing = {word}\n")
+    with pytest.raises(ParameterError, match="bad value for timing"):
+        _sweep_config(["--config", str(path)])
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert "bad value for timing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        ("J = 8\nL = 2\nJ = 12\n", 3, "'J' repeats 'J' from line 1"),
+        ("lambda = 2\nlam = 3\n", 2, "'lam' repeats 'lambda' from line 1"),
+        ("tau_db_grid = 0,3\n# the same key again\ntau_db = 6\n", 3,
+         "'tau_db' repeats 'tau_db_grid' from line 1"),
+    ],
+)
+def test_config_repeated_key_is_an_error(tmp_path, capsys, text, line, key):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match=f"{line}: key {key}"):
+        parse_config_file(path)
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert f"{path}:{line}: key {key}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["tau_db", "tau_db_grid"])
 def test_tau_db_key_read_by_every_command(tmp_path, key):
     path = tmp_path / "exp.cfg"
@@ -237,6 +275,63 @@ def test_sinr_sweep_mean_coverage_stays_small():
         by_tau.setdefault(row["tau_db"], {})[row["policy"]] = row["hit_prob"]
     for cell in by_tau.values():
         assert cell["onc"] >= cell["mp"] - 1e-12
+
+
+# Small QMC effort at seed 1: -13 dB fails its cancellation check, -11 and
+# -7 dB reach the QMC path (n >= 6), 0 and 3 dB have nmax = 1.
+SINR_GRID_CONFIG = ExperimentConfig(
+    model="sinr", tau_db_grid=(0.0, -11.0, 3.0, -13.0, -7.0), J=8, L=2,
+    policies=("onc", "mp"), seed=1,
+    integration=IntegrationConfig(qmc_points=1024, qmc_replicates=2),
+)
+
+
+def _csv_bytes(rows, config):
+    """Every row field but wall_time_ms, NaN coverage included, as the CSV writes it."""
+    buffer = io.StringIO()
+    cli.write_sweep_csv(rows, config, buffer)
+    return buffer.getvalue()
+
+
+def test_sinr_sweep_equals_threshold_by_threshold_build(monkeypatch):
+    rows, ok = run_sweep(SINR_GRID_CONFIG)
+    monkeypatch.setattr(cli, "_coverage_scope", lambda config: contextlib.nullcontext())
+    alone, alone_ok = run_sweep(SINR_GRID_CONFIG)
+    assert ok and alone_ok
+    assert _csv_bytes(rows, SINR_GRID_CONFIG) == _csv_bytes(alone, SINR_GRID_CONFIG)
+    assert [(r["tau_db"], r["hit_prob"]) for r in rows[-2:]] == [(-13.0, None)] * 2
+
+
+def test_sinr_sweep_calls_sinr_coverage_once_per_threshold(monkeypatch):
+    real = cov.sinr_coverage
+    seen = []
+
+    def tapped(params):
+        try:
+            dist = real(params)
+        except GeocacheError as exc:
+            seen.append((params.tau, type(exc)))
+            raise
+        seen.append((params.tau, len(dist.meta["sn_error_estimates"])))
+        return dist
+
+    monkeypatch.setattr(cov, "sinr_coverage", tapped)
+    run_sweep(SINR_GRID_CONFIG)
+    assert seen == [
+        (db_to_linear(0.0), 1), (db_to_linear(-11.0), 13), (db_to_linear(3.0), 1),
+        (db_to_linear(-13.0), NumericalCancellationError), (db_to_linear(-7.0), 6),
+    ]
+
+
+def test_sinr_sweeps_repeat_and_keep_nothing_between_them(monkeypatch):
+    real, passes = cov._sn_rows, []
+    monkeypatch.setattr(cov, "_sn_rows", lambda grid: passes.append(len(grid)) or real(grid))
+    first, _ = run_sweep(SINR_GRID_CONFIG)
+    assert cov._GRID_ROWS.get() is None
+    again, _ = run_sweep(SINR_GRID_CONFIG)
+    assert cov._GRID_ROWS.get() is None
+    assert _csv_bytes(again, SINR_GRID_CONFIG) == _csv_bytes(first, SINR_GRID_CONFIG)
+    assert passes == [5, 5]  # one pass over the grid per sweep, none per cell
 
 
 def test_sweep_cli_writes_csv(tmp_path, capsys):
@@ -386,3 +481,10 @@ def test_cli_reports_errors_cleanly(capsys):
     code = main(["solve", "--policy", "onc", "--tau-db", "0", "-J", "8", "-L", "0"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_integer_env_seed_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("GEOCACHE_SEED", "abc")
+    assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: GEOCACHE_SEED must be an integer, got 'abc'\n"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from geocache import (
     special_I,
     special_J,
 )
+from geocache import coverage
 from geocache.coverage import _j_qmc_raw
+from geocache.errors import GeocacheError, IntegrationError, NumericalCancellationError
+from scipy.stats import qmc
 
 CFG = IntegrationConfig()
 
@@ -198,6 +202,44 @@ def test_special_J_tensor_and_qmc_agree(n):
     assert abs(tensor_value - qmc_value) <= budget
 
 
+def _seed_j_qmc_raw(d, beta, x, cfg, n_tag):
+    """The one-x QMC estimator as first written, kept as a bitwise reference."""
+    a = 2.0 / beta
+    b = np.array([i * (2.0 / beta + 1.0) - 1.0 for i in range(1, d + 1)])
+    scale = float(np.prod(1.0 / (b + 1.0)))
+    inv_exp = 1.0 / (b + 1.0)
+    npts = int(cfg.qmc_points)
+    m2 = npts.bit_length() - 1
+    estimates = []
+    for rep in range(cfg.qmc_replicates):
+        ss = np.random.SeedSequence([int(cfg.seed), int(n_tag), rep])
+        engine = qmc.Sobol(d, scramble=True, seed=np.random.default_rng(ss))
+        u = engine.random_base2(m2) if (1 << m2) == npts else engine.random(npts)
+        v = u**inv_exp
+        n = d + 1
+        suffix, denom = 1.0, 1.0
+        for i in range(n, 1, -1):
+            denom = denom * (x + (1.0 - v[:, i - 2]) * suffix)
+            suffix = suffix * v[:, i - 2]
+        f = np.prod((1.0 - v) ** a, axis=1) / (denom * (x + suffix))
+        estimates.append(scale * float(np.mean(f)))
+    mean = math.fsum(estimates) / len(estimates)
+    var = math.fsum((e - mean) ** 2 for e in estimates) / (len(estimates) - 1)
+    return mean, math.sqrt(var / len(estimates))
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+@pytest.mark.parametrize("points", [1024, 1000])  # random_base2 and random draws
+def test_j_qmc_sequence_form_matches_scalar_calls_bitwise(points):
+    cfg = IntegrationConfig(qmc_points=points, qmc_replicates=3, seed=4)
+    xs = [0.05, 0.3, 1.7, 0.3]
+    for d in (5, 8):
+        batch = _j_qmc_raw(d, 3.0, xs, cfg, n_tag=d + 1)
+        singles = [_j_qmc_raw(d, 3.0, x, cfg, n_tag=d + 1) for x in xs]
+        reference = [_seed_j_qmc_raw(d, 3.0, x, cfg, d + 1) for x in xs]
+        assert batch == singles == reference
+
+
 def test_special_J_decreases_in_argument():
     xs = np.linspace(0.05, 20.0, 12)
     vals = [special_J(2, 4.0, float(x), CFG)[0] for x in xs]
@@ -283,3 +325,61 @@ def test_sinr_mean_equals_s1_with_noise():
     params = sir_params(0.8, noise_W=0.5)
     dist = sinr_coverage(params)
     assert mean_coverage(dist) == pytest.approx(sinr_Sn(1, params), abs=1e-6)
+
+
+# Small QMC effort: -13 dB fails its cancellation check at seed 1, -11 and
+# -7 dB reach the QMC path (n >= 6), 0 and 3 dB have nmax = 1.
+GRID_DB = (-13.0, -11.0, -7.0, 0.0, 3.0, -11.0)
+
+
+def _grid_params(seed=1):
+    cfg = IntegrationConfig(qmc_points=1024, qmc_replicates=2, seed=seed)
+    return [sir_params(10 ** (db / 10), integration=cfg) for db in GRID_DB]
+
+
+def _build(params):
+    try:
+        dist = sinr_coverage(params)
+    except GeocacheError as exc:
+        return type(exc), str(exc)
+    return dist.pmf.tolist(), dist.meta
+
+
+def test_sinr_grid_rows_equal_single_builds():
+    grid = _grid_params()
+    alone = [_build(p) for p in grid]
+    with coverage._sinr_grid(grid):
+        assert coverage._GRID_ROWS.get().keys() == set(grid)
+        together = [_build(p) for p in grid]
+    assert together == alone
+    assert alone[0][0] is NumericalCancellationError
+    assert len(alone[1][1]["sn"]) == 13 and alone[3][1]["nmax"] == 1
+    for params, (_, meta) in zip(grid[1:], alone[1:]):
+        assert meta["sn"] == [sinr_Sn(n, params) for n in range(1, params.nmax + 1)]
+
+
+def test_sinr_grid_groups_models_and_leaves_nothing_behind():
+    grid = _grid_params() + _grid_params(seed=2)
+    with pytest.raises(KeyError):
+        with coverage._sinr_grid(grid):
+            assert len(coverage._GRID_ROWS.get()) == 10
+            assert _build(grid[7]) == _build(replace(grid[7]))
+            raise KeyError("leave the block early")
+    assert coverage._GRID_ROWS.get() is None
+
+
+def test_sinr_grid_keeps_the_first_failure_of_each_threshold(monkeypatch):
+    real = coverage._special_I_with_error
+
+    def failing(n, beta, x, cfg):
+        if n in (6, 8):
+            raise IntegrationError(f"forced at n = {n}", achieved_error=1.0)
+        return real(n, beta, x, cfg)
+
+    monkeypatch.setattr(coverage, "_special_I_with_error", failing)
+    grid = _grid_params()
+    with coverage._sinr_grid(grid):
+        outcomes = [_build(p) for p in grid]
+    assert outcomes == [_build(p) for p in grid]
+    assert outcomes[:3] == [(IntegrationError, "forced at n = 6")] * 3
+    assert outcomes[3][1]["nmax"] == 1
