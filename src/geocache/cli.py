@@ -86,6 +86,8 @@ class ExperimentConfig:
         unknown = set(self.policies) - set(ALL_POLICIES)
         if unknown:
             raise ParameterError(f"unknown policies: {sorted(unknown)}")
+        if len(set(self.policies)) != len(self.policies):
+            raise ParameterError(f"each policy may be named once, got {self.policies}")
         if self.L < 1:
             raise ParameterError(f"block count L must be >= 1, got {self.L}")
         if self.J < 1:
@@ -285,7 +287,11 @@ def parse_config_file(path) -> dict:
     A key may appear once, counting an alias and its target as one key."""
     values = {}
     seen = {}  # canonical key -> (key as written, line)
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ParameterError(f"{path}: cannot open config file: {exc.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -311,10 +317,12 @@ def parse_grid(text: str) -> tuple:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise GeocacheError(f"grid range must be start:stop:step, got {text!r}")
+            raise ParameterError(f"grid range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ParameterError(f"grid range parts must be finite, got {text!r}")
         if step <= 0:
-            raise GeocacheError("grid step must be positive")
+            raise ParameterError("grid step must be positive")
         values = []
         k = 0
         while True:
@@ -484,10 +492,17 @@ def _cmd_coverage(args) -> int:
 
 def _load_policy_arg(text: str):
     text = text.strip()
-    if text.startswith("{"):
+    source = "--policy"
+    try:
+        if not text.startswith("{"):
+            source = text
+            with open(text) as fh:
+                text = fh.read()
         return policy_from_json_dict(json.loads(text))
-    with open(text) as fh:
-        return policy_from_json_dict(json.load(fh))
+    except OSError as exc:
+        raise ParameterError(f"{source}: cannot read policy file: {exc.strerror}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # bad JSON or bad policy
+        raise ParameterError(f"{source}: not a valid policy: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:

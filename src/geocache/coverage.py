@@ -50,7 +50,8 @@ __all__ = [
     "mean_coverage",
 ]
 
-DEFAULT_MASS_CUTOFF = 1e-12
+MASS_CUTOFF = 1e-12  # the Boolean pmf ends where the tail mass Pr{N > k} drops below this
+I_REL_TOL = 1e-9  # relative tolerance of the adaptive quadrature of I
 
 # Full tensor grids above ~250k points thrash memory bandwidth; chunk the
 # leading axis instead of materializing them (values are unchanged).
@@ -72,7 +73,7 @@ class CoverageDistribution:
     """
 
     pmf: np.ndarray
-    tail: np.ndarray = field(repr=False, compare=False, default=None)
+    tail: np.ndarray = field(init=False, repr=False, compare=False)
     model_label: str = "custom"
     meta: dict = field(default_factory=dict, compare=False)
 
@@ -180,19 +181,16 @@ class BooleanModelParams:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Knobs for the SINR special-function integrals."""
+    """QMC effort for J. The tensor rule is fixed: class constants, not fields."""
 
-    rel_tol_1d: float = 1e-9
+    gauss_nodes = 48  # Gauss-Jacobi nodes per dimension
+    tensor_dim_limit = 4  # largest dimension of the tensor rule; QMC above
     qmc_points: int = 2**17
     qmc_replicates: int = 8
-    gauss_nodes: int = 48
-    tensor_dim_limit: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.rel_tol_1d > 0.0):
-            raise ParameterError("rel_tol_1d must be positive")
-        for name in ("qmc_points", "qmc_replicates", "gauss_nodes", "tensor_dim_limit"):
+        for name in ("qmc_points", "qmc_replicates"):
             if int(getattr(self, name)) < 1:
                 raise ParameterError(f"{name} must be >= 1")
 
@@ -244,21 +242,17 @@ class SinrModelParams:
 # ---------------------------------------------------------------------------
 
 
-def boolean_coverage(
-    params: BooleanModelParams, mass_cutoff: float = DEFAULT_MASS_CUTOFF
-) -> CoverageDistribution:
-    """Poisson coverage-number distribution, truncated at tail mass < mass_cutoff."""
-    if not (0.0 < mass_cutoff < 1e-6):
-        raise ParameterError(f"mass_cutoff must lie in (0, 1e-6), got {mass_cutoff}")
+def boolean_coverage(params: BooleanModelParams) -> CoverageDistribution:
+    """Poisson coverage-number distribution, truncated at tail mass < MASS_CUTOFF."""
     mu = params.poisson_parameter
     if not math.isfinite(mu):
         raise ParameterError(f"Poisson parameter is not finite: {mu}")
 
     # smallest kmax with Pr{N > kmax} < cutoff
-    kmax = max(0, int(poisson.isf(mass_cutoff, mu)))
-    while poisson.sf(kmax, mu) >= mass_cutoff:
+    kmax = max(0, int(poisson.isf(MASS_CUTOFF, mu)))
+    while poisson.sf(kmax, mu) >= MASS_CUTOFF:
         kmax += 1
-    while kmax > 0 and poisson.sf(kmax - 1, mu) < mass_cutoff:
+    while kmax > 0 and poisson.sf(kmax - 1, mu) < MASS_CUTOFF:
         kmax -= 1
 
     pmf = poisson.pmf(np.arange(kmax + 1), mu)
@@ -272,7 +266,7 @@ def boolean_coverage(
             "K": params.K,
             "power_ratio": params.power_ratio,
             "poisson_parameter": mu,
-            "mass_cutoff": mass_cutoff,
+            "mass_cutoff": MASS_CUTOFF,
         },
     )
 
@@ -282,7 +276,7 @@ def boolean_coverage(
 # ---------------------------------------------------------------------------
 
 
-def _special_I_with_error(n, beta, x, cfg):
+def _special_I_with_error(n, beta, x):
     if n < 1:
         raise ParameterError(f"order n must be >= 1, got {n}")
     if not (beta > 2.0):
@@ -317,30 +311,30 @@ def _special_I_with_error(n, beta, x, cfg):
         0.0,
         1.0,
         epsabs=1e-300,
-        epsrel=cfg.rel_tol_1d,
+        epsrel=I_REL_TOL,
         limit=400,
         points=[t_peak],
         full_output=True,
     )[:3]
-    if value != 0.0 and abserr > 100.0 * cfg.rel_tol_1d * abs(value):
+    if value != 0.0 and abserr > 100.0 * I_REL_TOL * abs(value):
         raise IntegrationError(
             f"I_({n},{beta})({x}): quadrature achieved {abserr:.3e} absolute error "
-            f"(value {value:.6e}), above the requested relative tolerance",
+            f"(value {value:.6e}), above the fixed relative tolerance {I_REL_TOL:g}",
             achieved_error=abserr,
         )
     return value, abserr
 
 
-def special_I(n: int, beta: float, x: float, cfg: IntegrationConfig = IntegrationConfig()) -> float:
+def special_I(n: int, beta: float, x: float) -> float:
     """Special function I_{n,beta}(x).
 
     I = 2^n * int_0^inf u^(2n-1) exp(-u^2 - u^beta x Gamma(1-2/beta)^(-beta/2)) du
         / [beta^(n-1) Gamma(1-2/beta)^n Gamma(1+2/beta)^n (n-1)!].
 
     The prefactor is accumulated in the log domain (stable up to n ~ 20) and
-    the integral is evaluated adaptively on a transformed finite interval.
+    the integral is evaluated adaptively to ``I_REL_TOL`` on a transformed interval.
     """
-    return _special_I_with_error(n, beta, x, cfg)[0]
+    return _special_I_with_error(n, beta, x)[0]
 
 
 def _jacobi_rules(d, beta, m):
@@ -409,8 +403,7 @@ def _j_tensor_raw(d, beta, x, m):
 
 
 def _j_qmc_raw(d, beta, xs, cfg, n_tag):
-    """Randomized-Sobol estimate (mean, stderr) of the d-dim J integral at
-    x = xs, or the list of them when xs is a sequence.
+    """Randomized-Sobol estimates [(mean, stderr)] of the d-dim J integral, one per x of xs.
 
     The large monomial weights v^(b_i) are absorbed into the sampling
     measure through v = u^(1/(b_i+1)), leaving a bounded low-variance
@@ -418,8 +411,6 @@ def _j_qmc_raw(d, beta, xs, cfg, n_tag):
     prod_i (x + eta_i) depends on x: each replicate's points, weight and
     eta chain are built once and shared by every x.
     """
-    scalar = np.ndim(xs) == 0
-    xs = [xs] if scalar else list(xs)
     a = 2.0 / beta
     b = np.array([i * (2.0 / beta + 1.0) - 1.0 for i in range(1, d + 1)])
     scale = float(np.prod(1.0 / (b + 1.0)))
@@ -440,8 +431,7 @@ def _j_qmc_raw(d, beta, xs, cfg, n_tag):
         del v
         for x, found in zip(xs, estimates):
             found.append(scale * float(np.mean(weight / _eta_denominator(x, etas))))
-    results = [_mean_stderr(found) for found in estimates]
-    return results[0] if scalar else results
+    return [_mean_stderr(found) for found in estimates]
 
 
 def _mean_stderr(estimates):
@@ -464,7 +454,7 @@ def special_J(
         / prod_{i=1}^{n} (x + eta_i) dv,
     with the stick-breaking eta chain (eta_1 = v_1...v_{n-1}, ...,
     eta_n = 1 - v_{n-1}). J_{1,beta}(x) = 1 identically, returned without
-    integration. Dimensions up to ``tensor_dim_limit`` use tensor
+    integration. Dimensions up to ``cfg.tensor_dim_limit`` (4) use tensor
     Gauss-Jacobi quadrature (error = refinement delta against half the
     nodes); higher dimensions use randomized Sobol sampling (error =
     replicate standard error).
@@ -478,13 +468,12 @@ def special_J(
     if n == 1:
         return 1.0, 0.0
     d = n - 1
+    if d > cfg.tensor_dim_limit:
+        return _special_J_many(n, beta, [x], cfg)[0]
     front = (1.0 + n * x) / n
-    if d <= cfg.tensor_dim_limit:
-        full = _j_tensor_raw(d, beta, x, cfg.gauss_nodes)
-        half = _j_tensor_raw(d, beta, x, max(2, cfg.gauss_nodes // 2))
-        return front * full, front * abs(full - half)
-    mean, stderr = _j_qmc_raw(d, beta, x, cfg, n_tag=n)
-    return front * mean, front * stderr
+    full = _j_tensor_raw(d, beta, x, cfg.gauss_nodes)
+    half = _j_tensor_raw(d, beta, x, max(2, cfg.gauss_nodes // 2))
+    return front * full, front * abs(full - half)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +504,8 @@ def _sn_terms(n, taus, params: SinrModelParams):
             live[k] = tau / denom
     if not live:
         return out
-    cfg = params.integration
-    i_val, i_err = _special_I_with_error(n, params.beta, params.noise_argument, cfg)
-    js = _special_J_many(n, params.beta, list(live.values()), cfg)
+    i_val, i_err = _special_I_with_error(n, params.beta, params.noise_argument)
+    js = _special_J_many(n, params.beta, list(live.values()), params.integration)
     for (k, tau_n), (j_val, j_err) in zip(live.items(), js):
         scale = tau_n ** (-2.0 * n / params.beta)
         out[k] = (scale * i_val * j_val, scale * (abs(i_val) * j_err + abs(j_val) * i_err))

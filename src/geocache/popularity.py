@@ -26,7 +26,7 @@ class PopularityDistribution:
     """Nonincreasing probability vector a_1 >= ... >= a_J with prefix sums."""
 
     probs: np.ndarray
-    prefix: np.ndarray = field(repr=False, compare=False, default=None)
+    prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -61,7 +61,7 @@ class PopularityDistribution:
         return float(self.prefix[l] - self.prefix[k - 1])
 
 
-def from_probs(raw, *, already_sorted: bool = False) -> PopularityDistribution:
+def from_probs(raw) -> PopularityDistribution:
     """Build a popularity distribution from a raw nonnegative vector.
 
     Values are sorted into nonincreasing order (content indices are
@@ -73,8 +73,7 @@ def from_probs(raw, *, already_sorted: bool = False) -> PopularityDistribution:
         raise ParameterError("popularity vector must be nonempty and 1-D")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ParameterError("popularity vector must be finite and nonnegative")
-    if not already_sorted:
-        arr = np.sort(arr)[::-1]
+    arr = np.sort(arr)[::-1]
     total = math.fsum(arr.tolist())
     if total <= 0.0:
         raise ParameterError("popularity vector must have positive total mass")
@@ -104,16 +103,29 @@ def load_popularity(path) -> PopularityDistribution:
     into nonincreasing order.
     """
     p = Path(path)
-    text = p.read_text()
+    try:
+        text = p.read_text()
+    except OSError as exc:
+        raise ParameterError(f"{p}: cannot read popularity file: {exc.strerror}") from None
     if p.suffix.lower() == ".json" or text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        if not isinstance(payload, dict) or "probs" not in payload:
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise ParameterError(f"{p}: not valid JSON: {exc}") from None
+        if not isinstance(payload, dict) or not isinstance(payload.get("probs"), list):
             raise ParameterError(f"{p}: JSON popularity input must carry a 'probs' array")
         values = payload["probs"]
+        for i, value in enumerate(values):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ParameterError(f"{p}: probs[{i}] is not a number: {value!r}")
     else:
         values = []
-        for row in csv.reader(text.splitlines()):
+        reader = csv.reader(text.splitlines())
+        for row in reader:
             if not row or not row[0].strip():
                 continue
-            values.append(float(row[0]))
+            try:
+                values.append(float(row[0]))
+            except ValueError:
+                raise ParameterError(f"{p}:{reader.line_num}: not a number: {row[0]!r}") from None
     return from_probs(values)

@@ -21,6 +21,7 @@ from .popularity import PopularityDistribution
 __all__ = ["SimReport", "simulate_hits", "simulate_boolean_ppp", "poisson_gof_pvalue"]
 
 _TRIAL_BLOCK = 1 << 14
+_GOF_MAX_BIN = 8
 
 
 @dataclass(frozen=True)
@@ -146,23 +147,23 @@ def simulate_boolean_ppp(
     )
 
 
-def poisson_gof_pvalue(empirical: CoverageDistribution, mu: float, max_bin: int = 8) -> float:
+def poisson_gof_pvalue(empirical: CoverageDistribution, mu: float) -> float:
     """Chi-square goodness-of-fit p-value of empirical counts against Poisson(mu).
 
-    Counts are binned at 0..max_bin-1 with everything >= max_bin lumped
-    into the final category, matching the expected Poisson masses.
+    Counts are binned at 0..7 with everything >= 8 lumped into the final
+    category, matching the expected Poisson masses.
     """
     counts = empirical.meta.get("counts")
     trials = empirical.meta.get("trials")
     if counts is None or trials is None:
         raise ParameterError("empirical distribution lacks counts/trials metadata")
     counts = np.asarray(counts, dtype=float)
-    observed = np.zeros(max_bin + 1)
-    upto = min(max_bin, counts.size)
+    observed = np.zeros(_GOF_MAX_BIN + 1)
+    upto = min(_GOF_MAX_BIN, counts.size)
     observed[:upto] = counts[:upto]
-    if counts.size > max_bin:
-        observed[max_bin] = counts[max_bin:].sum()
-    expected = stats.poisson.pmf(np.arange(max_bin), mu)
-    expected = np.append(expected, stats.poisson.sf(max_bin - 1, mu)) * trials
+    if counts.size > _GOF_MAX_BIN:
+        observed[_GOF_MAX_BIN] = counts[_GOF_MAX_BIN:].sum()
+    expected = stats.poisson.pmf(np.arange(_GOF_MAX_BIN), mu)
+    expected = np.append(expected, stats.poisson.sf(_GOF_MAX_BIN - 1, mu)) * trials
     result = stats.chisquare(observed, expected)
     return float(result.pvalue)

@@ -156,14 +156,13 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     r = np.full(J, sentinel, dtype=int)
     r[:m1] = m1
 
-    item_order = np.arange(J)
     evaluations = J
     for _ in range(2, K + 1):
         covered_tail = tails[r]
         best = None  # (gain, c, top_indices)
         for c in range(1, J + 1):
             g = probs * np.maximum(tails[c] - covered_tail, 0.0)
-            order = np.lexsort((item_order, -g))
+            order = np.argsort(-g, kind="stable")
             top = order[:c]
             gain = float(np.sum(g[top]))
             evaluations += 1

@@ -37,6 +37,16 @@ def test_parse_grid_range_and_list():
         parse_grid("0:5:-1")
 
 
+@pytest.mark.parametrize("text", ["0:5:nan", "0:inf:1", "nan:5:1", "-inf:0:1", "0:5:inf"])
+def test_parse_grid_rejects_non_finite_parts(text, capsys):
+    with pytest.raises(GeocacheError, match="finite"):
+        parse_grid(text)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", f"--tau-db={text}"])
+    assert exit_info.value.code == 2
+    assert "--tau-db" in capsys.readouterr().err
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(
@@ -73,6 +83,7 @@ def test_config_validation():
         {"L": 0},
         {"J": 0},
         {"trials": -1},
+        {"policies": ("onc", "onc", "mp")},
     ],
 )
 def test_config_rejects_bad_values_up_front(overrides):
@@ -128,7 +139,8 @@ def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "line", ["gama = 0.5", "modle = sinr", "seed_ = 1", "integration = 0", "J = forty",
-             "tau_db = 0:5"],
+             "tau_db = 0:5", "gauss_nodes = 48", "tensor_dim_limit = 4",
+             "rel_tol_1d = 1e-9"],
 )
 def test_bad_config_line_names_key_and_file(tmp_path, capsys, line):
     path = tmp_path / "exp.cfg"
@@ -214,6 +226,19 @@ def test_flag_beats_file_beats_env_seed(tmp_path, monkeypatch):
 
 def test_sweep_policies_accept_trailing_comma():
     assert _sweep_config(["--policies", "onc,"]).policies == ("onc",)
+
+
+def test_sweep_rejects_a_repeated_policy(capsys):
+    assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "1", "--policies", "onc,onc,mp"]) == 1
+    err = capsys.readouterr()
+    assert "each policy may be named once" in err.err and err.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--rel-tol-1d", "--gauss-nodes", "--tensor-dim-limit"])
+def test_fixed_integration_settings_have_no_flag(flag, capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["sweep", flag, "1"])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_config_before_any_work(capsys):
@@ -481,6 +506,44 @@ def test_cli_reports_errors_cleanly(capsys):
     code = main(["solve", "--policy", "onc", "--tau-db", "0", "-J", "8", "-L", "0"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+SOLVE = ["solve", "--policy", "onc", "--pop-file", "FILE"]
+SIMULATE = ["simulate", "--policy", "FILE"]
+# case: (file name, file text or None for a missing file, argv naming FILE, error text)
+BAD_FILES = {
+    "missing-config": ("exp.cfg", None, ["sweep", "--config", "FILE"], "cannot open config file"),
+    "missing-pop-file": ("pop.csv", None, SOLVE, "cannot read popularity file"),
+    "csv-header": ("pop.csv", "prob\n0.5\n0.5\n", SOLVE, ":1: not a number: 'prob'"),
+    "csv-word": ("pop.csv", "0.5\n0.3\nn/a\n",
+                 ["bound", "--greedy-blocks", "2", "--pop-file", "FILE"],
+                 ":3: not a number: 'n/a'"),
+    "json-string-prob": ("pop.json", '{"probs": [0.5, "x"]}', SOLVE,
+                         "probs[1] is not a number: 'x'"),
+    "json-truncated": ("pop.json", '{"probs": [0.5, 0.5', SOLVE, "not valid JSON"),
+    "missing-policy": ("policy.json", None, SIMULATE, "cannot read policy file"),
+    "policy-list": ("policy.json", "[1, 2]", SIMULATE, "not a valid policy"),
+    "policy-no-sizes": ("policy.json", '{"type": "structured"}', SIMULATE, "not a valid policy"),
+    "policy-bad-sizes": ("policy.json", '{"type": "structured", "sizes": [2, 1]}', SIMULATE,
+                         "not a valid policy: nonzero block sizes must be nondecreasing"),
+    "policy-not-json": ("policy.json", "sizes = 1", SIMULATE, "not a valid policy"),
+}
+
+
+@pytest.mark.parametrize("name, text, argv, message", BAD_FILES.values(), ids=BAD_FILES)
+def test_bad_input_files_end_in_an_error_line(tmp_path, capsys, name, text, argv, message):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    assert main(argv + ["-J", "4", "-L", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and message in err and err.count("\n") == 1
+
+
+def test_inline_policy_errors_name_the_flag(capsys):
+    assert main(["simulate", "--policy", '{"type": "structured", "sizes": [1']) == 1
+    assert capsys.readouterr().err.startswith("error: --policy: not a valid policy")
 
 
 def test_non_integer_env_seed_is_an_error(monkeypatch, capsys):

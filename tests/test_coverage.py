@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -41,6 +41,18 @@ def test_tail_is_reverse_cumulative():
         )
     assert dist.tail_at(dist.kmax + 1) == 0.0
     assert dist.tail_at(99) == 0.0
+
+
+def test_tail_is_derived_not_an_input():
+    with pytest.raises(TypeError):
+        CoverageDistribution(pmf=np.array([0.5, 0.5]), tail=np.array([1.0, 0.5, 0.0]))
+
+
+def test_integration_config_holds_only_the_qmc_effort():
+    assert [f.name for f in fields(IntegrationConfig)] == ["qmc_points", "qmc_replicates", "seed"]
+    assert (CFG.gauss_nodes, CFG.tensor_dim_limit) == (48, 4)
+    with pytest.raises(TypeError):
+        IntegrationConfig(gauss_nodes=24)
 
 
 @settings(max_examples=200)
@@ -119,8 +131,6 @@ def test_boolean_rejects_bad_parameters():
         BooleanModelParams(lam=-1.0, tau=1.0, beta=3.0)
     with pytest.raises(ParameterError):
         BooleanModelParams(lam=1.0, tau=1.0, beta=1.5)
-    with pytest.raises(ParameterError):
-        boolean_coverage(BooleanModelParams(lam=1.0, tau=1.0, beta=3.0), mass_cutoff=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -135,31 +145,31 @@ def closed_form_I_at_zero(n, beta):
 
 
 def test_special_I_simple_value():
-    assert special_I(1, 4.0, 0.0, CFG) == pytest.approx(2.0 / math.pi, rel=1e-9)
+    assert special_I(1, 4.0, 0.0) == pytest.approx(2.0 / math.pi, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 @pytest.mark.parametrize("beta", [3.0, 4.0])
 def test_special_I_matches_closed_form_at_zero(n, beta):
-    assert special_I(n, beta, 0.0, CFG) == pytest.approx(
+    assert special_I(n, beta, 0.0) == pytest.approx(
         closed_form_I_at_zero(n, beta), rel=1e-7
     )
 
 
 def test_special_I_vanishes_for_large_argument():
     # decay is algebraic, roughly x^(-2n/beta - 2/beta)
-    values = [special_I(2, 3.0, x, CFG) for x in (0.0, 1.0, 10.0, 1e3, 1e6, 1e9)]
+    values = [special_I(2, 3.0, x) for x in (0.0, 1.0, 10.0, 1e3, 1e6, 1e9)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-12
 
 
 def test_special_I_rejects_bad_arguments():
     with pytest.raises(ParameterError):
-        special_I(0, 3.0, 0.0, CFG)
+        special_I(0, 3.0, 0.0)
     with pytest.raises(ParameterError):
-        special_I(1, 2.0, 0.0, CFG)
+        special_I(1, 2.0, 0.0)
     with pytest.raises(ParameterError):
-        special_I(1, 3.0, -1.0, CFG)
+        special_I(1, 3.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +206,7 @@ def test_special_J_tensor_and_qmc_agree(n):
     beta, x = 3.0, 0.8
     tensor_value, tensor_err = special_J(n, beta, x, CFG)
     front = (1.0 + n * x) / n
-    qmc_mean, qmc_err = _j_qmc_raw(n - 1, beta, x, CFG, n_tag=n)
+    [(qmc_mean, qmc_err)] = _j_qmc_raw(n - 1, beta, [x], CFG, n_tag=n)
     qmc_value = front * qmc_mean
     budget = 3.0 * (tensor_err + front * qmc_err) + 1e-12
     assert abs(tensor_value - qmc_value) <= budget
@@ -235,7 +245,7 @@ def test_j_qmc_sequence_form_matches_scalar_calls_bitwise(points):
     xs = [0.05, 0.3, 1.7, 0.3]
     for d in (5, 8):
         batch = _j_qmc_raw(d, 3.0, xs, cfg, n_tag=d + 1)
-        singles = [_j_qmc_raw(d, 3.0, x, cfg, n_tag=d + 1) for x in xs]
+        singles = [_j_qmc_raw(d, 3.0, [x], cfg, n_tag=d + 1)[0] for x in xs]
         reference = [_seed_j_qmc_raw(d, 3.0, x, cfg, d + 1) for x in xs]
         assert batch == singles == reference
 
@@ -269,7 +279,7 @@ def test_sn_zero_when_tuple_infeasible():
 
 def test_s1_reduces_to_special_I_at_unit_threshold():
     params = sir_params(1.0)
-    assert sinr_Sn(1, params) == pytest.approx(special_I(1, 3.0, 0.0, CFG), rel=1e-12)
+    assert sinr_Sn(1, params) == pytest.approx(special_I(1, 3.0, 0.0), rel=1e-12)
 
 
 def test_sinr_single_term_above_zero_db():
@@ -371,10 +381,10 @@ def test_sinr_grid_groups_models_and_leaves_nothing_behind():
 def test_sinr_grid_keeps_the_first_failure_of_each_threshold(monkeypatch):
     real = coverage._special_I_with_error
 
-    def failing(n, beta, x, cfg):
+    def failing(n, beta, x):
         if n in (6, 8):
             raise IntegrationError(f"forced at n = {n}", achieved_error=1.0)
-        return real(n, beta, x, cfg)
+        return real(n, beta, x)
 
     monkeypatch.setattr(coverage, "_special_I_with_error", failing)
     grid = _grid_params()

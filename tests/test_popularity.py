@@ -104,6 +104,13 @@ def test_load_popularity_csv(tmp_path):
     np.testing.assert_allclose(pop.probs, [0.5, 0.25, 0.25])
 
 
+def test_prefix_is_derived_not_an_input():
+    with pytest.raises(TypeError):
+        PopularityDistribution(np.array([0.5, 0.5]), prefix=np.array([0.0, 0.5, 1.0]))
+    np.testing.assert_array_equal(PopularityDistribution(np.array([0.5, 0.5])).prefix,
+                                  [0.0, 0.5, 1.0])
+
+
 def test_load_popularity_rejects_bad_json(tmp_path):
     path = tmp_path / "pop.json"
     path.write_text(json.dumps({"values": [1, 2]}))
