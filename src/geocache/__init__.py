@@ -3,7 +3,6 @@
 from .coverage import (
     BooleanModelParams,
     CoverageDistribution,
-    IntegrationConfig,
     SinrModelParams,
     boolean_coverage,
     mean_coverage,
@@ -51,7 +50,6 @@ __all__ = [
     "GeneralPolicy",
     "GeocacheError",
     "IndPolicy",
-    "IntegrationConfig",
     "IntegrationError",
     "NumericalCancellationError",
     "ParameterError",

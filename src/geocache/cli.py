@@ -4,13 +4,12 @@ Subcommands: sweep, solve, coverage, simulate, bound. Thresholds are
 given in dB on the command line and converted to linear internally. The
 sweep emits a fixed-schema CSV whose bytes are reproducible for a fixed
 config and seed. The flags and config-file keys are derived from the
-fields of ``ExperimentConfig`` and ``coverage.IntegrationConfig``.
+fields of ``ExperimentConfig``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -19,7 +18,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 
 from . import coverage as cov
 from . import simulate, solvers
@@ -74,7 +73,6 @@ class ExperimentConfig:
     seed: int = 0
     output: str = ""
     timing: bool = False
-    integration: cov.IntegrationConfig = field(default_factory=cov.IntegrationConfig)
 
     def __post_init__(self):
         if self.model not in ("boolean", "sinr"):
@@ -112,29 +110,15 @@ def _build_coverage(config: ExperimentConfig, tau: float) -> cov.CoverageDistrib
             power_ratio=config.power_ratio,
         )
         return cov.boolean_coverage(params)
-    return cov.sinr_coverage(_sinr_params(config, tau))
-
-
-def _sinr_params(config: ExperimentConfig, tau: float) -> cov.SinrModelParams:
-    return cov.SinrModelParams(
+    params = cov.SinrModelParams(
         lam=config.lam,
         tau=tau,
         beta=config.beta,
         K=config.K,
         noise_W=config.noise_w,
         moment_PS=config.moment_ps,
-        integration=replace(config.integration, seed=config.seed),
     )
-
-
-def _coverage_scope(config: ExperimentConfig):
-    """For a SINR sweep, a block in which every grid threshold's S_n are
-    built in one pass over n; ``sinr_coverage`` is still called per cell."""
-    if config.model != "sinr":
-        return contextlib.nullcontext()
-    return cov._sinr_grid(
-        [_sinr_params(config, db_to_linear(tau_db)) for tau_db in config.tau_db_grid]
-    )
+    return cov.sinr_coverage(params)
 
 
 def _run_policy(name, pop, dist, L) -> solvers.SolverResult:
@@ -170,16 +154,9 @@ def run_sweep(config: ExperimentConfig):
     name, and an all-consistency-checks-passed flag. Failures at single
     cells are marked (empty hit_prob) without aborting the sweep; cells
     whose coverage build failed (NaN mean coverage) sort last, by
-    threshold then policy. A SINR sweep builds the S_n of the whole grid
-    in one pass before its cells.
+    threshold then policy. The SINR coverage does not depend on the seed,
+    which drives only the Monte Carlo columns.
     """
-    with _coverage_scope(config):
-        rows, ok = _sweep_cells(config)
-    rows.sort(key=_row_order)
-    return rows, ok
-
-
-def _sweep_cells(config: ExperimentConfig):
     pop = _build_popularity(config)
     rows = []
     ok = True
@@ -237,6 +214,7 @@ def _sweep_cells(config: ExperimentConfig):
                     "wall_time_ms": wall_ms,
                 }
             )
+    rows.sort(key=_row_order)
     return rows, ok
 
 
@@ -288,26 +266,28 @@ def parse_config_file(path) -> dict:
     values = {}
     seen = {}  # canonical key -> (key as written, line)
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ParameterError(f"{path}: cannot open config file: {exc.strerror}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise GeocacheError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            name = _CONFIG_ALIASES.get(key, key)
-            if name in seen:
-                first, first_line = seen[name]
-                raise ParameterError(
-                    f"{path}:{lineno}: key {key!r} repeats {first!r} from line {first_line}"
-                )
-            seen[name] = (key, lineno)
-            values[name] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: config file is not UTF-8 text: {exc.reason}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise GeocacheError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        name = _CONFIG_ALIASES.get(key, key)
+        if name in seen:
+            first, first_line = seen[name]
+            raise ParameterError(
+                f"{path}:{lineno}: key {key!r} repeats {first!r} from line {first_line}"
+            )
+        seen[name] = (key, lineno)
+        values[name] = value.strip()
     return values
 
 
@@ -335,6 +315,14 @@ def parse_grid(text: str) -> tuple:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
+def _grid_flag(text: str) -> tuple:
+    """``parse_grid`` for ``--tau-db``: argparse shows the reason a range is bad."""
+    try:
+        return parse_grid(text)
+    except ValueError as exc:  # ParameterError included
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_policies(text: str) -> tuple:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
@@ -352,8 +340,9 @@ def _parse_bool(text: str) -> bool:
 # the field's annotation, except for the two tuple fields.
 _PARSE_BY_TYPE = {float: float, int: int, str: str, bool: _parse_bool}
 _SPECIAL_PARSERS = {"tau_db_grid": parse_grid, "policies": _parse_policies}
-# Every field is set by --<field-name-with-dashes> unless "flags" says
-# otherwise; the rest of each entry goes to add_argument.
+# Every field is set by --<field-name-with-dashes> and parsed as above
+# unless "flags" or "type" says otherwise; the rest of each entry goes to
+# add_argument.
 _FLAG_SPECS = {
     "model": {"choices": ("boolean", "sinr")},
     "lam": {"flags": ("--lambda",), "help": "station density"},
@@ -362,7 +351,8 @@ _FLAG_SPECS = {
     "power_ratio": {"help": "Boolean model P/W (linear)"},
     "noise_w": {"help": "SINR model noise power W"},
     "moment_ps": {"help": "SINR moment E[(PS)^(2/beta)]"},
-    "tau_db_grid": {"flags": ("--tau-db",), "help": "dB grid: 'start:stop:step' or comma list"},
+    "tau_db_grid": {"flags": ("--tau-db",), "type": _grid_flag,
+                    "help": "dB grid: 'start:stop:step' or comma list"},
     "L": {"flags": ("-L", "--blocks"), "help": "cache blocks"},
     "J": {"flags": ("-J", "--catalog"), "help": "catalog size"},
     "gamma": {"help": "Zipf exponent"},
@@ -375,11 +365,9 @@ _SWEEP_ONLY = ("policies", "trials", "output", "timing")
 
 
 def _settable_fields() -> dict:
-    """{field name: value parser} for every field a flag or config key sets:
-    those of ``ExperimentConfig`` and of its ``IntegrationConfig``, whose
-    ``seed`` is the config's (``_build_coverage`` copies it)."""
-    hints = typing.get_type_hints(ExperimentConfig) | typing.get_type_hints(cov.IntegrationConfig)
-    del hints["integration"]
+    """{field name: value parser} for every field of ``ExperimentConfig``,
+    each set by a flag or a config key."""
+    hints = typing.get_type_hints(ExperimentConfig)
     return {n: _SPECIAL_PARSERS.get(n) or _PARSE_BY_TYPE[t] for n, t in hints.items()}
 
 
@@ -393,7 +381,7 @@ def _config_args(parser, *, sweep: bool) -> None:
         if parse is _parse_bool:
             spec.update(action="store_const", const=True)
         else:
-            spec.update(type=parse)
+            spec.setdefault("type", parse)
         parser.add_argument(*flags, dest=name, **spec)
 
 
@@ -428,9 +416,7 @@ def _config_from_args(args, *, sweep: bool) -> ExperimentConfig:
         values.setdefault("tau_db_grid", (0.0,))
         if len(values["tau_db_grid"]) != 1:
             raise ParameterError(f"this command takes one threshold, got {values['tau_db_grid']}")
-    own = {f.name for f in fields(ExperimentConfig)}
-    integration = {n: values.pop(n) for n in list(values) if n not in own}
-    return ExperimentConfig(**values, integration=cov.IntegrationConfig(**integration))
+    return ExperimentConfig(**values)
 
 
 def _instance_from_config(config: ExperimentConfig):

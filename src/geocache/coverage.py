@@ -8,40 +8,43 @@ Boolean model: N is Poisson with parameter
     lam' = lam * pi * tau^(-2/beta) * (P/W)^(2/beta) / K^2,
 the mean cell area times the station density (SNR >= tau disk radius).
 
-SINR model: N has bounded support ceil(1/tau) and
+SINR model: N has bounded support nmax = ceil(1/tau) and
     p_k = sum_{n=k}^{nmax} (-1)^(n-k) C(n,k) S_n(tau),
-where S_n(tau) = tau_n^(-2n/beta) * I_{n,beta}(W a^(-beta/2)) * J_{n,beta}(tau_n)
-is the expected number of n-tuples of stations jointly reaching SINR tau,
-tau_n = tau / (1 - (n-1) tau), and a = lam * pi * E[(P S)^(2/beta)] / K^2.
-The two special functions I and J are evaluated numerically here:
-I by adaptive 1-D quadrature, J by tensor Gauss-Jacobi quadrature in low
-dimension and by randomized low-discrepancy (Sobol) sampling above it.
-
-A sweep over thresholds builds every S_n of its grid in one pass over n:
-I_n once per n, and each (n, replicate) Sobol point set drawn once and
-shared by all of that n's tau_n (``_sinr_grid``); the values are bitwise
-those of one threshold at a time.
+where S_n(tau) is the expected number of n-tuples of stations jointly
+reaching SINR tau. Without noise, the ratios of each station's received
+power to the total form a Poisson-Dirichlet PD(alpha, 0) process with
+alpha = 2/beta, and N counts its atoms above s = tau/(1+tau), so
+    S_n = alpha^(n-1) / (n Gamma(1-alpha)^n) * L^-1[Gamma(-alpha, s p)^n](1),
+one inverse Laplace transform of a power of the upper incomplete gamma
+function. It is evaluated by fixed-Talbot inversion in mpmath, with the
+node count and the working precision growing with nmax, and the
+alternating sum runs at that precision. For tau >= 1 (nmax = 1) the one
+term S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) is taken in
+closed form instead. Noise W multiplies S_n by
+I_{n,beta}(x) / I_{n,beta}(0), where x = W a^(-beta/2) and
+a = lam * pi * E[(P S)^(2/beta)] / K^2. Each S_n carries an error
+estimate: a second inversion with more nodes, plus the quadrature error
+of I. The equivalent form S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n),
+tau_n = tau / (1 - (n-1) tau), is the independent check: ``special_J``
+evaluates J by tensor quadrature for n <= 5.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 from scipy.special import roots_jacobi
-from scipy.stats import poisson, qmc
+from scipy.stats import poisson
 
-from .errors import GeocacheError, IntegrationError, NumericalCancellationError, ParameterError
+from .errors import IntegrationError, NumericalCancellationError, ParameterError
 
 __all__ = [
     "CoverageDistribution",
     "BooleanModelParams",
     "SinrModelParams",
-    "IntegrationConfig",
     "boolean_coverage",
     "special_I",
     "special_J",
@@ -52,6 +55,9 @@ __all__ = [
 
 MASS_CUTOFF = 1e-12  # the Boolean pmf ends where the tail mass Pr{N > k} drops below this
 I_REL_TOL = 1e-9  # relative tolerance of the adaptive quadrature of I
+GAUSS_NODES = 48  # Gauss-Jacobi nodes per dimension of the tensor rule for J
+J_MAX_ORDER = 5  # special_J's tensor rule covers n <= 5 (4 dimensions)
+PMF_ERR_LIMIT = 1e-6  # sinr_coverage raises above this propagated pmf error
 
 # Full tensor grids above ~250k points thrash memory bandwidth; chunk the
 # leading axis instead of materializing them (values are unchanged).
@@ -180,22 +186,6 @@ class BooleanModelParams:
 
 
 @dataclass(frozen=True)
-class IntegrationConfig:
-    """QMC effort for J. The tensor rule is fixed: class constants, not fields."""
-
-    gauss_nodes = 48  # Gauss-Jacobi nodes per dimension
-    tensor_dim_limit = 4  # largest dimension of the tensor rule; QMC above
-    qmc_points: int = 2**17
-    qmc_replicates: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("qmc_points", "qmc_replicates"):
-            if int(getattr(self, name)) < 1:
-                raise ParameterError(f"{name} must be >= 1")
-
-
-@dataclass(frozen=True)
 class SinrModelParams:
     """SINR model parameters; moment_PS = E[(P*S)^(2/beta)] (1 = no shadowing)."""
 
@@ -205,7 +195,6 @@ class SinrModelParams:
     K: float = 1.0
     noise_W: float = 0.0
     moment_PS: float = 1.0
-    integration: IntegrationConfig = field(default_factory=IntegrationConfig)
 
     def __post_init__(self):
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
@@ -402,77 +391,29 @@ def _j_tensor_raw(d, beta, x, m):
     return total
 
 
-def _j_qmc_raw(d, beta, xs, cfg, n_tag):
-    """Randomized-Sobol estimates [(mean, stderr)] of the d-dim J integral, one per x of xs.
-
-    The large monomial weights v^(b_i) are absorbed into the sampling
-    measure through v = u^(1/(b_i+1)), leaving a bounded low-variance
-    integrand; replicate scrambles give the error estimate. Only
-    prod_i (x + eta_i) depends on x: each replicate's points, weight and
-    eta chain are built once and shared by every x.
-    """
-    a = 2.0 / beta
-    b = np.array([i * (2.0 / beta + 1.0) - 1.0 for i in range(1, d + 1)])
-    scale = float(np.prod(1.0 / (b + 1.0)))
-    inv_exp = 1.0 / (b + 1.0)
-    npts = int(cfg.qmc_points)
-    m2 = npts.bit_length() - 1
-    estimates = [[] for _ in xs]
-    for rep in range(cfg.qmc_replicates):
-        ss = np.random.SeedSequence([int(cfg.seed), int(n_tag), rep])
-        engine = qmc.Sobol(d, scramble=True, seed=np.random.default_rng(ss))
-        u = engine.random_base2(m2) if (1 << m2) == npts else engine.random(npts)
-        # v[i] is dimension i, contiguous; the product over axis 0 multiplies
-        # the dimensions of each point in order, as the row product over u did
-        v = np.power(u.T, inv_exp[:, None], order="C")
-        del u
-        weight = np.prod((1.0 - v) ** a, axis=0)
-        etas = list(_eta_chain(v))
-        del v
-        for x, found in zip(xs, estimates):
-            found.append(scale * float(np.mean(weight / _eta_denominator(x, etas))))
-    return [_mean_stderr(found) for found in estimates]
-
-
-def _mean_stderr(estimates):
-    """Mean of the replicate estimates and its standard error (NaN for one)."""
-    mean = math.fsum(estimates) / len(estimates)
-    if len(estimates) > 1:
-        var = math.fsum((e - mean) ** 2 for e in estimates) / (len(estimates) - 1)
-        stderr = math.sqrt(var / len(estimates))
-    else:
-        stderr = float("nan")
-    return mean, stderr
-
-
-def special_J(
-    n: int, beta: float, x: float, cfg: IntegrationConfig = IntegrationConfig()
-) -> tuple[float, float]:
-    """Special function J_{n,beta}(x); returns (value, error_estimate).
+def special_J(n: int, beta: float, x: float) -> tuple[float, float]:
+    """Special function J_{n,beta}(x) for n <= 5; returns (value, error_estimate).
 
     J = (1+nx)/n * int_{[0,1]^(n-1)} prod_i v_i^(i(2/beta+1)-1) (1-v_i)^(2/beta)
         / prod_{i=1}^{n} (x + eta_i) dv,
     with the stick-breaking eta chain (eta_1 = v_1...v_{n-1}, ...,
     eta_n = 1 - v_{n-1}). J_{1,beta}(x) = 1 identically, returned without
-    integration. Dimensions up to ``cfg.tensor_dim_limit`` (4) use tensor
-    Gauss-Jacobi quadrature (error = refinement delta against half the
-    nodes); higher dimensions use randomized Sobol sampling (error =
-    replicate standard error).
+    integration; n = 2..5 use tensor Gauss-Jacobi quadrature with
+    ``GAUSS_NODES`` per dimension (error = refinement delta against half
+    the nodes). ``sinr_coverage`` does not use J; it is the tensor oracle
+    that the tests hold the Laplace inversion to.
     """
-    if n < 1:
-        raise ParameterError(f"order n must be >= 1, got {n}")
+    if not (1 <= n <= J_MAX_ORDER):
+        raise ParameterError(f"order n must be in 1..{J_MAX_ORDER}, got {n}")
     if not (x > 0.0 and math.isfinite(x)):
         raise ParameterError(f"argument must be positive and finite, got {x}")
     if not (beta > 2.0):
         raise ParameterError(f"path-loss exponent must exceed 2, got {beta}")
     if n == 1:
         return 1.0, 0.0
-    d = n - 1
-    if d > cfg.tensor_dim_limit:
-        return _special_J_many(n, beta, [x], cfg)[0]
     front = (1.0 + n * x) / n
-    full = _j_tensor_raw(d, beta, x, cfg.gauss_nodes)
-    half = _j_tensor_raw(d, beta, x, max(2, cfg.gauss_nodes // 2))
+    full = _j_tensor_raw(n - 1, beta, x, GAUSS_NODES)
+    half = _j_tensor_raw(n - 1, beta, x, GAUSS_NODES // 2)
     return front * full, front * abs(full - half)
 
 
@@ -481,138 +422,139 @@ def special_J(
 # ---------------------------------------------------------------------------
 
 
-def _special_J_many(n, beta, xs, cfg):
-    """[special_J(n, beta, x, cfg) for x in xs]; above ``tensor_dim_limit``
-    every x shares one set of QMC point sets."""
-    if n - 1 <= cfg.tensor_dim_limit:
-        return [special_J(n, beta, x, cfg) for x in xs]
+def _upper_gamma(ctx, a, z):
+    """Gamma(a, z) = Gamma(a) - z^a e^(-z) / a * 1F1(1; 1 + a; z), a not an integer.
+
+    This is the form ``ctx.gammainc`` falls back to after its asymptotic
+    2F0 series fails to converge, as it does for |z| below about 2.3 times
+    the digits, which holds at most nodes here. Calling it directly gives
+    the same values without that attempt, up to 9 times faster at low
+    thresholds. ``hypercomb`` adds precision where the two terms cancel.
+    """
+    def terms(a):
+        return (
+            ([], [], [a], [], [], [], 0),
+            ([-ctx.exp(-z), z, a], [1, a, -1], [], [], [1], [1 + a], z),
+        )
+
+    return ctx.hypercomb(terms, [a])
+
+
+def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> list:
+    """[S_n^PD for n = 1..nmax] by fixed Talbot inversion with m nodes.
+
+    S_n^PD = alpha^(n-1) / (n Gamma(1-alpha)^n) * f_n(1), where f_n is the
+    inverse Laplace transform of Gamma(-alpha, s p)^n. Fixed Talbot
+    (Abate & Valko 2004) with r = 2m/5, theta_k = k pi/m,
+    p_k = r theta_k (cot theta_k + i) and
+    sigma_k = theta_k + (theta_k cot theta_k - 1) cot theta_k gives
+        f(1) = r/m [e^r F(r)/2 + sum_{k=1}^{m-1} Re(e^(p_k) F(p_k) (1 + i sigma_k))].
+    Every n reuses the m values Gamma(-alpha, s p_k).
+    """
+    r = ctx.mpf(2 * m) / 5
+    terms = [ctx.exp(r) / 2]
+    gammas = [_upper_gamma(ctx, -alpha, s * r)]
+    for k in range(1, m):
+        theta = ctx.pi * k / m
+        cot = ctx.cot(theta)
+        p = r * theta * ctx.mpc(cot, 1)
+        terms.append(ctx.exp(p) * ctx.mpc(1, theta + (theta * cot - 1) * cot))
+        gammas.append(_upper_gamma(ctx, -alpha, s * p))
+    front = r / m / alpha
+    base = alpha / ctx.gamma(1 - alpha)
     out = []
-    for x, (mean, stderr) in zip(xs, _j_qmc_raw(n - 1, beta, xs, cfg, n_tag=n)):
-        front = (1.0 + n * x) / n
-        out.append((front * mean, front * stderr))
+    for n in range(1, nmax + 1):
+        terms = [t * g for t, g in zip(terms, gammas)]
+        out.append(front * base**n / n * ctx.re(ctx.fsum(terms)))
     return out
 
 
-def _sn_terms(n, taus, params: SinrModelParams):
-    """[(S_n(tau), error estimate)] for each tau of taus; zero where
-    1 - (n-1) tau <= 0. ``params`` gives everything but the threshold."""
-    out = [(0.0, 0.0)] * len(taus)
-    live = {}  # index -> tau_n = tau / (1 - (n-1) tau)
-    for k, tau in enumerate(taus):
-        denom = 1.0 - (n - 1) * tau
-        if denom > 0.0:
-            live[k] = tau / denom
-    if not live:
-        return out
-    i_val, i_err = _special_I_with_error(n, params.beta, params.noise_argument)
-    js = _special_J_many(n, params.beta, list(live.values()), params.integration)
-    for (k, tau_n), (j_val, j_err) in zip(live.items(), js):
-        scale = tau_n ** (-2.0 * n / params.beta)
-        out[k] = (scale * i_val * j_val, scale * (abs(i_val) * j_err + abs(j_val) * i_err))
-    return out
+def _sn_with_errors(params: SinrModelParams):
+    """(ctx, sn, errs): S_1..S_nmax as numbers of the mpmath context ctx,
+    at its working precision, and their error estimates as floats.
+
+    W = 0 gives S_n = S_n^PD: the signal-to-total-power ratios of a Poisson
+    network form a PD(2/beta, 0) process, and N counts its atoms above
+    s = tau/(1+tau) (Keeler & Blaszczyszyn 2014). Noise enters only
+    through I: S_n = S_n^PD I_n(x) / I_n(0) with x = W a^(-beta/2),
+    because J does not depend on W. The error of S_n is its change when
+    the inversion uses 16 more nodes (and digits), plus the propagated
+    quadrature error of I.
+
+    With nmax = 1 (tau >= 1) the only term is S_1^PD = E[N] =
+    tau^(-alpha) sin(pi alpha) / (pi alpha), taken in closed form: there
+    the inversion is not needed, and it converges slowly as s -> 1 (it
+    fails its error limit from about 30 dB).
+    """
+    import mpmath  # here, not at the top: the Boolean path never loads it
+
+    nmax = params.nmax
+    # nodes, and digits: the alternating sum multiplies S_n by up to C(nmax, nmax/2)
+    m = max(48, 24 + nmax)
+    ctx = mpmath.MPContext()
+    if nmax == 1:
+        ctx.dps = m
+        alpha = ctx.mpf(2) / params.beta
+        sn = [ctx.mpf(params.tau) ** -alpha * ctx.sinpi(alpha) / (ctx.pi * alpha)]
+        errs = [0.0]
+    else:
+        rows = []
+        for nodes in (m + 16, m):
+            ctx.dps = nodes
+            alpha = ctx.mpf(2) / params.beta
+            s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
+            rows.append(_pd_sn(ctx, alpha, s, nmax, nodes))
+        finer, sn = rows
+        errs = [float(abs(a - b)) for a, b in zip(sn, finer)]
+    x = params.noise_argument
+    if x > 0.0:
+        for n in range(1, nmax + 1):
+            i_x, err_x = _special_I_with_error(n, params.beta, x)
+            i_0, err_0 = _special_I_with_error(n, params.beta, 0.0)
+            ratio = i_x / i_0
+            ratio_err = (err_x + ratio * err_0) / i_0
+            errs[n - 1] = errs[n - 1] * ratio + abs(float(sn[n - 1])) * ratio_err
+            sn[n - 1] *= ratio
+    return ctx, sn, errs
 
 
 def sinr_Sn(n: int, params: SinrModelParams) -> float:
     """Expected number S_n(tau) of n-tuples of stations jointly above threshold."""
     if n < 1:
         raise ParameterError(f"order n must be >= 1, got {n}")
-    return _sn_terms(n, [params.tau], params)[0][0]
-
-
-def _sn_rows(grid) -> dict:
-    """{params: (sn, errs) for n = 1..nmax, or the GeocacheError its build
-    raised} for SINR params that differ only in tau, in one pass over n:
-    I_n is computed once per n and J_n once for all of that n's tau_n."""
-    rows = {params: ([], []) for params in grid}
-    for n in range(1, max(params.nmax for params in rows) + 1):
-        live = [p for p, row in rows.items() if n <= p.nmax and isinstance(row, tuple)]
-        if not live:
-            break
-        try:
-            terms = _sn_terms(n, [p.tau for p in live], live[0])
-        except GeocacheError as exc:
-            rows.update(dict.fromkeys(live, exc))
-            continue
-        for p, (value, error) in zip(live, terms):
-            rows[p][0].append(value)
-            rows[p][1].append(error)
-    return rows
-
-
-# The rows of the open ``_sinr_grid`` block, keyed by frozen params. A
-# context variable, because sinr_coverage keeps its one-argument signature:
-# a sweep (and anything wrapping it) still calls it once per threshold.
-_GRID_ROWS: contextvars.ContextVar = contextvars.ContextVar("_GRID_ROWS", default=None)
-
-
-@contextlib.contextmanager
-def _sinr_grid(grid):
-    """Build S_n for every SINR params of ``grid`` in one pass per model,
-    then let ``sinr_coverage`` read them instead of recomputing.
-
-    The rows live until the block exits; params outside the grid are built
-    as usual.
-    """
-    models = {}
-    for params in grid:
-        models.setdefault(replace(params, tau=1.0), []).append(params)
-    rows = {}
-    for group in models.values():
-        rows.update(_sn_rows(group))
-    token = _GRID_ROWS.set(rows)
-    try:
-        yield
-    finally:
-        _GRID_ROWS.reset(token)
+    if n > params.nmax:  # then 1 - (n-1) tau <= 0: no n stations can all reach tau
+        return 0.0
+    return float(_sn_with_errors(params)[1][n - 1])
 
 
 def sinr_coverage(params: SinrModelParams) -> CoverageDistribution:
     """SINR coverage-number distribution on 0..nmax via the alternating sum.
 
-    Terms C(n,k) S_n cancel heavily for small tau; the sum is accumulated
-    exactly-rounded, near-boundary values are clamped, and material
-    cancellation failures raise instead of silently renormalizing.
+    p_k = sum_n (-1)^(n-k) C(n,k) S_n runs at the working precision of the
+    inversion, so its cancellation costs no accuracy. The error estimate
+    of p_k is sum_n C(n,k) err(S_n); above ``PMF_ERR_LIMIT`` the build
+    raises ``NumericalCancellationError``. Below it, each p_k lies within
+    that error of [0, 1] and is clipped to it.
     """
+    ctx, sn, errs = _sn_with_errors(params)
     nmax = params.nmax
-    row = (_GRID_ROWS.get() or {}).get(params)
-    if row is None:
-        row = _sn_rows([params])[params]
-    if isinstance(row, GeocacheError):
-        raise row
-    sn, errs = list(row[0]), list(row[1])
-
-    pk = [0.0]  # placeholder for p_0
-    for k in range(1, nmax + 1):
-        terms = [
-            (-1.0) ** (n - k) * math.comb(n, k) * sn[n - 1] for n in range(k, nmax + 1)
-        ]
-        pk.append(math.fsum(terms))
-    pk[0] = 1.0 - math.fsum(pk[1:])
-
-    clamped = []
-    for k, p in enumerate(pk):
-        if p < -1e-3 or p > 1.0 + 1e-3:
-            raise NumericalCancellationError(
-                f"p_{k} = {p:.6e} after the alternating sum; raise integration effort"
-            )
-        if -1e-6 <= p < 0.0:
-            p = 0.0
-        elif 1.0 < p <= 1.0 + 1e-6:
-            p = 1.0
-        clamped.append(p)
-    total = math.fsum(clamped)
-    if abs(total - 1.0) > 1e-3:
+    pk = [
+        ctx.fsum((-1) ** (n - k) * math.comb(n, k) * sn[n - 1] for n in range(k, nmax + 1))
+        for k in range(1, nmax + 1)
+    ]
+    pk.insert(0, 1 - ctx.fsum(pk))
+    pmf_errs = [
+        math.fsum(math.comb(n, k) * errs[n - 1] for n in range(1, nmax + 1))
+        for k in range(nmax + 1)
+    ]
+    worst = max(range(nmax + 1), key=pmf_errs.__getitem__)
+    if pmf_errs[worst] > PMF_ERR_LIMIT:
         raise NumericalCancellationError(
-            f"coverage pmf sums to {total:.6e} before normalization; "
-            "raise integration effort"
+            f"p_{worst} = {float(pk[worst]):.6e} has a propagated error estimate "
+            f"{pmf_errs[worst]:.3e}, above {PMF_ERR_LIMIT:g}"
         )
-    if any(p < 0.0 for p in clamped):
-        raise NumericalCancellationError(
-            "negative pmf entry survived clamping; raise integration effort"
-        )
-
     return CoverageDistribution(
-        pmf=np.array(clamped) / total,
+        pmf=np.clip([float(p) for p in pk], 0.0, 1.0),
         model_label="sinr",
         meta={
             "lambda": params.lam,
@@ -622,7 +564,8 @@ def sinr_coverage(params: SinrModelParams) -> CoverageDistribution:
             "noise_W": params.noise_W,
             "moment_PS": params.moment_PS,
             "nmax": nmax,
-            "sn": sn,
+            "sn": [float(v) for v in sn],
             "sn_error_estimates": errs,
+            "pmf_error_estimate": pmf_errs[worst],
         },
     )

@@ -21,9 +21,10 @@ class IntegrationError(GeocacheError, ArithmeticError):
 
 
 class NumericalCancellationError(GeocacheError, ArithmeticError):
-    """An alternating sum cancelled beyond the acceptable threshold.
+    """An alternating sum carries more propagated error than it may.
 
-    Raise integration effort (more nodes / points) to recover.
+    ``sinr_coverage`` raises it when the error estimate of some p_k,
+    sum_n C(n,k) err(S_n), exceeds the fixed ``coverage.PMF_ERR_LIMIT``.
     """
 
 

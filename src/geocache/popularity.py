@@ -104,9 +104,11 @@ def load_popularity(path) -> PopularityDistribution:
     """
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParameterError(f"{p}: cannot read popularity file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{p}: popularity file is not UTF-8 text: {exc.reason}") from None
     if p.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)

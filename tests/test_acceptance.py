@@ -14,7 +14,6 @@ from scipy.integrate import quad
 from geocache import (
     CoverageDistribution,
     GeneralPolicy,
-    IntegrationConfig,
     PopularityDistribution,
     SinrModelParams,
     greedy_disjoint,
@@ -32,7 +31,6 @@ from geocache import (
     special_J,
 )
 from geocache.cli import ExperimentConfig, main, run_sweep
-from geocache.coverage import _j_qmc_raw
 from geocache.oracle import brute_general, brute_structured
 from geocache.simulate import poisson_gof_pvalue
 
@@ -141,14 +139,13 @@ def test_criterion_04_monotone_submodular_probes():
 
 
 def test_criterion_05_special_functions():
-    cfg = IntegrationConfig()
     ok = True
     details = []
 
     # J_1 == 1 exactly on a 20-point grid, no integration involved
     grid = [(beta, x) for beta in (2.5, 3.0, 3.5, 4.0, 5.0) for x in (0.01, 0.3, 1.0, 9.0)]
     assert len(grid) == 20
-    exact = all(special_J(1, beta, x, cfg) == (1.0, 0.0) for beta, x in grid)
+    exact = all(special_J(1, beta, x) == (1.0, 0.0) for beta, x in grid)
     ok &= exact
     details.append(f"J_1 grid exact: {exact}")
 
@@ -163,16 +160,19 @@ def test_criterion_05_special_functions():
     ok &= worst_rel < 1e-7
     details.append(f"I(0) worst rel err {worst_rel:.1e}")
 
-    # dual-route agreement for J: tensor quadrature vs low-discrepancy
+    # dual-route agreement for S_n: Laplace inversion vs
+    # tau_n^(-2n/beta) I_n(0) J_n(tau_n) with the tensor-quadrature J
     worst_sigma = 0.0
-    for n in (2, 3, 4):
-        for x in (0.3, 1.0):
-            beta = 3.0
-            tensor_value, tensor_err = special_J(n, beta, x, cfg)
-            front = (1.0 + n * x) / n
-            [(qmc_mean, qmc_err)] = _j_qmc_raw(n - 1, beta, [x], cfg, n_tag=n)
-            diff = abs(tensor_value - front * qmc_mean)
-            budget = 3.0 * (tensor_err + front * qmc_err) + 5e-13
+    beta = 3.0
+    for db in (-9.0, -6.5):  # nmax = 8 and 5
+        tau = 10 ** (db / 10.0)
+        meta = sinr_coverage(SinrModelParams(lam=1.0, tau=tau, beta=beta)).meta
+        for n in (2, 3, 4, 5):
+            tau_n = tau / (1.0 - (n - 1) * tau)
+            scale = tau_n ** (-2.0 * n / beta) * special_I(n, beta, 0.0)
+            tensor_value, tensor_err = special_J(n, beta, tau_n)
+            diff = abs(scale * tensor_value - meta["sn"][n - 1])
+            budget = 3.0 * (scale * tensor_err + meta["sn_error_estimates"][n - 1]) + 5e-13
             worst_sigma = max(worst_sigma, diff / budget)
             ok &= diff <= budget
     details.append(f"dual-method worst diff/budget {worst_sigma:.2f}")

@@ -1,8 +1,12 @@
 import argparse
-import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from geocache.cli import (
     parse_grid,
     run_sweep,
 )
-from geocache import CoverageDistribution, IntegrationConfig, cli, solvers
+from geocache import CoverageDistribution, cli, solvers
 from geocache import coverage as cov
 from geocache.errors import GeocacheError, NumericalCancellationError, ParameterError
 
@@ -45,6 +49,22 @@ def test_parse_grid_rejects_non_finite_parts(text, capsys):
         main(["sweep", f"--tau-db={text}"])
     assert exit_info.value.code == 2
     assert "--tau-db" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("0:5:nan", "grid range parts must be finite, got '0:5:nan'"),
+        ("0:5", "grid range must be start:stop:step, got '0:5'"),
+        ("0:5:0", "grid step must be positive"),
+        ("0:5:-1", "grid step must be positive"),
+    ],
+)
+def test_tau_db_flag_reports_why_a_range_is_bad(text, reason, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", f"--tau-db={text}"])
+    assert exit_info.value.code == 2
+    assert f"argument --tau-db: {reason}\n" in capsys.readouterr().err
 
 
 def test_parse_config_file(tmp_path):
@@ -131,16 +151,13 @@ def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path, monkeypatch):
         by_file = _sweep_config(["--config", str(path)])
         argv = [flags[name]] if name == "timing" else [f"{flags[name]}={text}"]
         assert _sweep_config(argv) == by_file, name
-        owner, default = by_file, ExperimentConfig()
-        if not hasattr(default, name):
-            owner, default = owner.integration, default.integration
-        assert getattr(owner, name) == parse(text) != getattr(default, name), name
+        assert getattr(by_file, name) == parse(text) != getattr(ExperimentConfig(), name), name
 
 
 @pytest.mark.parametrize(
     "line", ["gama = 0.5", "modle = sinr", "seed_ = 1", "integration = 0", "J = forty",
              "tau_db = 0:5", "gauss_nodes = 48", "tensor_dim_limit = 4",
-             "rel_tol_1d = 1e-9"],
+             "rel_tol_1d = 1e-9", "qmc_points = 8", "qmc_replicates = 2"],
 )
 def test_bad_config_line_names_key_and_file(tmp_path, capsys, line):
     path = tmp_path / "exp.cfg"
@@ -234,7 +251,9 @@ def test_sweep_rejects_a_repeated_policy(capsys):
     assert "each policy may be named once" in err.err and err.out == ""
 
 
-@pytest.mark.parametrize("flag", ["--rel-tol-1d", "--gauss-nodes", "--tensor-dim-limit"])
+@pytest.mark.parametrize(
+    "flag", ["--rel-tol-1d", "--gauss-nodes", "--tensor-dim-limit", "--qmc-points", "--qmc-replicates"]
+)
 def test_fixed_integration_settings_have_no_flag(flag, capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["sweep", flag, "1"])
@@ -302,12 +321,10 @@ def test_sinr_sweep_mean_coverage_stays_small():
         assert cell["onc"] >= cell["mp"] - 1e-12
 
 
-# Small QMC effort at seed 1: -13 dB fails its cancellation check, -11 and
-# -7 dB reach the QMC path (n >= 6), 0 and 3 dB have nmax = 1.
+# -13 and -11 dB reach n = 20 and 13, 0 and 3 dB have nmax = 1.
 SINR_GRID_CONFIG = ExperimentConfig(
     model="sinr", tau_db_grid=(0.0, -11.0, 3.0, -13.0, -7.0), J=8, L=2,
     policies=("onc", "mp"), seed=1,
-    integration=IntegrationConfig(qmc_points=1024, qmc_replicates=2),
 )
 
 
@@ -318,13 +335,17 @@ def _csv_bytes(rows, config):
     return buffer.getvalue()
 
 
-def test_sinr_sweep_equals_threshold_by_threshold_build(monkeypatch):
+def test_sinr_sweep_equals_threshold_by_threshold_build():
     rows, ok = run_sweep(SINR_GRID_CONFIG)
-    monkeypatch.setattr(cli, "_coverage_scope", lambda config: contextlib.nullcontext())
-    alone, alone_ok = run_sweep(SINR_GRID_CONFIG)
-    assert ok and alone_ok
+    alone = []
+    for tau_db in SINR_GRID_CONFIG.tau_db_grid:
+        cell_rows, cell_ok = run_sweep(replace(SINR_GRID_CONFIG, tau_db_grid=(tau_db,)))
+        assert cell_ok
+        alone += cell_rows
+    alone.sort(key=cli._row_order)
+    assert ok
     assert _csv_bytes(rows, SINR_GRID_CONFIG) == _csv_bytes(alone, SINR_GRID_CONFIG)
-    assert [(r["tau_db"], r["hit_prob"]) for r in rows[-2:]] == [(-13.0, None)] * 2
+    assert all(row["hit_prob"] is not None for row in rows)
 
 
 def test_sinr_sweep_calls_sinr_coverage_once_per_threshold(monkeypatch):
@@ -332,11 +353,7 @@ def test_sinr_sweep_calls_sinr_coverage_once_per_threshold(monkeypatch):
     seen = []
 
     def tapped(params):
-        try:
-            dist = real(params)
-        except GeocacheError as exc:
-            seen.append((params.tau, type(exc)))
-            raise
+        dist = real(params)
         seen.append((params.tau, len(dist.meta["sn_error_estimates"])))
         return dist
 
@@ -344,19 +361,15 @@ def test_sinr_sweep_calls_sinr_coverage_once_per_threshold(monkeypatch):
     run_sweep(SINR_GRID_CONFIG)
     assert seen == [
         (db_to_linear(0.0), 1), (db_to_linear(-11.0), 13), (db_to_linear(3.0), 1),
-        (db_to_linear(-13.0), NumericalCancellationError), (db_to_linear(-7.0), 6),
+        (db_to_linear(-13.0), 20), (db_to_linear(-7.0), 6),
     ]
 
 
-def test_sinr_sweeps_repeat_and_keep_nothing_between_them(monkeypatch):
-    real, passes = cov._sn_rows, []
-    monkeypatch.setattr(cov, "_sn_rows", lambda grid: passes.append(len(grid)) or real(grid))
+def test_sinr_sweeps_repeat_and_keep_nothing_between_them():
     first, _ = run_sweep(SINR_GRID_CONFIG)
-    assert cov._GRID_ROWS.get() is None
-    again, _ = run_sweep(SINR_GRID_CONFIG)
-    assert cov._GRID_ROWS.get() is None
+    # the SINR coverage is exact: the seed reaches only the Monte Carlo columns
+    again, _ = run_sweep(replace(SINR_GRID_CONFIG, seed=2))
     assert _csv_bytes(again, SINR_GRID_CONFIG) == _csv_bytes(first, SINR_GRID_CONFIG)
-    assert passes == [5, 5]  # one pass over the grid per sweep, none per cell
 
 
 def test_sweep_cli_writes_csv(tmp_path, capsys):
@@ -527,13 +540,19 @@ BAD_FILES = {
     "policy-bad-sizes": ("policy.json", '{"type": "structured", "sizes": [2, 1]}', SIMULATE,
                          "not a valid policy: nonzero block sizes must be nondecreasing"),
     "policy-not-json": ("policy.json", "sizes = 1", SIMULATE, "not a valid policy"),
+    "config-not-utf8": ("exp.cfg", b"\xff\xfeJ = 4\n", ["sweep", "--config", "FILE"],
+                        "config file is not UTF-8 text"),
+    "pop-file-not-utf8": ("pop.csv", b"\xff\xfe0.5\n0.5\n", SOLVE,
+                          "popularity file is not UTF-8 text"),
 }
 
 
 @pytest.mark.parametrize("name, text, argv, message", BAD_FILES.values(), ids=BAD_FILES)
 def test_bad_input_files_end_in_an_error_line(tmp_path, capsys, name, text, argv, message):
     path = tmp_path / name
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     argv = [str(path) if a == "FILE" else a for a in argv]
     assert main(argv + ["-J", "4", "-L", "1"]) == 1
@@ -551,3 +570,30 @@ def test_non_integer_env_seed_is_an_error(monkeypatch, capsys):
     assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "1"]) == 1
     err = capsys.readouterr().err
     assert err == "error: GEOCACHE_SEED must be an integer, got 'abc'\n"
+
+
+# Boolean commands in a fresh interpreter; then one SINR command, which does load mpmath.
+LAZY_MPMATH = """
+import os, sys
+from geocache import cli
+for argv in (
+    ["sweep", "--tau-db", "0,3", "-J", "8", "-L", "2", "--trials", "200", "-o", os.devnull],
+    ["solve", "--policy", "onc", "-J", "8"],
+    ["coverage"],
+    ["simulate", "--policy", '{"type": "structured", "sizes": [1]}', "--trials", "100"],
+    ["bound", "--greedy-blocks", "10", "-J", "8"],
+):
+    assert cli.main(argv) == 0, argv
+assert "mpmath" not in sys.modules, "a Boolean command loaded mpmath"
+assert cli.main(["coverage", "--model", "sinr"]) == 0
+assert "mpmath" in sys.modules
+"""
+
+
+def test_boolean_commands_do_not_load_mpmath():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_MPMATH], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

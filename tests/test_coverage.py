@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from scipy.integrate import quad
 from geocache import (
     BooleanModelParams,
     CoverageDistribution,
-    IntegrationConfig,
     ParameterError,
     SinrModelParams,
     boolean_coverage,
@@ -20,11 +18,7 @@ from geocache import (
     special_J,
 )
 from geocache import coverage
-from geocache.coverage import _j_qmc_raw
-from geocache.errors import GeocacheError, IntegrationError, NumericalCancellationError
-from scipy.stats import qmc
-
-CFG = IntegrationConfig()
+from geocache.errors import NumericalCancellationError
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +40,6 @@ def test_tail_is_reverse_cumulative():
 def test_tail_is_derived_not_an_input():
     with pytest.raises(TypeError):
         CoverageDistribution(pmf=np.array([0.5, 0.5]), tail=np.array([1.0, 0.5, 0.0]))
-
-
-def test_integration_config_holds_only_the_qmc_effort():
-    assert [f.name for f in fields(IntegrationConfig)] == ["qmc_points", "qmc_replicates", "seed"]
-    assert (CFG.gauss_nodes, CFG.tensor_dim_limit) == (48, 4)
-    with pytest.raises(TypeError):
-        IntegrationConfig(gauss_nodes=24)
 
 
 @settings(max_examples=200)
@@ -180,7 +167,7 @@ def test_special_I_rejects_bad_arguments():
 def test_special_J_order_one_is_exactly_one():
     for beta in np.linspace(2.2, 6.0, 5):
         for x in (1e-3, 0.1, 0.7, 15.0):
-            assert special_J(1, float(beta), x, CFG) == (1.0, 0.0)
+            assert special_J(1, float(beta), x) == (1.0, 0.0)
 
 
 def test_special_J_order_two_matches_adaptive_quad_oracle():
@@ -197,70 +184,35 @@ def test_special_J_order_two_matches_adaptive_quad_oracle():
         return (1.0 + 2.0 * x) / 2.0 * val
 
     for beta, x in [(4.0, 1.0), (3.0, 0.25), (3.0, 2.5)]:
-        value, err = special_J(2, beta, x, CFG)
+        value, err = special_J(2, beta, x)
         assert value == pytest.approx(oracle(beta, x), rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_special_J_tensor_and_qmc_agree(n):
-    beta, x = 3.0, 0.8
-    tensor_value, tensor_err = special_J(n, beta, x, CFG)
-    front = (1.0 + n * x) / n
-    [(qmc_mean, qmc_err)] = _j_qmc_raw(n - 1, beta, [x], CFG, n_tag=n)
-    qmc_value = front * qmc_mean
-    budget = 3.0 * (tensor_err + front * qmc_err) + 1e-12
-    assert abs(tensor_value - qmc_value) <= budget
-
-
-def _seed_j_qmc_raw(d, beta, x, cfg, n_tag):
-    """The one-x QMC estimator as first written, kept as a bitwise reference."""
-    a = 2.0 / beta
-    b = np.array([i * (2.0 / beta + 1.0) - 1.0 for i in range(1, d + 1)])
-    scale = float(np.prod(1.0 / (b + 1.0)))
-    inv_exp = 1.0 / (b + 1.0)
-    npts = int(cfg.qmc_points)
-    m2 = npts.bit_length() - 1
-    estimates = []
-    for rep in range(cfg.qmc_replicates):
-        ss = np.random.SeedSequence([int(cfg.seed), int(n_tag), rep])
-        engine = qmc.Sobol(d, scramble=True, seed=np.random.default_rng(ss))
-        u = engine.random_base2(m2) if (1 << m2) == npts else engine.random(npts)
-        v = u**inv_exp
-        n = d + 1
-        suffix, denom = 1.0, 1.0
-        for i in range(n, 1, -1):
-            denom = denom * (x + (1.0 - v[:, i - 2]) * suffix)
-            suffix = suffix * v[:, i - 2]
-        f = np.prod((1.0 - v) ** a, axis=1) / (denom * (x + suffix))
-        estimates.append(scale * float(np.mean(f)))
-    mean = math.fsum(estimates) / len(estimates)
-    var = math.fsum((e - mean) ** 2 for e in estimates) / (len(estimates) - 1)
-    return mean, math.sqrt(var / len(estimates))
-
-
-@pytest.mark.filterwarnings("ignore:The balance properties")
-@pytest.mark.parametrize("points", [1024, 1000])  # random_base2 and random draws
-def test_j_qmc_sequence_form_matches_scalar_calls_bitwise(points):
-    cfg = IntegrationConfig(qmc_points=points, qmc_replicates=3, seed=4)
-    xs = [0.05, 0.3, 1.7, 0.3]
-    for d in (5, 8):
-        batch = _j_qmc_raw(d, 3.0, xs, cfg, n_tag=d + 1)
-        singles = [_j_qmc_raw(d, 3.0, [x], cfg, n_tag=d + 1)[0] for x in xs]
-        reference = [_seed_j_qmc_raw(d, 3.0, x, cfg, d + 1) for x in xs]
-        assert batch == singles == reference
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_special_J_tensor_and_inversion_agree(n):
+    # S_n by the Laplace inversion vs tau_n^(-2n/beta) I_n(0) J_n(tau_n), J by tensor quadrature
+    beta, tau = 3.0, 10 ** (-6.5 / 10)  # nmax = 5
+    meta = sinr_coverage(sir_params(tau, beta)).meta
+    tau_n = tau / (1.0 - (n - 1) * tau)
+    scale = tau_n ** (-2.0 * n / beta) * special_I(n, beta, 0.0)
+    tensor_value, tensor_err = special_J(n, beta, tau_n)
+    budget = 3.0 * (scale * tensor_err + meta["sn_error_estimates"][n - 1]) + 1e-12
+    assert abs(meta["sn"][n - 1] - scale * tensor_value) <= budget
 
 
 def test_special_J_decreases_in_argument():
     xs = np.linspace(0.05, 20.0, 12)
-    vals = [special_J(2, 4.0, float(x), CFG)[0] for x in xs]
+    vals = [special_J(2, 4.0, float(x))[0] for x in xs]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_special_J_rejects_bad_arguments():
     with pytest.raises(ParameterError):
-        special_J(2, 3.0, 0.0, CFG)
+        special_J(2, 3.0, 0.0)
     with pytest.raises(ParameterError):
-        special_J(0, 3.0, 1.0, CFG)
+        special_J(0, 3.0, 1.0)
+    with pytest.raises(ParameterError, match="1..5"):
+        special_J(6, 3.0, 1.0)  # beyond the tensor rule
 
 
 # ---------------------------------------------------------------------------
@@ -337,59 +289,99 @@ def test_sinr_mean_equals_s1_with_noise():
     assert mean_coverage(dist) == pytest.approx(sinr_Sn(1, params), abs=1e-6)
 
 
-# Small QMC effort: -13 dB fails its cancellation check at seed 1, -11 and
-# -7 dB reach the QMC path (n >= 6), 0 and 3 dB have nmax = 1.
-GRID_DB = (-13.0, -11.0, -7.0, 0.0, 3.0, -11.0)
+def closed_form_mean(tau, beta):
+    """E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha), alpha = 2/beta, without noise."""
+    alpha = 2.0 / beta
+    return tau ** (-alpha) * math.sin(math.pi * alpha) / (math.pi * alpha)
 
 
-def _grid_params(seed=1):
-    cfg = IntegrationConfig(qmc_points=1024, qmc_replicates=2, seed=seed)
-    return [sir_params(10 ** (db / 10), integration=cfg) for db in GRID_DB]
+@pytest.mark.parametrize("beta", [3.0, 4.0])
+def test_sinr_mean_matches_closed_form_down_to_minus_20_db(beta):
+    # nmax = 1 from 0 dB up, where S_1 = E[N] is taken in closed form
+    for db in (-20, -17, -14, -13, -10, -6, -3, -1, 0, 4, 12, 40):
+        tau = 10 ** (db / 10)
+        dist = sinr_coverage(sir_params(tau, beta))
+        assert mean_coverage(dist) == pytest.approx(closed_form_mean(tau, beta), rel=1e-12), db
+        assert dist.meta["pmf_error_estimate"] <= 1e-12, db
+        if db <= -14:
+            assert dist.kmax == math.ceil(1.0 / tau)
+            assert max(dist.meta["sn_error_estimates"]) <= 1e-12, db
 
 
-def _build(params):
-    try:
-        dist = sinr_coverage(params)
-    except GeocacheError as exc:
-        return type(exc), str(exc)
-    return dist.pmf.tolist(), dist.meta
+def tensor_pmf(tau, beta, noise_W):
+    """The pmf from S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n), J by tensor quadrature."""
+    params = sir_params(tau, beta, noise_W=noise_W)
+    sn = []
+    for n in range(1, params.nmax + 1):
+        tau_n = tau / (1.0 - (n - 1) * tau)
+        j_value, _ = special_J(n, beta, tau_n)
+        sn.append(tau_n ** (-2.0 * n / beta) * special_I(n, beta, params.noise_argument) * j_value)
+    pk = [
+        math.fsum((-1) ** (n - k) * math.comb(n, k) * sn[n - 1] for n in range(k, len(sn) + 1))
+        for k in range(1, len(sn) + 1)
+    ]
+    return [1.0 - math.fsum(pk)] + pk
 
 
-def test_sinr_grid_rows_equal_single_builds():
-    grid = _grid_params()
-    alone = [_build(p) for p in grid]
-    with coverage._sinr_grid(grid):
-        assert coverage._GRID_ROWS.get().keys() == set(grid)
-        together = [_build(p) for p in grid]
-    assert together == alone
-    assert alone[0][0] is NumericalCancellationError
-    assert len(alone[1][1]["sn"]) == 13 and alone[3][1]["nmax"] == 1
-    for params, (_, meta) in zip(grid[1:], alone[1:]):
-        assert meta["sn"] == [sinr_Sn(n, params) for n in range(1, params.nmax + 1)]
+@pytest.mark.parametrize("noise_W", [0.1, 0.5, 2.0])
+def test_sinr_pmf_with_noise_matches_the_tensor_route(noise_W):
+    for db in (-6, -3, 0, 3):  # nmax <= 4: J by the tensor rule alone
+        tau = 10 ** (db / 10)
+        dist = sinr_coverage(sir_params(tau, noise_W=noise_W))
+        np.testing.assert_allclose(dist.pmf, tensor_pmf(tau, 3.0, noise_W), rtol=0, atol=1e-12)
 
 
-def test_sinr_grid_groups_models_and_leaves_nothing_behind():
-    grid = _grid_params() + _grid_params(seed=2)
-    with pytest.raises(KeyError):
-        with coverage._sinr_grid(grid):
-            assert len(coverage._GRID_ROWS.get()) == 10
-            assert _build(grid[7]) == _build(replace(grid[7]))
-            raise KeyError("leave the block early")
-    assert coverage._GRID_ROWS.get() is None
+def test_sinr_without_noise_computes_no_I(monkeypatch):
+    def no_I(n, beta, x):
+        raise AssertionError("I evaluated at W = 0")
+
+    monkeypatch.setattr(coverage, "_special_I_with_error", no_I)
+    assert sinr_coverage(sir_params(0.5)).kmax == 2
 
 
-def test_sinr_grid_keeps_the_first_failure_of_each_threshold(monkeypatch):
+def test_sinr_raises_when_the_propagated_pmf_error_is_too_large(monkeypatch):
     real = coverage._special_I_with_error
 
-    def failing(n, beta, x):
-        if n in (6, 8):
-            raise IntegrationError(f"forced at n = {n}", achieved_error=1.0)
-        return real(n, beta, x)
+    def loose_I(n, beta, x):
+        value, _ = real(n, beta, x)
+        return value, 1e-5 * value  # as if the quadrature met only 1e-5
 
-    monkeypatch.setattr(coverage, "_special_I_with_error", failing)
-    grid = _grid_params()
-    with coverage._sinr_grid(grid):
-        outcomes = [_build(p) for p in grid]
-    assert outcomes == [_build(p) for p in grid]
-    assert outcomes[:3] == [(IntegrationError, "forced at n = 6")] * 3
-    assert outcomes[3][1]["nmax"] == 1
+    monkeypatch.setattr(coverage, "_special_I_with_error", loose_I)
+    params = sir_params(10 ** (-9 / 10), noise_W=0.5)
+    with pytest.raises(NumericalCancellationError, match="propagated error estimate"):
+        sinr_coverage(params)
+
+
+def sample_pd_coverage(alpha, s, size, rng):
+    """Atoms above s of `size` PD(alpha, 0) draws by stick-breaking.
+
+    V_i = B_i prod_{j<i} (1 - B_j) with B_i ~ Beta(1 - alpha, i alpha); a
+    draw stops once the mass left is <= s, as no later atom can exceed s.
+    """
+    counts = np.zeros(size, dtype=np.int64)
+    remaining = np.ones(size)
+    live = np.arange(size)
+    i = 1
+    while live.size:
+        atom = rng.beta(1.0 - alpha, i * alpha, size=live.size) * remaining
+        remaining -= atom
+        counts[live] += atom > s
+        keep = remaining > s
+        live, remaining = live[keep], remaining[keep]
+        i += 1
+    return counts
+
+
+@pytest.mark.parametrize("db", [-6, -12, -14])
+def test_sinr_pmf_matches_poisson_dirichlet_sampling(db):
+    # an independent check of the law below the tensor oracle's reach
+    tau, size = 10 ** (db / 10), 10_000
+    pmf = sinr_coverage(sir_params(tau)).pmf
+    counts = sample_pd_coverage(2.0 / 3.0, tau / (1.0 + tau), size, np.random.default_rng(db + 100))
+    assert counts.max() <= pmf.size - 1
+    observed = np.bincount(counts, minlength=pmf.size) / size
+    big = pmf * size >= 5  # entries too small for a normal approximation are pooled
+    expected = np.append(pmf[big], pmf[~big].sum())
+    seen = np.append(observed[big], observed[~big].sum())
+    z = (seen - expected) / np.sqrt(np.maximum(expected * (1.0 - expected), 1e-12) / size)
+    assert np.max(np.abs(z)) < 4.0, z

@@ -6,6 +6,7 @@ This runs small sweeps under the tracer and checks the counts it reports.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 from geocache import cli
@@ -18,7 +19,7 @@ _spec.loader.exec_module(tracer)
 
 
 def test_tracer_counts_the_work_of_a_sinr_and_a_boolean_sweep():
-    # -6.5 dB gives nmax = 5: tensor J at n = 2..5 and no QMC J
+    # -6.5 dB gives nmax = 5
     sinr = cli.ExperimentConfig(model="sinr", tau_db_grid=(-6.5, 3.0), J=8, L=2)
     boolean = cli.ExperimentConfig(tau_db_grid=(-3.0, 0.0), J=8, L=2)
     trace = tracer.Tracer()
@@ -27,9 +28,8 @@ def test_tracer_counts_the_work_of_a_sinr_and_a_boolean_sweep():
             rows, ok = cli.run_sweep(config)
             assert ok and all(row["hit_prob"] is not None for row in rows)
     m = tracer.layer_metrics(trace.spans)
-    assert m["coverage.J_tensor_calls"] >= 4
-    assert m["coverage.J_tensor_nodes"] >= 48**4  # n = 5 is a 4-dim tensor rule
     assert m["coverage.sinr_calls"] == 2 and m["coverage.boolean_calls"] == 2
+    assert math.isfinite(m["coverage.sn_err_max"])  # read from each SINR build's meta
     assert m["solvers.ind_calls"] == 4
     assert m["solvers.onc_stage_max"] > 0
     assert m["policy.hit_eval_calls"] > 0
