@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from . import coverage as cov
 from . import simulate, solvers
 from .errors import GeocacheError, ParameterError
-from .policy import (
+from .oracle import reference_hit
+from .policy import (  # the benchmark tracer rebinds the two hit_probability_* names here
     GeneralPolicy,
     StructuredPolicy,
     hit_probability_general,
@@ -135,23 +136,12 @@ def _simulable(policy) -> bool:
     return isinstance(policy, GeneralPolicy)
 
 
-def _revalidate(result, pop, dist) -> bool:
-    """Emitted hit probabilities must match an independent re-evaluation."""
-    policy = result.policy
-    if isinstance(policy, solvers.IndPolicy):
-        again = solvers.hit_probability_ind(policy, pop, dist)
-    elif isinstance(policy, StructuredPolicy):
-        again = hit_probability_structured(policy, pop, dist)
-    else:
-        again = hit_probability_general(policy, pop, dist)
-    return abs(again - result.hit_prob) <= 1e-12
-
-
 def run_sweep(config: ExperimentConfig):
     """Evaluate every requested policy on every grid threshold.
 
     Returns (rows, ok): row dicts sorted by mean coverage then policy
-    name, and an all-consistency-checks-passed flag. Failures at single
+    name, and a flag that is False if any solver's hit probability differs
+    by more than 1e-12 from ``oracle.reference_hit``. Failures at single
     cells are marked (empty hit_prob) without aborting the sweep; cells
     whose coverage build failed (NaN mean coverage) sort last, by
     threshold then policy. The SINR coverage does not depend on the seed,
@@ -166,54 +156,31 @@ def run_sweep(config: ExperimentConfig):
             dist = _build_coverage(config, tau)
         except GeocacheError as exc:
             print(f"warning: coverage failed at {tau_db} dB: {exc}", file=sys.stderr)
-            for name in sorted(config.policies):
-                rows.append(
-                    {
-                        "tau_db": tau_db,
-                        "tau_linear": tau,
-                        "mean_coverage": float("nan"),
-                        "policy": name,
-                        "hit_prob": None,
-                        "sim_estimate": None,
-                        "sim_stderr": None,
-                        "wall_time_ms": None,
-                    }
-                )
-            continue
-        mean_cov = cov.mean_coverage(dist)
+            dist = None
+        mean_cov = float("nan") if dist is None else cov.mean_coverage(dist)
         for name in sorted(config.policies):
+            row = dict.fromkeys(CSV_FIELDS)
+            row.update(tau_db=tau_db, tau_linear=tau, mean_coverage=mean_cov, policy=name)
+            rows.append(row)
+            if dist is None:
+                continue
             t0 = time.perf_counter()
-            sim_estimate = sim_stderr = None
             try:
                 result = _run_policy(name, pop, dist, config.L)
-                hit = result.hit_prob
-                if not _revalidate(result, pop, dist):
+                if abs(reference_hit(result.policy, pop, dist) - result.hit_prob) > 1e-12:
                     ok = False
                 if config.trials and _simulable(result.policy):
                     report = simulate.simulate_hits(
                         result.policy, pop, dist, config.trials, config.seed
                     )
-                    sim_estimate = report.estimate
-                    sim_stderr = report.stderr
+                    row.update(sim_estimate=report.estimate, sim_stderr=report.stderr)
+                row["hit_prob"] = result.hit_prob
             except GeocacheError as exc:
                 print(
                     f"warning: policy {name} failed at {tau_db} dB: {exc}",
                     file=sys.stderr,
                 )
-                hit = None
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            rows.append(
-                {
-                    "tau_db": tau_db,
-                    "tau_linear": tau,
-                    "mean_coverage": mean_cov,
-                    "policy": name,
-                    "hit_prob": hit,
-                    "sim_estimate": sim_estimate,
-                    "sim_stderr": sim_stderr,
-                    "wall_time_ms": wall_ms,
-                }
-            )
+            row["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
     rows.sort(key=_row_order)
     return rows, ok
 
@@ -357,11 +324,21 @@ _FLAG_SPECS = {
     "J": {"flags": ("-J", "--catalog"), "help": "catalog size"},
     "gamma": {"help": "Zipf exponent"},
     "pop_file": {"help": "popularity vector (JSON or CSV)"},
-    "trials": {"help": "Monte Carlo trials per cell (0 = off)"},
+    "trials": {"help": "Monte Carlo trials: per sweep cell (0 = off), "
+                        "or simulate's total (100000 unless set)"},
     "output": {"flags": ("--output", "-o"), "help": "CSV output path (default stdout)"},
     "timing": {"help": "record wall_time_ms (breaks byte-identical reruns)"},
 }
-_SWEEP_ONLY = ("policies", "trials", "output", "timing")
+# Fields only some commands take; every command takes all the others.
+_TAKEN_ONLY_BY = {
+    "policies": ("sweep",),
+    "trials": ("sweep", "simulate"),
+    "output": ("sweep",),
+    "timing": ("sweep",),
+}
+# What the one-threshold commands use where neither a flag nor the config
+# file sets a field (of them, only simulate reads trials).
+_ONE_THRESHOLD_DEFAULTS = {"tau_db_grid": (0.0,), "trials": 100_000}
 
 
 def _settable_fields() -> dict:
@@ -371,10 +348,10 @@ def _settable_fields() -> dict:
     return {n: _SPECIAL_PARSERS.get(n) or _PARSE_BY_TYPE[t] for n, t in hints.items()}
 
 
-def _config_args(parser, *, sweep: bool) -> None:
+def _config_args(parser, command: str) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     for name, parse in _settable_fields().items():
-        if name in _SWEEP_ONLY and not sweep:
+        if command not in _TAKEN_ONLY_BY.get(name, (command,)):
             continue
         spec = dict(_FLAG_SPECS.get(name, {}))
         flags = spec.pop("flags", ("--" + name.replace("_", "-"),))
@@ -385,11 +362,12 @@ def _config_args(parser, *, sweep: bool) -> None:
         parser.add_argument(*flags, dest=name, **spec)
 
 
-def _config_from_args(args, *, sweep: bool) -> ExperimentConfig:
+def _config_from_args(args) -> ExperimentConfig:
     """Each field from its CLI flag, else its config-file key, else (seed
-    only) $GEOCACHE_SEED, else the dataclass default.
+    only) $GEOCACHE_SEED, else the command's default.
 
-    Outside ``sweep`` the threshold is one value, 0 dB unless set.
+    Outside ``sweep`` the threshold is one value, and the defaults of
+    ``_ONE_THRESHOLD_DEFAULTS`` replace the dataclass defaults.
     """
     file_cfg = parse_config_file(args.config) if args.config else {}
     parsers = _settable_fields()
@@ -412,8 +390,8 @@ def _config_from_args(args, *, sweep: bool) -> ExperimentConfig:
             values["seed"] = int(text)
         except ValueError:
             raise ParameterError(f"{ENV_SEED} must be an integer, got {text!r}") from None
-    if not sweep:
-        values.setdefault("tau_db_grid", (0.0,))
+    if args.command != "sweep":
+        values = {**_ONE_THRESHOLD_DEFAULTS, **values}
         if len(values["tau_db_grid"]) != 1:
             raise ParameterError(f"this command takes one threshold, got {values['tau_db_grid']}")
     return ExperimentConfig(**values)
@@ -437,7 +415,7 @@ def _emit_json(payload, stream) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    config = _config_from_args(args, sweep=True)
+    config = _config_from_args(args)
     rows, ok = run_sweep(config)
     buffer = io.StringIO()
     write_sweep_csv(rows, config, buffer)
@@ -451,7 +429,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    config = _config_from_args(args, sweep=False)
+    config = _config_from_args(args)
     pop, dist = _instance_from_config(config)
     name = args.policy
     result = _run_policy(name, pop, dist, config.L)
@@ -469,7 +447,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    config = _config_from_args(args, sweep=False)
+    config = _config_from_args(args)
     tau = db_to_linear(config.tau_db_grid[0])
     dist = _build_coverage(config, tau)
     _emit_json(dist.to_json_dict(), sys.stdout)
@@ -492,16 +470,16 @@ def _load_policy_arg(text: str):
 
 
 def _cmd_simulate(args) -> int:
-    config = _config_from_args(args, sweep=False)
+    config = _config_from_args(args)
     pop, dist = _instance_from_config(config)
     policy = _load_policy_arg(args.policy)
-    report = simulate.simulate_hits(policy, pop, dist, args.trials, config.seed)
+    report = simulate.simulate_hits(policy, pop, dist, config.trials, config.seed)
     _emit_json(report.to_json_dict(), sys.stdout)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    config = _config_from_args(args, sweep=False)
+    config = _config_from_args(args)
     pop, dist = _instance_from_config(config)
     report = solvers.greedy_bound_check(pop, dist, config.L, args.greedy_K)
     _emit_json(report, sys.stdout)
@@ -516,26 +494,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="run a threshold sweep and emit CSV")
-    _config_args(p, sweep=True)
+    _config_args(p, "sweep")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("solve", help="solve one instance with one policy")
-    _config_args(p, sweep=False)
+    _config_args(p, "solve")
     p.add_argument("--policy", required=True, choices=ALL_POLICIES)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("coverage", help="tabulate the coverage-number pmf as JSON")
-    _config_args(p, sweep=False)
+    _config_args(p, "coverage")
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("simulate", help="Monte Carlo hit estimate for a policy")
-    _config_args(p, sweep=False)
+    _config_args(p, "simulate")
     p.add_argument("--policy", required=True, help="policy JSON (inline or file path)")
-    p.add_argument("--trials", type=int, default=100_000)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bound", help="greedy suboptimality bound report")
-    _config_args(p, sweep=False)
+    _config_args(p, "bound")
     p.add_argument("--greedy-blocks", dest="greedy_K", type=int, required=True,
                    help="number of blocks handed to the greedy (>= L)")
     p.set_defaults(func=_cmd_bound)

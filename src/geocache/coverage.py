@@ -59,10 +59,6 @@ GAUSS_NODES = 48  # Gauss-Jacobi nodes per dimension of the tensor rule for J
 J_MAX_ORDER = 5  # special_J's tensor rule covers n <= 5 (4 dimensions)
 PMF_ERR_LIMIT = 1e-6  # sinr_coverage raises above this propagated pmf error
 
-# Full tensor grids above ~250k points thrash memory bandwidth; chunk the
-# leading axis instead of materializing them (values are unchanged).
-_TENSOR_CHUNK_LIMIT = 300_000
-
 
 # ---------------------------------------------------------------------------
 # Coverage-number distribution container
@@ -154,14 +150,13 @@ def mean_coverage(dist: CoverageDistribution) -> float:
 
 
 @dataclass(frozen=True)
-class BooleanModelParams:
-    """Noise-limited Boolean model parameters (all linear units)."""
+class _ModelParams:
+    """Fields both cellular models share (all linear units)."""
 
     lam: float
     tau: float
     beta: float
     K: float = 1.0
-    power_ratio: float = 1.0  # P/W; must be finite for the Boolean model
 
     def __post_init__(self):
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
@@ -172,6 +167,16 @@ class BooleanModelParams:
             raise ParameterError(f"path-loss exponent must exceed 2, got {self.beta}")
         if not (self.K > 0.0 and math.isfinite(self.K)):
             raise ParameterError(f"path-loss constant must be positive, got {self.K}")
+
+
+@dataclass(frozen=True)
+class BooleanModelParams(_ModelParams):
+    """Noise-limited Boolean model parameters (all linear units)."""
+
+    power_ratio: float = 1.0  # P/W; must be finite for the Boolean model
+
+    def __post_init__(self):
+        super().__post_init__()
         if not (self.power_ratio > 0.0 and math.isfinite(self.power_ratio)):
             raise ParameterError(
                 "P/W must be positive and finite for the Boolean model; "
@@ -186,25 +191,14 @@ class BooleanModelParams:
 
 
 @dataclass(frozen=True)
-class SinrModelParams:
+class SinrModelParams(_ModelParams):
     """SINR model parameters; moment_PS = E[(P*S)^(2/beta)] (1 = no shadowing)."""
 
-    lam: float
-    tau: float
-    beta: float
-    K: float = 1.0
     noise_W: float = 0.0
     moment_PS: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ParameterError(f"station density must be positive, got {self.lam}")
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ParameterError(f"threshold must be positive and finite, got {self.tau}")
-        if not (self.beta > 2.0 and math.isfinite(self.beta)):
-            raise ParameterError(f"path-loss exponent must exceed 2, got {self.beta}")
-        if not (self.K > 0.0 and math.isfinite(self.K)):
-            raise ParameterError(f"path-loss constant must be positive, got {self.K}")
+        super().__post_init__()
         if not (self.noise_W >= 0.0 and math.isfinite(self.noise_W)):
             raise ParameterError(f"noise power must be >= 0, got {self.noise_W}")
         if not (self.moment_PS > 0.0 and math.isfinite(self.moment_PS)):
@@ -342,52 +336,30 @@ def _jacobi_rules(d, beta, m):
     return nodes, weights
 
 
-def _eta_chain(vs):
-    """eta_n, eta_(n-1), ..., eta_1 of the stick-breaking chain built from vs.
-
-    eta_1 = v_1 ... v_{n-1}; eta_i = (1 - v_{i-1}) v_i ... v_{n-1}; eta_n = 1 - v_{n-1}.
-    Entries of vs may be scalars or broadcastable arrays.
-    """
-    suffix = 1.0
-    for v in reversed(vs):
-        yield (1.0 - v) * suffix
-        suffix = suffix * v
-    yield suffix
-
-
-def _eta_denominator(x, etas):
-    """prod_i (x + eta_i), multiplied in the order of ``etas``."""
-    denom = 1.0
-    for eta in etas:
-        denom = denom * (x + eta)
-    return denom
-
-
 def _j_tensor_raw(d, beta, x, m):
-    """Tensor Gauss-Jacobi value of the d-dim J integral (without (1+nx)/n)."""
+    """Tensor Gauss-Jacobi value of the d-dim J integral (without (1+nx)/n).
+
+    The integrand is 1 / prod_i (x + eta_i) over the stick-breaking chain
+    eta_1 = v_1...v_{d}, eta_i = (1 - v_{i-1}) v_i...v_{d}, eta_{d+1} = 1 - v_{d}.
+    The leading axis is summed one node at a time, so the working arrays
+    hold m^(d-1) points and stay cache-resident.
+    """
     nodes, weights = _jacobi_rules(d, beta, m)
-    if m**d <= _TENSOR_CHUNK_LIMIT:
-        vs = []
-        for i in range(d):
-            shape = [1] * d
-            shape[i] = m
-            vs.append(nodes[i].reshape(shape))
-        g = 1.0 / _eta_denominator(x, _eta_chain(vs))
-        for i in range(d):
-            g = np.tensordot(weights[i], g, axes=(0, 0))
-        return float(g)
-    # chunk the leading axis to keep working arrays cache-resident
-    vs_inner = []
+    inner = []  # v_2..v_d, each along its own axis of an m^(d-1) grid
     for i in range(1, d):
         shape = [1] * (d - 1)
         shape[i - 1] = m
-        vs_inner.append(nodes[i].reshape(shape))
+        inner.append(nodes[i].reshape(shape))
     total = 0.0
-    for k in range(m):
-        g = 1.0 / _eta_denominator(x, _eta_chain([float(nodes[0][k])] + vs_inner))
-        for i in range(1, d):
-            g = np.tensordot(weights[i], g, axes=(0, 0))
-        total += float(weights[0][k]) * float(g)
+    for v0, w0 in zip(nodes[0].tolist(), weights[0].tolist()):
+        denom = suffix = 1.0
+        for v in reversed([v0] + inner):  # eta_(d+1), ..., eta_2
+            denom = denom * (x + (1.0 - v) * suffix)
+            suffix = suffix * v
+        g = 1.0 / (denom * (x + suffix))  # suffix is eta_1
+        for w in weights[1:]:
+            g = np.tensordot(w, g, axes=(0, 0))
+        total += w0 * float(g)
     return total
 
 

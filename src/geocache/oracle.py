@@ -1,4 +1,5 @@
-"""Brute-force reference solvers; built to be obviously correct, not fast."""
+"""Brute-force reference solvers and a reference hit evaluator; built to be
+obviously correct, not fast."""
 
 from __future__ import annotations
 
@@ -14,9 +15,44 @@ from .policy import (
     hit_probability_structured,
 )
 from .popularity import PopularityDistribution
-from .solvers import SolverResult
+from .solvers import IndPolicy, SolverResult
 
 ENUMERATION_BUDGET = 10**7
+
+
+def reference_hit(policy, pop: PopularityDistribution, dist: CoverageDistribution) -> float:
+    """P_hit of any solver's policy, computed without the evaluators the solvers use.
+
+    Block policies: a plain loop over the blocks finds each item's smallest
+    block size r_j, and P_hit = sum_j a_j Pbar(r_j). Independent caching
+    uses the tail identity 1 - G(1 - b) = sum_{k>=1} Pbar(k) b (1 - b)^(k-1)
+    instead of the coverage pgf G.
+    """
+    J = pop.size
+    if isinstance(policy, IndPolicy):
+        if policy.b.size != J:
+            raise ParameterError("caching probabilities must cover the catalog exactly")
+        term = pop.probs * policy.b  # a_j b_j (1 - b_j)^(k-1) at k = 1
+        terms = []
+        for k in range(1, dist.kmax + 1):
+            terms.extend((dist.tail_at(k) * term).tolist())
+            term = term * (1.0 - policy.b)
+        return math.fsum(terms)
+    if isinstance(policy, StructuredPolicy):
+        blocks, start = [], 1
+        for m in policy.sizes:
+            blocks.append(range(start, start + m))
+            start += m
+    else:
+        blocks = policy.blocks
+    smallest = {}
+    for block in blocks:
+        for j in block:
+            if j > J:
+                raise ParameterError("policy references items beyond the catalog")
+            smallest[j] = min(len(block), smallest.get(j, len(block)))
+    probs = pop.probs.tolist()
+    return math.fsum(probs[j - 1] * dist.tail_at(r) for j, r in smallest.items())
 
 
 def _nondecreasing_size_tuples(L, J):

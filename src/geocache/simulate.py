@@ -113,7 +113,7 @@ def simulate_boolean_ppp(
     mu = lam * window_side * window_side
     center = 0.5 * window_side
     r2 = radius * radius
-    histogram = np.zeros(8, dtype=np.int64)
+    covered = []  # the coverage count of every trial, block by block
     for block, count in _trial_blocks(trials):
         rng = _block_rng(seed, block)
         n_points = rng.poisson(mu, size=count)
@@ -123,16 +123,9 @@ def simulate_boolean_ppp(
         d = np.minimum(d, window_side - d)  # toroidal metric
         inside = (d * d).sum(axis=1) <= r2
         trial_ids = np.repeat(np.arange(count), n_points)
-        covered = np.bincount(trial_ids[inside], minlength=count)
-        block_hist = np.bincount(covered, minlength=histogram.size)
-        if block_hist.size > histogram.size:
-            histogram = np.concatenate(
-                (histogram, np.zeros(block_hist.size - histogram.size, dtype=np.int64))
-            )
-        histogram[: block_hist.size] += block_hist
+        covered.append(np.bincount(trial_ids[inside], minlength=count))
 
-    last = int(np.max(np.nonzero(histogram)[0])) if histogram.any() else 0
-    histogram = histogram[: last + 1]
+    histogram = np.bincount(np.concatenate(covered))  # ends at the largest count seen
     return CoverageDistribution(
         pmf=histogram / trials,
         model_label="boolean-ppp-empirical",

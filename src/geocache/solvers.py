@@ -71,11 +71,6 @@ class IndPolicy:
         object.__setattr__(self, "b", b)
 
 
-def _tails_for_search(dist: CoverageDistribution, J: int) -> np.ndarray:
-    """Pbar(0..J) followed by an exact-zero sentinel slot at index J+1."""
-    return np.concatenate((dist.tail_array(J), [0.0]))
-
-
 # ---------------------------------------------------------------------------
 # Optimal policy via dynamic programming (ONC)
 # ---------------------------------------------------------------------------
@@ -148,8 +143,8 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
         raise ParameterError(f"block count must be >= 1, got {K}")
     J = pop.size
     probs = pop.probs
-    tails = _tails_for_search(dist, J)
-    sentinel = J + 1  # "not cached anywhere": tail contribution exactly 0
+    sentinel = J + 1  # "not cached anywhere": its tail slot is exactly 0
+    tails = np.append(dist.tail_array(J), 0.0)
 
     m1 = _best_first_block(pop.prefix, tails, J)
     blocks = [frozenset(range(1, m1 + 1))]
@@ -199,7 +194,7 @@ def greedy_disjoint(
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
     prefix = pop.prefix
-    tails = _tails_for_search(dist, J)
+    tails = dist.tail_array(J)
 
     m1 = _best_first_block(prefix, tails, J)
     raw = [m1]

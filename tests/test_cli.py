@@ -118,7 +118,7 @@ def test_config_accepts_boundary_values():
 
 def _sweep_config(argv):
     args = cli.build_parser().parse_args(["sweep", *argv])
-    return cli._config_from_args(args, sweep=True)
+    return cli._config_from_args(args)
 
 
 def test_sweep_defaults_are_the_dataclass_defaults(monkeypatch):
@@ -137,7 +137,7 @@ TYPE_TEXT = {float: "2.5", int: "7"}
 def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path, monkeypatch):
     monkeypatch.delenv("GEOCACHE_SEED", raising=False)
     parser = argparse.ArgumentParser()
-    cli._config_args(parser, sweep=True)
+    cli._config_args(parser, "sweep")
     flags = {
         a.dest: next(o for o in a.option_strings if o.startswith("--"))
         for a in parser._actions
@@ -211,7 +211,7 @@ def test_tau_db_key_read_by_every_command(tmp_path, key):
         if command == "solve":
             argv += ["--policy", "onc"]
         args = cli.build_parser().parse_args(argv)
-        assert cli._config_from_args(args, sweep=command == "sweep").tau_db_grid == (3.0,)
+        assert cli._config_from_args(args).tau_db_grid == (3.0,)
 
 
 @pytest.mark.parametrize(
@@ -225,7 +225,7 @@ def test_tau_db_key_read_by_every_command(tmp_path, key):
 )
 def test_single_threshold_commands(argv, capsys):
     args = cli.build_parser().parse_args(argv)
-    assert cli._config_from_args(args, sweep=False).tau_db_grid == (0.0,)
+    assert cli._config_from_args(args).tau_db_grid == (0.0,)
     assert main(argv + ["--tau-db=-3:3:3", "-J", "8"]) == 1
     assert "one threshold" in capsys.readouterr().err
 
@@ -492,6 +492,43 @@ def test_simulate_cli_inline_policy(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["trials"] == 5000
     assert 0.0 <= payload["estimate"] <= 1.0
+
+
+def test_simulate_trials_from_flag_then_config_then_default(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("trials = 5000\nJ = 8\n")
+    argv = ["simulate", "--policy", '{"type": "structured", "sizes": [1]}']
+    assert main(argv + ["--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 5000
+    assert main(argv + ["--config", str(path), "--trials", "700"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 700
+    assert cli._config_from_args(cli.build_parser().parse_args(argv)).trials == 100_000
+
+
+@pytest.mark.parametrize("name", ["mp", "ind"])
+def test_sweep_flags_a_hit_the_reference_disagrees_with(monkeypatch, name):
+    real = cli._run_policy
+
+    def off_by_1e9(*args):
+        result = real(*args)
+        return replace(result, hit_prob=result.hit_prob + 1e-9)
+
+    monkeypatch.setattr(cli, "_run_policy", off_by_1e9)
+    rows, ok = run_sweep(ExperimentConfig(tau_db_grid=(0.0,), J=8, L=2, policies=(name,)))
+    assert not ok and rows[0]["hit_prob"] is not None
+    assert main(["sweep", "--tau-db", "0", "-J", "8", "-L", "2", "--policies", name,
+                 "-o", os.devnull]) == 2
+
+
+def test_sweep_flag_does_not_trust_the_solvers_own_evaluators(monkeypatch):
+    # every name a solver scores through, also the ones cli imports, off by 1e-9
+    for module, name in [(solvers, "hit_probability_ind"), (solvers, "hit_probability_general"),
+                         (solvers, "hit_probability_structured"), (cli, "hit_probability_general"),
+                         (cli, "hit_probability_structured")]:
+        monkeypatch.setattr(module, name, lambda *a, real=getattr(module, name): real(*a) + 1e-9)
+    for policy in ("onc", "ggb", "ind"):
+        rows, ok = run_sweep(ExperimentConfig(tau_db_grid=(0.0,), J=8, L=2, policies=(policy,)))
+        assert not ok, policy
 
 
 def test_bound_cli(capsys):

@@ -4,10 +4,14 @@ import pytest
 from geocache import (
     CoverageDistribution,
     EnumerationBudgetError,
+    GeneralPolicy,
     PopularityDistribution,
+    StructuredPolicy,
     solve_dp,
 )
-from geocache.oracle import brute_general, brute_structured
+from geocache.cli import ALL_POLICIES, _run_policy
+from geocache.errors import ParameterError
+from geocache.oracle import brute_general, brute_structured, reference_hit
 
 from conftest import random_coverage, random_popularity
 
@@ -68,3 +72,25 @@ def test_general_optimum_never_beats_structured(rng):
         structured = brute_structured(pop, dist, L)
         assert general.hit_prob >= structured.hit_prob - 1e-15
         assert abs(general.hit_prob - structured.hit_prob) < 1e-12
+
+
+def test_reference_hit_agrees_with_every_solver(rng):
+    # block policies sum the same terms, so they agree exactly; ind is a different sum
+    for _ in range(40):
+        J = int(rng.integers(2, 30))
+        pop = random_popularity(rng, J)
+        dist = random_coverage(rng, kmax=int(rng.integers(1, 12)))
+        L = int(rng.integers(1, J + 2))
+        for name in ALL_POLICIES:
+            result = _run_policy(name, pop, dist, L)
+            gap = abs(reference_hit(result.policy, pop, dist) - result.hit_prob)
+            assert gap <= (1e-14 if name == "ind" else 0.0), (name, gap)
+
+
+def test_reference_hit_hand_values():
+    # r = (1, 2, 2, uncached) with Pbar(1) = 1, Pbar(2) = 0.5
+    for policy in (StructuredPolicy((1, 2, 0)), GeneralPolicy((frozenset({2, 3}), frozenset({1})))):
+        assert reference_hit(policy, POP4, DIST_HALF) == pytest.approx(0.65, abs=1e-15)
+    assert reference_hit(StructuredPolicy((0, 0)), POP4, DIST_HALF) == 0.0
+    with pytest.raises(ParameterError):
+        reference_hit(GeneralPolicy((frozenset({5}),)), POP4, DIST_HALF)
