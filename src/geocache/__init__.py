@@ -7,7 +7,6 @@ from .coverage import (
     boolean_coverage,
     mean_coverage,
     sinr_coverage,
-    sinr_Sn,
     special_I,
     special_J,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "most_popular",
     "simulate_boolean_ppp",
     "simulate_hits",
-    "sinr_Sn",
     "sinr_coverage",
     "solve_dp",
     "special_I",

@@ -18,7 +18,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import coverage as cov
 from . import simulate, solvers
@@ -49,10 +49,6 @@ CSV_FIELDS = (
 
 def db_to_linear(tau_db: float) -> float:
     return 10.0 ** (tau_db / 10.0)
-
-
-def linear_to_db(tau: float) -> float:
-    return 10.0 * math.log10(tau)
 
 
 @dataclass(frozen=True)
@@ -93,6 +89,10 @@ class ExperimentConfig:
             raise ParameterError(f"catalog size J must be >= 1, got {self.J}")
         if self.trials < 0:
             raise ParameterError(f"trials must be >= 0, got {self.trials}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        for tau_db in self.tau_db_grid:
+            _model_params(self, tau_db)  # the model checks its own settings
 
 
 def _build_popularity(config: ExperimentConfig) -> PopularityDistribution:
@@ -101,17 +101,23 @@ def _build_popularity(config: ExperimentConfig) -> PopularityDistribution:
     return zipf(config.J, config.gamma)
 
 
-def _build_coverage(config: ExperimentConfig, tau: float) -> cov.CoverageDistribution:
+def _model_params(config: ExperimentConfig, tau_db: float):
+    """The checked coverage-model parameters of ``config`` at threshold ``tau_db``."""
+    try:
+        tau = db_to_linear(tau_db)
+    except OverflowError:
+        tau = math.inf
+    if not 0.0 < tau < math.inf:
+        raise ParameterError(f"threshold {tau_db} dB is {tau} in linear units, out of range")
     if config.model == "boolean":
-        params = cov.BooleanModelParams(
+        return cov.BooleanModelParams(
             lam=config.lam,
             tau=tau,
             beta=config.beta,
             K=config.K,
             power_ratio=config.power_ratio,
         )
-        return cov.boolean_coverage(params)
-    params = cov.SinrModelParams(
+    return cov.SinrModelParams(
         lam=config.lam,
         tau=tau,
         beta=config.beta,
@@ -119,6 +125,11 @@ def _build_coverage(config: ExperimentConfig, tau: float) -> cov.CoverageDistrib
         noise_W=config.noise_w,
         moment_PS=config.moment_ps,
     )
+
+
+def _build_coverage(params) -> cov.CoverageDistribution:
+    if isinstance(params, cov.BooleanModelParams):
+        return cov.boolean_coverage(params)
     return cov.sinr_coverage(params)
 
 
@@ -151,16 +162,16 @@ def run_sweep(config: ExperimentConfig):
     rows = []
     ok = True
     for tau_db in config.tau_db_grid:
-        tau = db_to_linear(tau_db)
+        params = _model_params(config, tau_db)
         try:
-            dist = _build_coverage(config, tau)
+            dist = _build_coverage(params)
         except GeocacheError as exc:
             print(f"warning: coverage failed at {tau_db} dB: {exc}", file=sys.stderr)
             dist = None
         mean_cov = float("nan") if dist is None else cov.mean_coverage(dist)
         for name in sorted(config.policies):
             row = dict.fromkeys(CSV_FIELDS)
-            row.update(tau_db=tau_db, tau_linear=tau, mean_coverage=mean_cov, policy=name)
+            row.update(tau_db=tau_db, tau_linear=params.tau, mean_coverage=mean_cov, policy=name)
             rows.append(row)
             if dist is None:
                 continue
@@ -399,8 +410,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _instance_from_config(config: ExperimentConfig):
     pop = _build_popularity(config)
-    tau = db_to_linear(config.tau_db_grid[0])
-    dist = _build_coverage(config, tau)
+    dist = _build_coverage(_model_params(config, config.tau_db_grid[0]))
     return pop, dist
 
 
@@ -448,8 +458,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_coverage(args) -> int:
     config = _config_from_args(args)
-    tau = db_to_linear(config.tau_db_grid[0])
-    dist = _build_coverage(config, tau)
+    dist = _build_coverage(_model_params(config, config.tau_db_grid[0]))
     _emit_json(dist.to_json_dict(), sys.stdout)
     return 0
 
@@ -474,7 +483,7 @@ def _cmd_simulate(args) -> int:
     pop, dist = _instance_from_config(config)
     policy = _load_policy_arg(args.policy)
     report = simulate.simulate_hits(policy, pop, dist, config.trials, config.seed)
-    _emit_json(report.to_json_dict(), sys.stdout)
+    _emit_json(asdict(report), sys.stdout)
     return 0
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "boolean_coverage",
     "special_I",
     "special_J",
-    "sinr_Sn",
     "sinr_coverage",
     "mean_coverage",
 ]
@@ -129,14 +128,6 @@ class CoverageDistribution:
             "pmf": self.pmf.tolist(),
             "meta": dict(self.meta),
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "CoverageDistribution":
-        return cls(
-            pmf=np.asarray(payload["pmf"], dtype=float),
-            model_label=payload.get("model_label", "custom"),
-            meta=dict(payload.get("meta", {})),
-        )
 
 
 def mean_coverage(dist: CoverageDistribution) -> float:
@@ -488,15 +479,6 @@ def _sn_with_errors(params: SinrModelParams):
             errs[n - 1] = errs[n - 1] * ratio + abs(float(sn[n - 1])) * ratio_err
             sn[n - 1] *= ratio
     return ctx, sn, errs
-
-
-def sinr_Sn(n: int, params: SinrModelParams) -> float:
-    """Expected number S_n(tau) of n-tuples of stations jointly above threshold."""
-    if n < 1:
-        raise ParameterError(f"order n must be >= 1, got {n}")
-    if n > params.nmax:  # then 1 - (n-1) tau <= 0: no n stations can all reach tau
-        return 0.0
-    return float(_sn_with_errors(params)[1][n - 1])
 
 
 def sinr_coverage(params: SinrModelParams) -> CoverageDistribution:

@@ -35,6 +35,14 @@ __all__ = [
 ]
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as Python ints; each must be an int or a numpy integer, not a bool."""
+    values = tuple(values)
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in values):
+        raise ParameterError(f"{what} must be integers, got {list(values)}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class GeneralPolicy:
     """L content subsets (overlap allowed), indices 1-based."""
@@ -42,19 +50,15 @@ class GeneralPolicy:
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        blocks = tuple(frozenset(b) for b in self.blocks)
+        blocks = tuple(frozenset(_integers(b, "content indices")) for b in self.blocks)
         if len(blocks) < 1:
             raise ParameterError("policy needs at least one block")
         for b in blocks:
             if not b:
                 raise ParameterError("blocks must be nonempty")
-            if any((not isinstance(j, int)) or j < 1 for j in b):
-                raise ParameterError("content indices must be integers >= 1")
+            if any(j < 1 for j in b):
+                raise ParameterError("content indices must be >= 1")
         object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def L(self) -> int:
-        return len(self.blocks)
 
     def to_json_dict(self) -> dict:
         return {"type": "general", "blocks": [sorted(b) for b in self.blocks]}
@@ -71,7 +75,7 @@ class StructuredPolicy:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(m) for m in self.sizes)
+        sizes = _integers(self.sizes, "block sizes")
         if len(sizes) < 1:
             raise ParameterError("structured policy needs at least one block size")
         if any(m < 0 for m in sizes):
@@ -80,10 +84,6 @@ class StructuredPolicy:
         if any(b < a for a, b in zip(nonzero, nonzero[1:])):
             raise ParameterError("nonzero block sizes must be nondecreasing")
         object.__setattr__(self, "sizes", sizes)
-
-    @property
-    def L(self) -> int:
-        return len(self.sizes)
 
     @property
     def total_items(self) -> int:
@@ -98,14 +98,6 @@ class StructuredPolicy:
                 out.append((start, start + m - 1, m))
                 start += m
         return out
-
-    def to_general(self) -> GeneralPolicy:
-        blocks = tuple(
-            frozenset(range(s, e + 1)) for s, e, _ in self.intervals()
-        )
-        if not blocks:
-            raise ParameterError("structured policy with all-zero sizes has no blocks")
-        return GeneralPolicy(blocks)
 
     def to_json_dict(self) -> dict:
         return {"type": "structured", "sizes": list(self.sizes)}
@@ -122,7 +114,7 @@ def policy_from_json_dict(payload: dict):
     if kind == "structured":
         return StructuredPolicy(tuple(payload["sizes"]))
     if kind == "general":
-        return GeneralPolicy(tuple(frozenset(b) for b in payload["blocks"]))
+        return GeneralPolicy(tuple(payload["blocks"]))
     raise ParameterError(f"unknown policy type {kind!r}")
 
 

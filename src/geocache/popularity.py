@@ -1,8 +1,8 @@
-"""Content popularity distributions and interval-mass queries.
+"""Content popularity distributions.
 
 Contents are indexed 1..J in nonincreasing order of request probability.
-All solvers consume interval masses A([k, l]) = sum_{j=k}^{l} a_j, served
-in O(1) from a prefix-sum table.
+The solvers read interval masses A([k, l]) = sum_{j=k}^{l} a_j as
+differences of the prefix-sum table ``prefix``.
 """
 
 from __future__ import annotations
@@ -49,16 +49,6 @@ class PopularityDistribution:
     @property
     def size(self) -> int:
         return int(self.probs.size)
-
-    def mass(self, k: int, l: int) -> float:
-        """Total probability of the catalog interval [k, l]; empty intervals give 0."""
-        if k < 1:
-            raise ParameterError(f"interval start must be >= 1, got {k}")
-        j = self.size
-        l = min(l, j)
-        if k > l:
-            return 0.0
-        return float(self.prefix[l] - self.prefix[k - 1])
 
 
 def from_probs(raw) -> PopularityDistribution:

@@ -31,14 +31,6 @@ class SimReport:
     trials: int
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-
 
 def _trial_blocks(trials: int):
     start = 0
@@ -94,10 +86,10 @@ def simulate_boolean_ppp(
 ) -> CoverageDistribution:
     """Empirical coverage-count distribution of a planar Poisson process.
 
-    Stations land uniformly in a square window wrapped into a torus (no
-    edge bias); the coverage count is the number of stations within
-    ``radius`` of the window center. The pmf of the count converges to
-    Poisson(lam * pi * radius^2).
+    Stations land uniformly in a square window; the coverage count is the
+    number of stations within ``radius`` of the window center. The window
+    is at least 10 radii wide, so the disc lies inside it and the count is
+    exactly Poisson(lam * pi * radius^2), with no edge effect.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -119,8 +111,7 @@ def simulate_boolean_ppp(
         n_points = rng.poisson(mu, size=count)
         total = int(n_points.sum())
         xy = rng.random((total, 2)) * window_side
-        d = np.abs(xy - center)
-        d = np.minimum(d, window_side - d)  # toroidal metric
+        d = xy - center
         inside = (d * d).sum(axis=1) <= r2
         trial_ids = np.repeat(np.arange(count), n_points)
         covered.append(np.bincount(trial_ids[inside], minlength=count))

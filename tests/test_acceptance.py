@@ -26,7 +26,6 @@ from geocache import (
     simulate_boolean_ppp,
     simulate_hits,
     sinr_coverage,
-    sinr_Sn,
     solve_dp,
     special_I,
     special_J,
@@ -189,7 +188,7 @@ def test_criterion_06_sinr_moment_identity():
         params = SinrModelParams(lam=1.0, tau=10 ** (db / 10.0), beta=3.0, noise_W=0.0)
         dist = sinr_coverage(params)
         first_moment = mean_coverage(dist)
-        s1 = sinr_Sn(1, params)
+        s1 = dist.meta["sn"][0]
         tolerance = max(1e-4, 5.0 * math.fsum(dist.meta["sn_error_estimates"]))
         gap = abs(first_moment - s1)
         ok &= gap <= tolerance
@@ -322,7 +321,7 @@ def test_criterion_09_single_coverage_regime_collapse():
             most_popular(pop, dist, L).hit_prob,
         ]
         ok &= values.count(values[0]) == len(values)  # bitwise identical
-        closed_form = pop.mass(1, L) * dist.tail_at(1)
+        closed_form = pop.prefix[L] * dist.tail_at(1)  # mass of the L top items
         ok &= abs(values[0] - closed_form) < 1e-12
     _criterion(9, "single-coverage-collapse-to-mp", ok, "30 fixtures, exact equality")
 

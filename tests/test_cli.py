@@ -14,7 +14,6 @@ import pytest
 from geocache.cli import (
     ExperimentConfig,
     db_to_linear,
-    linear_to_db,
     main,
     parse_config_file,
     parse_grid,
@@ -29,7 +28,6 @@ def test_db_to_linear():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(-12.0) == pytest.approx(0.06309573444801933, rel=1e-14)
     assert db_to_linear(12.0) == pytest.approx(15.848931924611133, rel=1e-14)
-    assert linear_to_db(db_to_linear(7.3)) == pytest.approx(7.3, abs=1e-12)
 
 
 def test_parse_grid_range_and_list():
@@ -104,6 +102,16 @@ def test_config_validation():
         {"J": 0},
         {"trials": -1},
         {"policies": ("onc", "onc", "mp")},
+        {"seed": -1},
+        # the coverage model's own checks, at every grid threshold
+        {"beta": 1.5},
+        {"lam": -1.0},
+        {"K": 0.0},
+        {"power_ratio": -1.0},
+        {"model": "sinr", "noise_w": -1.0},
+        {"model": "sinr", "moment_ps": 0.0},
+        {"tau_db_grid": (0.0, -4000.0)},  # 0 in linear units
+        {"tau_db_grid": (0.0, 4000.0)},  # overflows
     ],
 )
 def test_config_rejects_bad_values_up_front(overrides):
@@ -261,9 +269,15 @@ def test_fixed_integration_settings_have_no_flag(flag, capsys):
 
 
 def test_cli_rejects_bad_config_before_any_work(capsys):
-    code = main(["sweep", "--tau-db", "0", "-J", "0", "-L", "2"])
-    assert code == 1
-    assert "catalog size" in capsys.readouterr().err
+    for argv, reason in [
+        (["-J", "0"], "catalog size"),
+        (["--beta", "1.5"], "path-loss exponent must exceed 2"),
+        (["--seed", "-1", "--trials", "100"], "seed must be >= 0"),
+        (["--tau-db", "4000"], "threshold 4000.0 dB"),
+    ]:
+        assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "2", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and reason in err and err.count("\n") == 1
 
 
 def test_run_sweep_rows_sorted_and_consistent():
@@ -282,10 +296,10 @@ def test_run_sweep_rows_sorted_and_consistent():
 def test_run_sweep_sorts_failed_cells_last(monkeypatch):
     real_build = cli._build_coverage
 
-    def build(config, tau):
-        if tau < 1.0:  # every negative-dB threshold fails
+    def build(params):
+        if params.tau < 1.0:  # every negative-dB threshold fails
             raise NumericalCancellationError("forced failure")
-        return real_build(config, tau)
+        return real_build(params)
 
     monkeypatch.setattr(cli, "_build_coverage", build)
     config = ExperimentConfig(
@@ -429,7 +443,7 @@ def test_sweep_sim_columns_present_with_trials(tmp_path):
 
 def test_sweep_sim_blank_for_policies_caching_nothing(monkeypatch):
     never_covered = CoverageDistribution(pmf=np.array([1.0]))
-    monkeypatch.setattr(cli, "_build_coverage", lambda config, tau: never_covered)
+    monkeypatch.setattr(cli, "_build_coverage", lambda params: never_covered)
     config = ExperimentConfig(
         tau_db_grid=(0.0,), J=6, L=2, trials=500, policies=("onc", "mp", "ind")
     )
@@ -598,8 +612,19 @@ def test_bad_input_files_end_in_an_error_line(tmp_path, capsys, name, text, argv
 
 
 def test_inline_policy_errors_name_the_flag(capsys):
-    assert main(["simulate", "--policy", '{"type": "structured", "sizes": [1']) == 1
-    assert capsys.readouterr().err.startswith("error: --policy: not a valid policy")
+    for policy in [
+        '{"type": "structured", "sizes": [1',
+        # sizes and item indices are integers, never truncated floats or booleans
+        '{"type": "structured", "sizes": [1.7, 2]}',
+        '{"type": "structured", "sizes": [true, 2]}',
+        '{"type": "structured", "sizes": "12"}',
+        '{"type": "general", "blocks": [[true, 2]]}',
+        '{"type": "general", "blocks": [[1, true]]}',
+        '{"type": "general", "blocks": [[1.0]]}',
+    ]:
+        assert main(["simulate", "--policy", policy, "-J", "4", "--trials", "100"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --policy: not a valid policy"), policy
 
 
 def test_non_integer_env_seed_is_an_error(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from geocache import (
     boolean_coverage,
     mean_coverage,
     sinr_coverage,
-    sinr_Sn,
     special_I,
     special_J,
 )
@@ -66,8 +66,8 @@ def test_distribution_rejects_bad_pmf():
 
 def test_json_round_trip():
     dist = boolean_coverage(BooleanModelParams(lam=0.7, tau=2.0, beta=3.5))
-    payload = dist.to_json_dict()
-    back = CoverageDistribution.from_json_dict(payload)
+    payload = json.loads(json.dumps(dist.to_json_dict()))
+    back = CoverageDistribution(pmf=payload["pmf"], model_label=payload["model_label"])
     np.testing.assert_array_equal(back.pmf, dist.pmf)
     assert back.model_label == "boolean"
 
@@ -225,13 +225,16 @@ def sir_params(tau, beta=3.0, **kw):
 
 
 def test_sn_zero_when_tuple_infeasible():
-    assert sinr_Sn(2, sir_params(1.0)) == 0.0
-    assert sinr_Sn(3, sir_params(0.6)) == 0.0
+    # once (n-1) tau >= 1 no n stations can all reach tau: the support ends at nmax
+    for tau, nmax in ((1.0, 1), (0.6, 2)):
+        dist = sinr_coverage(sir_params(tau))
+        assert dist.kmax == nmax and len(dist.meta["sn"]) == nmax
 
 
 def test_s1_reduces_to_special_I_at_unit_threshold():
     params = sir_params(1.0)
-    assert sinr_Sn(1, params) == pytest.approx(special_I(1, 3.0, 0.0), rel=1e-12)
+    s1 = sinr_coverage(params).meta["sn"][0]
+    assert s1 == pytest.approx(special_I(1, 3.0, 0.0), rel=1e-12)
 
 
 def test_sinr_single_term_above_zero_db():
@@ -239,7 +242,7 @@ def test_sinr_single_term_above_zero_db():
     params = sir_params(tau)
     dist = sinr_coverage(params)
     assert dist.kmax == 1
-    s1 = sinr_Sn(1, params)
+    s1 = dist.meta["sn"][0]
     assert dist.pmf[1] == pytest.approx(s1, rel=1e-12)
     assert dist.pmf[0] == pytest.approx(1.0 - s1, rel=1e-12)
 
@@ -255,7 +258,7 @@ def test_sinr_first_moment_identity():
     params = sir_params(0.4)
     dist = sinr_coverage(params)
     expected = math.fsum(k * p for k, p in enumerate(dist.pmf.tolist()))
-    assert expected == pytest.approx(sinr_Sn(1, params), abs=1e-6)
+    assert expected == pytest.approx(dist.meta["sn"][0], abs=1e-6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -267,7 +270,7 @@ def test_sn_equals_binomial_moment(n):
     moment = math.fsum(
         math.comb(k, n) * p for k, p in enumerate(dist.pmf.tolist())
     )
-    assert moment == pytest.approx(sinr_Sn(n, params), abs=1e-6)
+    assert moment == pytest.approx(dist.meta["sn"][n - 1], abs=1e-6)
 
 
 def test_mean_coverage_degenerate_single_station():
@@ -286,7 +289,7 @@ def test_sinr_mean_equals_s1_with_noise():
     # W > 0 exercises the I special function at a positive argument
     params = sir_params(0.8, noise_W=0.5)
     dist = sinr_coverage(params)
-    assert mean_coverage(dist) == pytest.approx(sinr_Sn(1, params), abs=1e-6)
+    assert mean_coverage(dist) == pytest.approx(dist.meta["sn"][0], abs=1e-6)
 
 
 def closed_form_mean(tau, beta):

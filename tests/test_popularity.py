@@ -26,37 +26,18 @@ def test_zipf_catalog40_top_probability():
     assert pop.probs[0] == pytest.approx(0.19805312735471498, rel=1e-12)
 
 
-def test_mass_whole_catalog():
-    pop = zipf(7, 1.3)
-    assert pop.mass(1, 7) == pytest.approx(1.0, abs=1e-14)
-    assert pop.mass(1, 100) == pytest.approx(1.0, abs=1e-14)  # end clipped to J
-
-
-def test_mass_empty_interval():
-    pop = zipf(7, 1.3)
-    assert pop.mass(3, 2) == 0.0
-    assert pop.mass(8, 9) == 0.0
-
-
-def test_mass_uniform_middle():
-    pop = zipf(4, 0.0)
-    assert pop.mass(2, 3) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_mass_rejects_bad_start():
-    with pytest.raises(ParameterError):
-        zipf(4, 0.0).mass(0, 2)
-
-
 @given(
     J=st.integers(min_value=1, max_value=60),
     gamma=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
     cut=st.integers(min_value=0, max_value=60),
 )
 def test_mass_partition_identity(J, gamma, cut):
+    # the solvers read interval masses A([k, l]) as prefix[l] - prefix[k - 1]
     pop = zipf(J, gamma)
     x = min(cut, J)
-    assert pop.mass(1, x) + pop.mass(x + 1, J) == pytest.approx(1.0, abs=1e-12)
+    head, rest = pop.prefix[x] - pop.prefix[0], pop.prefix[J] - pop.prefix[x]
+    assert head == pytest.approx(math.fsum(pop.probs[:x].tolist()), abs=1e-12)
+    assert head + rest == pytest.approx(1.0, abs=1e-12)
 
 
 @given(

@@ -129,9 +129,10 @@ def test_simulated_hits_match_both_evaluators_on_disjoint_policy():
     from geocache import StructuredPolicy, hit_probability_structured
 
     structured = StructuredPolicy((1, 2, 3))
+    general = GeneralPolicy((frozenset({1}), frozenset({2, 3}), frozenset({4, 5, 6})))
     analytic_s = hit_probability_structured(structured, pop, dist)
-    analytic_g = hit_probability_general(structured.to_general(), pop, dist)
+    analytic_g = hit_probability_general(general, pop, dist)
     assert analytic_s == analytic_g
     report = simulate_hits(structured, pop, dist, trials=10**5, seed=17)
-    assert report == simulate_hits(structured.to_general(), pop, dist, trials=10**5, seed=17)
+    assert report == simulate_hits(general, pop, dist, trials=10**5, seed=17)
     assert abs(report.estimate - analytic_s) <= 4.0 * report.stderr
