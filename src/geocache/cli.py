@@ -25,8 +25,6 @@ from . import simulate, solvers
 from .errors import GeocacheError, ParameterError
 from .oracle import reference_hit
 from .policy import (  # the benchmark tracer rebinds the two hit_probability_* names here
-    GeneralPolicy,
-    StructuredPolicy,
     hit_probability_general,
     hit_probability_structured,
     policy_from_json_dict,
@@ -78,6 +76,8 @@ class ExperimentConfig:
             raise ParameterError("threshold grid must be nonempty")
         if not all(math.isfinite(t) for t in self.tau_db_grid):
             raise ParameterError(f"threshold grid values must be finite, got {self.tau_db_grid}")
+        if not self.policies:
+            raise ParameterError("policy list must be nonempty")
         unknown = set(self.policies) - set(ALL_POLICIES)
         if unknown:
             raise ParameterError(f"unknown policies: {sorted(unknown)}")
@@ -92,7 +92,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         for tau_db in self.tau_db_grid:
-            _model_params(self, tau_db)  # the model checks its own settings
+            _model_params(self, tau_db)  # both models check their own settings
 
 
 def _build_popularity(config: ExperimentConfig) -> PopularityDistribution:
@@ -102,22 +102,22 @@ def _build_popularity(config: ExperimentConfig) -> PopularityDistribution:
 
 
 def _model_params(config: ExperimentConfig, tau_db: float):
-    """The checked coverage-model parameters of ``config`` at threshold ``tau_db``."""
+    """The coverage-model parameters of ``config`` at threshold ``tau_db``; both
+    models' parameters are built, so each checks its settings whichever one runs."""
     try:
         tau = db_to_linear(tau_db)
     except OverflowError:
         tau = math.inf
     if not 0.0 < tau < math.inf:
         raise ParameterError(f"threshold {tau_db} dB is {tau} in linear units, out of range")
-    if config.model == "boolean":
-        return cov.BooleanModelParams(
-            lam=config.lam,
-            tau=tau,
-            beta=config.beta,
-            K=config.K,
-            power_ratio=config.power_ratio,
-        )
-    return cov.SinrModelParams(
+    boolean = cov.BooleanModelParams(
+        lam=config.lam,
+        tau=tau,
+        beta=config.beta,
+        K=config.K,
+        power_ratio=config.power_ratio,
+    )
+    sinr = cov.SinrModelParams(
         lam=config.lam,
         tau=tau,
         beta=config.beta,
@@ -125,6 +125,7 @@ def _model_params(config: ExperimentConfig, tau_db: float):
         noise_W=config.noise_w,
         moment_PS=config.moment_ps,
     )
+    return boolean if config.model == "boolean" else sinr
 
 
 def _build_coverage(params) -> cov.CoverageDistribution:
@@ -142,9 +143,7 @@ def _run_policy(name, pop, dist, L) -> solvers.SolverResult:
 
 def _simulable(policy) -> bool:
     """A deterministic block policy that caches something: one Monte Carlo can check."""
-    if isinstance(policy, StructuredPolicy):
-        return policy.total_items > 0
-    return isinstance(policy, GeneralPolicy)
+    return not isinstance(policy, solvers.IndPolicy) and len(policy.blocks) > 0
 
 
 def run_sweep(config: ExperimentConfig):

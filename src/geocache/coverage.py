@@ -88,8 +88,6 @@ class CoverageDistribution:
             raise ParameterError("coverage pmf entries must lie in [0, 1]")
         pmf = np.clip(pmf, 0.0, 1.0)
         total = math.fsum(pmf.tolist())
-        if not (0.0 < total):
-            raise ParameterError("coverage pmf must have positive mass")
         if abs(total - 1.0) > 1e-6:
             raise ParameterError(f"coverage pmf sums to {total!r}, expected 1")
         pmf = pmf / total
@@ -293,8 +291,7 @@ def _special_I_with_error(n, beta, x):
     if value != 0.0 and abserr > 100.0 * I_REL_TOL * abs(value):
         raise IntegrationError(
             f"I_({n},{beta})({x}): quadrature achieved {abserr:.3e} absolute error "
-            f"(value {value:.6e}), above the fixed relative tolerance {I_REL_TOL:g}",
-            achieved_error=abserr,
+            f"(value {value:.6e}), above the fixed relative tolerance {I_REL_TOL:g}"
         )
     return value, abserr
 

@@ -12,12 +12,8 @@ class ParameterError(GeocacheError, ValueError):
 class IntegrationError(GeocacheError, ArithmeticError):
     """Numerical integration failed to reach the requested accuracy.
 
-    Carries the achieved error estimate in ``achieved_error``.
+    The message states the achieved error estimate.
     """
-
-    def __init__(self, message: str, achieved_error: float = float("nan")):
-        super().__init__(message)
-        self.achieved_error = achieved_error
 
 
 class NumericalCancellationError(GeocacheError, ArithmeticError):

@@ -86,9 +86,7 @@ def brute_structured(
 
     best_value = -1.0
     best_sizes = None
-    count = 0
     for sizes in _nondecreasing_size_tuples(L, J):
-        count += 1
         value = 0.0
         n = 0
         for m in sizes:
@@ -103,8 +101,6 @@ def brute_structured(
     return SolverResult(
         policy=policy,
         hit_prob=hit_probability_structured(policy, pop, dist),
-        solver_name="brute-structured",
-        diagnostics={"tuples_enumerated": count},
     )
 
 
@@ -130,9 +126,7 @@ def brute_general(
 
     best_value = -1.0
     best_tuple = None
-    count = 0
     for combo in product(range(n_subsets), repeat=L):
-        count += 1
         r = [None] * J
         for idx in combo:
             card, items = masks[idx]
@@ -153,6 +147,4 @@ def brute_general(
     return SolverResult(
         policy=policy,
         hit_prob=hit_probability_general(policy, pop, dist),
-        solver_name="brute-general",
-        diagnostics={"tuples_enumerated": count},
     )

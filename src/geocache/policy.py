@@ -14,6 +14,7 @@ consecutive blocks the sum reduces to sum_k A(C_k) * Pbar(|C_k|).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,18 +87,10 @@ class StructuredPolicy:
         object.__setattr__(self, "sizes", sizes)
 
     @property
-    def total_items(self) -> int:
-        return sum(self.sizes)
-
-    def intervals(self) -> list:
-        """(start, end, size) of each used block, 1-based inclusive."""
-        out = []
-        start = 1
-        for m in self.sizes:
-            if m > 0:
-                out.append((start, start + m - 1, m))
-                start += m
-        return out
+    def blocks(self) -> tuple[range, ...]:
+        """The items of each nonzero size, in consecutive ranges from item 1."""
+        starts = itertools.accumulate(self.sizes, initial=1)
+        return tuple(range(s, s + m) for s, m in zip(starts, self.sizes) if m > 0)
 
     def to_json_dict(self) -> dict:
         return {"type": "structured", "sizes": list(self.sizes)}
@@ -105,8 +98,9 @@ class StructuredPolicy:
 
 def canonical_sizes(sizes) -> tuple[int, ...]:
     """Nonzero sizes sorted nondecreasing, zero sizes trailing."""
+    sizes = tuple(sizes)  # read twice below, and callers may pass a generator
     nz = sorted(m for m in sizes if m > 0)
-    return tuple(nz) + (0,) * (len(tuple(sizes)) - len(nz))
+    return tuple(nz) + (0,) * (len(sizes) - len(nz))
 
 
 def policy_from_json_dict(payload: dict):
@@ -126,22 +120,17 @@ UNCACHED = np.iinfo(np.int64).max
 def item_thresholds(policy: GeneralPolicy | StructuredPolicy, J: int) -> np.ndarray:
     """Per item j = 1..J the size r_j of the smallest block holding j.
 
-    Accepts a ``GeneralPolicy`` or a ``StructuredPolicy``; items held by no
-    block get ``UNCACHED``. Item j is hit iff its coverage number is >= r_j.
+    Reads ``policy.blocks`` of either policy type; items held by no block
+    get ``UNCACHED``. Item j is hit iff its coverage number is >= r_j.
     """
+    blocks = policy.blocks
+    # stops at the first item past J, so a huge structured size costs O(J)
+    if any(j > J for block in blocks for j in block):
+        raise ParameterError("policy references items beyond the catalog")
     r = np.full(J, UNCACHED, dtype=np.int64)
-    if isinstance(policy, StructuredPolicy):
-        if policy.total_items > J:
-            raise ParameterError("policy references items beyond the catalog")
-        for start, end, m in policy.intervals():
-            r[start - 1 : end] = m
-        return r
     # largest blocks first, so the smallest block holding an item is written last
-    for block in sorted(policy.blocks, key=len, reverse=True):
-        items = [j - 1 for j in block]
-        if max(items) >= J:
-            raise ParameterError("policy references items beyond the catalog")
-        r[items] = len(block)
+    for block in sorted(blocks, key=len, reverse=True):
+        r[np.fromiter(block, np.int64, len(block)) - 1] = len(block)
     return r
 
 

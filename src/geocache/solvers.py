@@ -45,7 +45,6 @@ __all__ = [
 class SolverResult:
     policy: object
     hit_prob: float
-    solver_name: str
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -111,7 +110,6 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
     return SolverResult(
         policy=policy,
         hit_prob=hit,
-        solver_name="onc",
         diagnostics={
             "dp_value": float(value[1, 0]),
             "raw_sizes": raw,
@@ -172,7 +170,6 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     return SolverResult(
         policy=policy,
         hit_prob=hit,
-        solver_name="ggb",
         diagnostics={"candidate_evaluations": evaluations},
     )
 
@@ -210,7 +207,6 @@ def greedy_disjoint(
     return SolverResult(
         policy=policy,
         hit_prob=hit,
-        solver_name="gdbnc",
         diagnostics={"raw_sizes": raw},
     )
 
@@ -226,7 +222,7 @@ def most_popular(pop: PopularityDistribution, dist: CoverageDistribution, L: int
         raise ParameterError(f"block count must be >= 1, got {L}")
     policy = StructuredPolicy((1,) * min(L, pop.size))
     hit = hit_probability_structured(policy, pop, dist)
-    return SolverResult(policy=policy, hit_prob=hit, solver_name="mp", diagnostics={})
+    return SolverResult(policy=policy, hit_prob=hit)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +323,6 @@ def independent_caching(
         return SolverResult(
             policy=policy,
             hit_prob=hit_probability_ind(policy, pop, dist),
-            solver_name="ind",
             diagnostics={
                 "mu_iterations": iterations,
                 "budget_gap": abs(float(policy.b.sum()) - L),
@@ -342,11 +337,9 @@ def independent_caching(
 
     b = np.zeros(J)
     b[:L] = 1.0
-    if gp1 == 0.0:
-        # never covered: hit probability is 0 for every feasible b
-        return result(b, 0.0)
     if not np.any(dist.pmf[2:] > 0.0):
-        # single-coverage regime: G' is constant, the program is a box LP
+        # at most single coverage: G' is constant (0 if never covered), the
+        # program is a box LP
         return result(b, float(probs[L - 1]) * gp1)
 
     solve = _gprime_inverse(deriv)

@@ -112,6 +112,11 @@ def test_config_validation():
         {"model": "sinr", "moment_ps": 0.0},
         {"tau_db_grid": (0.0, -4000.0)},  # 0 in linear units
         {"tau_db_grid": (0.0, 4000.0)},  # overflows
+        {"policies": ()},
+        # a setting only the other model reads is checked too
+        {"noise_w": -1.0},
+        {"moment_ps": 0.0},
+        {"model": "sinr", "power_ratio": -1.0},
     ],
 )
 def test_config_rejects_bad_values_up_front(overrides):

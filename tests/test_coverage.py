@@ -62,6 +62,8 @@ def test_distribution_rejects_bad_pmf():
         CoverageDistribution(pmf=np.array([0.5, 0.2]))  # mass far from 1
     with pytest.raises(ParameterError):
         CoverageDistribution(pmf=np.array([1.2, -0.2]))
+    with pytest.raises(ParameterError):
+        CoverageDistribution(pmf=np.zeros(3))  # no mass at all
 
 
 def test_json_round_trip():

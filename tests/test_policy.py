@@ -24,7 +24,7 @@ DIST_HALF = CoverageDistribution(pmf=np.array([0.0, 0.5, 0.5]))  # Pbar(1)=1, Pb
 
 def general_twin(policy: StructuredPolicy) -> GeneralPolicy:
     """The same blocks as a general policy."""
-    return GeneralPolicy(tuple(frozenset(range(s, e + 1)) for s, e, _ in policy.intervals()))
+    return GeneralPolicy(tuple(frozenset(block) for block in policy.blocks))
 
 
 def test_general_policy_validation():
@@ -43,7 +43,7 @@ def test_structured_policy_validation():
         StructuredPolicy(sizes=(2, 1))  # nonzero sizes must be nondecreasing
     with pytest.raises(ParameterError):
         StructuredPolicy(sizes=(-1,))
-    assert StructuredPolicy(sizes=(1, 0, 2)).intervals() == [(1, 1, 1), (2, 3, 2)]
+    assert StructuredPolicy(sizes=(1, 0, 2)).blocks == (range(1, 2), range(2, 4))
     assert type(StructuredPolicy(sizes=(np.int64(1), 2)).sizes[0]) is int
 
 
@@ -51,7 +51,12 @@ def test_hit_requires_items_inside_catalog():
     pop2 = PopularityDistribution(np.array([1.0, 0.0]))
     with pytest.raises(ParameterError):
         hit_probability_general(GeneralPolicy((frozenset({3}),)), pop2, DIST_P2)
-    for policy in (GeneralPolicy((frozenset({1, 3}),)), StructuredPolicy((1, 2))):
+    # a huge last size is rejected at the first item past the catalog
+    for policy in (
+        GeneralPolicy((frozenset({1, 3}),)),
+        StructuredPolicy((1, 2)),
+        StructuredPolicy((1, 10**30)),
+    ):
         with pytest.raises(ParameterError, match="beyond the catalog"):
             item_thresholds(policy, 2)
 
@@ -108,7 +113,7 @@ def test_structured_matches_general_on_expanded_blocks_exactly(rng):
             sizes.append(m)
             budget -= m
         policy = StructuredPolicy(canonical_sizes(sizes))
-        if policy.total_items == 0:
+        if not policy.blocks:
             continue
         via_blocks = hit_probability_structured(policy, pop, dist)
         twin = general_twin(policy)
@@ -136,6 +141,9 @@ def test_canonicalize_swaps_into_prefix_blocks():
     pop3 = PopularityDistribution(np.array([0.5, 0.3, 0.2]))
     result = canonicalize(GeneralPolicy((frozenset({3}), frozenset({1, 2}))), pop3)
     assert result.sizes == (1, 2)
+    # de-duplication empties the second block; it stays as a zero size
+    result = canonicalize(GeneralPolicy((frozenset({1}), frozenset({1}))), POP4)
+    assert result.sizes == (1, 0)
 
 
 def test_canonicalize_fixed_point():
@@ -156,6 +164,7 @@ def test_canonicalize_never_lowers_hit(rng):
             blocks.append(frozenset(int(j) + 1 for j in rng.choice(J, size=size, replace=False)))
         policy = GeneralPolicy(tuple(blocks))
         canon = canonicalize(policy, pop)
+        assert len(canon.sizes) == len(policy.blocks)
         before = hit_probability_general(policy, pop, dist)
         after = hit_probability_structured(canon, pop, dist)
         assert after >= before - 1e-12
