@@ -21,7 +21,6 @@ from .errors import (
 from .policy import (
     GeneralPolicy,
     StructuredPolicy,
-    canonicalize,
     hit_probability_general,
     hit_probability_structured,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "SolverResult",
     "StructuredPolicy",
     "boolean_coverage",
-    "canonicalize",
     "from_probs",
     "greedy_bound_check",
     "greedy_disjoint",

@@ -10,11 +10,10 @@ fields of ``ExperimentConfig``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
-import os
 import sys
 import time
 import typing
@@ -32,7 +31,6 @@ from .policy import (  # the benchmark tracer rebinds the two hit_probability_* 
 from .popularity import PopularityDistribution, load_popularity, zipf
 
 ALL_POLICIES = ("onc", "ggb", "gdbnc", "mp", "ind")
-ENV_SEED = "GEOCACHE_SEED"
 CSV_FIELDS = (
     "tau_db",
     "tau_linear",
@@ -233,15 +231,11 @@ def write_sweep_csv(rows, config: ExperimentConfig, stream) -> None:
 # ---------------------------------------------------------------------------
 
 
-_CONFIG_ALIASES = {"lambda": "lam", "tau_db": "tau_db_grid"}
-
-
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` config text; '#' starts a comment. Values stay
-    text; keys ``lambda`` and ``tau_db`` become ``lam`` and ``tau_db_grid``.
-    A key may appear once, counting an alias and its target as one key."""
+    text, and a key may appear once."""
     values = {}
-    seen = {}  # canonical key -> (key as written, line)
+    lines = {}  # key -> line of its first use
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -257,14 +251,10 @@ def parse_config_file(path) -> dict:
             raise GeocacheError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        name = _CONFIG_ALIASES.get(key, key)
-        if name in seen:
-            first, first_line = seen[name]
-            raise ParameterError(
-                f"{path}:{lineno}: key {key!r} repeats {first!r} from line {first_line}"
-            )
-        seen[name] = (key, lineno)
-        values[name] = value.strip()
+        if key in lines:
+            raise ParameterError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
+        values[key] = value.strip()
     return values
 
 
@@ -373,8 +363,8 @@ def _config_args(parser, command: str) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """Each field from its CLI flag, else its config-file key, else (seed
-    only) $GEOCACHE_SEED, else the command's default.
+    """Each field from its CLI flag, else its config-file key, else the
+    command's default.
 
     Outside ``sweep`` the threshold is one value, and the defaults of
     ``_ONE_THRESHOLD_DEFAULTS`` replace the dataclass defaults.
@@ -394,12 +384,6 @@ def _config_from_args(args) -> ExperimentConfig:
                 raise ParameterError(f"{args.config}: bad value for {name}: {exc}") from None
         if value is not None:
             values[name] = value
-    if "seed" not in values and os.environ.get(ENV_SEED):
-        text = os.environ[ENV_SEED]
-        try:
-            values["seed"] = int(text)
-        except ValueError:
-            raise ParameterError(f"{ENV_SEED} must be an integer, got {text!r}") from None
     if args.command != "sweep":
         values = {**_ONE_THRESHOLD_DEFAULTS, **values}
         if len(values["tau_db_grid"]) != 1:
@@ -425,15 +409,16 @@ def _emit_json(payload, stream) -> None:
 
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    rows, ok = run_sweep(config)
-    buffer = io.StringIO()
-    write_sweep_csv(rows, config, buffer)
-    data = buffer.getvalue()
-    if config.output:
-        with open(config.output, "w", newline="") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
+    out = contextlib.nullcontext(sys.stdout)
+    if config.output:  # opened before any cell runs, so an unwritable path costs no sweep
+        try:
+            out = open(config.output, "w", newline="")
+        except OSError as exc:
+            reason = exc.strerror
+            raise ParameterError(f"{config.output}: cannot write output file: {reason}") from None
+    with out as stream:
+        rows, ok = run_sweep(config)
+        write_sweep_csv(rows, config, stream)
     return 0 if ok else 2
 
 

@@ -171,6 +171,12 @@ class BooleanModelParams(_ModelParams):
                 "P/W must be positive and finite for the Boolean model; "
                 f"got {self.power_ratio}"
             )
+        try:
+            mu = self.poisson_parameter
+        except ArithmeticError as exc:  # K**2 or tau**(-2/beta) beyond the float range
+            raise ParameterError(f"Poisson parameter out of range: {exc}") from None
+        if not math.isfinite(mu):
+            raise ParameterError(f"Poisson parameter is not finite: {mu}")
 
     @property
     def poisson_parameter(self) -> float:
@@ -192,6 +198,12 @@ class SinrModelParams(_ModelParams):
             raise ParameterError(f"noise power must be >= 0, got {self.noise_W}")
         if not (self.moment_PS > 0.0 and math.isfinite(self.moment_PS)):
             raise ParameterError(f"moment_PS must be positive, got {self.moment_PS}")
+        try:
+            x = self.noise_argument
+        except ArithmeticError as exc:  # a is 0 or beyond the float range
+            raise ParameterError(f"noise argument W a^(-beta/2) out of range: {exc}") from None
+        if not math.isfinite(x):
+            raise ParameterError(f"noise argument W a^(-beta/2) is not finite: {x}")
 
     @property
     def a(self) -> float:
@@ -205,7 +217,10 @@ class SinrModelParams(_ModelParams):
 
     @property
     def noise_argument(self) -> float:
-        """Argument W * a^(-beta/2) fed to the I special function."""
+        """Argument W * a^(-beta/2) fed to the I special function; 0 without
+        noise, whatever the float range makes of a^(-beta/2)."""
+        if self.noise_W == 0.0:
+            return 0.0
         return self.noise_W * self.a ** (-self.beta / 2.0)
 
 
@@ -217,11 +232,11 @@ class SinrModelParams(_ModelParams):
 def boolean_coverage(params: BooleanModelParams) -> CoverageDistribution:
     """Poisson coverage-number distribution, truncated at tail mass < MASS_CUTOFF."""
     mu = params.poisson_parameter
-    if not math.isfinite(mu):
-        raise ParameterError(f"Poisson parameter is not finite: {mu}")
-
     # smallest kmax with Pr{N > kmax} < cutoff
-    kmax = max(0, int(poisson.isf(MASS_CUTOFF, mu)))
+    kmax = poisson.isf(MASS_CUTOFF, mu)
+    if not math.isfinite(kmax):  # scipy gives NaN from about mu = 1e12
+        raise ParameterError(f"cannot place the support of a Poisson pmf of mean {mu:g}")
+    kmax = max(0, int(kmax))
     while poisson.sf(kmax, mu) >= MASS_CUTOFF:
         kmax += 1
     while kmax > 0 and poisson.sf(kmax - 1, mu) < MASS_CUTOFF:
@@ -248,7 +263,16 @@ def boolean_coverage(params: BooleanModelParams) -> CoverageDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _special_I_with_error(n, beta, x):
+def special_I(n: int, beta: float, x: float) -> tuple[float, float]:
+    """Special function I_{n,beta}(x); returns (value, error_estimate).
+
+    I = 2^n * int_0^inf u^(2n-1) exp(-u^2 - u^beta x Gamma(1-2/beta)^(-beta/2)) du
+        / [beta^(n-1) Gamma(1-2/beta)^n Gamma(1+2/beta)^n (n-1)!].
+
+    The prefactor is accumulated in the log domain (stable up to n ~ 20) and
+    the integral is evaluated adaptively to ``I_REL_TOL`` on a transformed
+    interval; the error estimate is the quadrature's absolute error.
+    """
     if n < 1:
         raise ParameterError(f"order n must be >= 1, got {n}")
     if not (beta > 2.0):
@@ -294,18 +318,6 @@ def _special_I_with_error(n, beta, x):
             f"(value {value:.6e}), above the fixed relative tolerance {I_REL_TOL:g}"
         )
     return value, abserr
-
-
-def special_I(n: int, beta: float, x: float) -> float:
-    """Special function I_{n,beta}(x).
-
-    I = 2^n * int_0^inf u^(2n-1) exp(-u^2 - u^beta x Gamma(1-2/beta)^(-beta/2)) du
-        / [beta^(n-1) Gamma(1-2/beta)^n Gamma(1+2/beta)^n (n-1)!].
-
-    The prefactor is accumulated in the log domain (stable up to n ~ 20) and
-    the integral is evaluated adaptively to ``I_REL_TOL`` on a transformed interval.
-    """
-    return _special_I_with_error(n, beta, x)[0]
 
 
 def _jacobi_rules(d, beta, m):
@@ -469,8 +481,8 @@ def _sn_with_errors(params: SinrModelParams):
     x = params.noise_argument
     if x > 0.0:
         for n in range(1, nmax + 1):
-            i_x, err_x = _special_I_with_error(n, params.beta, x)
-            i_0, err_0 = _special_I_with_error(n, params.beta, 0.0)
+            i_x, err_x = special_I(n, params.beta, x)
+            i_0, err_0 = special_I(n, params.beta, 0.0)
             ratio = i_x / i_0
             ratio_err = (err_x + ratio * err_0) / i_0
             errs[n - 1] = errs[n - 1] * ratio + abs(float(sn[n - 1])) * ratio_err

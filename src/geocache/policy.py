@@ -32,7 +32,6 @@ __all__ = [
     "item_thresholds",
     "hit_probability_general",
     "hit_probability_structured",
-    "canonicalize",
 ]
 
 
@@ -151,27 +150,3 @@ def hit_probability_general(
 # which kind of policy they score
 hit_probability_structured = hit_probability_general
 
-
-def canonicalize(policy: GeneralPolicy, pop: PopularityDistribution) -> StructuredPolicy:
-    """Reduce a general policy to a structured one of no smaller hit probability.
-
-    Applies three value-monotone moves: keep each duplicated item only in a
-    smallest containing block, repack onto the most popular items, and sort
-    block sizes nondecreasing so more popular items land in smaller blocks.
-    Each move is value-monotone under every coverage distribution, so none
-    is passed in.
-    """
-    item_thresholds(policy, pop.size)  # rejects items beyond the catalog
-    blocks = [set(b) for b in policy.blocks]
-    owners = {}
-    for idx, b in enumerate(blocks):
-        for j in b:
-            owners.setdefault(j, []).append(idx)
-    for j in sorted(owners):
-        containing = [i for i in owners[j] if j in blocks[i]]
-        if len(containing) > 1:
-            keep = min(containing, key=lambda i: (len(blocks[i]), i))
-            for i in containing:
-                if i != keep:
-                    blocks[i].discard(j)
-    return StructuredPolicy(canonical_sizes(len(b) for b in blocks))

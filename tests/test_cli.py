@@ -68,7 +68,7 @@ def test_tau_db_flag_reports_why_a_range_is_bad(text, reason, capsys):
 def test_parse_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(
-        "# experiment\nmodel = boolean\nlambda = 2.5\ntau_db_grid = 0,3\n\nL=4\n"
+        "# experiment\nmodel = boolean\nlam = 2.5\ntau_db_grid = 0,3\n\nL=4\n"
     )
     cfg = parse_config_file(path)
     assert cfg == {"model": "boolean", "lam": "2.5", "tau_db_grid": "0,3", "L": "4"}
@@ -117,6 +117,11 @@ def test_config_validation():
         {"noise_w": -1.0},
         {"moment_ps": 0.0},
         {"model": "sinr", "power_ratio": -1.0},
+        # derived values beyond the float range: K**2 underflows, the Poisson
+        # parameter overflows, a**(-beta/2) overflows
+        {"K": 1e-200},
+        {"lam": 1e308},
+        {"model": "sinr", "moment_ps": 1e-320, "noise_w": 1.0},
     ],
 )
 def test_config_rejects_bad_values_up_front(overrides):
@@ -127,6 +132,8 @@ def test_config_rejects_bad_values_up_front(overrides):
 def test_config_accepts_boundary_values():
     config = ExperimentConfig(L=1, J=1, trials=0, tau_db_grid=(-30.0, 30.0))
     assert (config.L, config.J, config.trials) == (1, 1, 0)
+    # a^(-beta/2) overflows here, but without noise it is never read
+    assert run_sweep(ExperimentConfig(model="sinr", lam=1e-320, J=4, L=1, tau_db_grid=(0.0,)))[1]
 
 
 def _sweep_config(argv):
@@ -134,8 +141,7 @@ def _sweep_config(argv):
     return cli._config_from_args(args)
 
 
-def test_sweep_defaults_are_the_dataclass_defaults(monkeypatch):
-    monkeypatch.delenv("GEOCACHE_SEED", raising=False)
+def test_sweep_defaults_are_the_dataclass_defaults():
     assert _sweep_config([]) == ExperimentConfig()
 
 
@@ -147,8 +153,7 @@ FIELD_TEXT = {
 TYPE_TEXT = {float: "2.5", int: "7"}
 
 
-def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path, monkeypatch):
-    monkeypatch.delenv("GEOCACHE_SEED", raising=False)
+def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path):
     parser = argparse.ArgumentParser()
     cli._config_args(parser, "sweep")
     flags = {
@@ -169,7 +174,7 @@ def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "line", ["gama = 0.5", "modle = sinr", "seed_ = 1", "integration = 0", "J = forty",
-             "tau_db = 0:5", "gauss_nodes = 48", "tensor_dim_limit = 4",
+             "tau_db = 0:5", "lambda = 2", "gauss_nodes = 48", "tensor_dim_limit = 4",
              "rel_tol_1d = 1e-9", "qmc_points = 8", "qmc_replicates = 2"],
 )
 def test_bad_config_line_names_key_and_file(tmp_path, capsys, line):
@@ -200,10 +205,9 @@ def test_config_boolean_typo_is_an_error(tmp_path, capsys, word):
 @pytest.mark.parametrize(
     "text, line, key",
     [
-        ("J = 8\nL = 2\nJ = 12\n", 3, "'J' repeats 'J' from line 1"),
-        ("lambda = 2\nlam = 3\n", 2, "'lam' repeats 'lambda' from line 1"),
-        ("tau_db_grid = 0,3\n# the same key again\ntau_db = 6\n", 3,
-         "'tau_db' repeats 'tau_db_grid' from line 1"),
+        ("J = 8\nL = 2\nJ = 12\n", 3, "'J' repeats line 1"),
+        ("tau_db_grid = 0,3\n# the same key again\ntau_db_grid = 6\n", 3,
+         "'tau_db_grid' repeats line 1"),
     ],
 )
 def test_config_repeated_key_is_an_error(tmp_path, capsys, text, line, key):
@@ -215,7 +219,7 @@ def test_config_repeated_key_is_an_error(tmp_path, capsys, text, line, key):
     assert f"{path}:{line}: key {key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["tau_db", "tau_db_grid"])
+@pytest.mark.parametrize("key", ["tau_db_grid"])
 def test_tau_db_key_read_by_every_command(tmp_path, key):
     path = tmp_path / "exp.cfg"
     path.write_text(f"{key} = 3\n")
@@ -244,10 +248,10 @@ def test_single_threshold_commands(argv, capsys):
 
 
 def test_flag_beats_file_beats_env_seed(tmp_path, monkeypatch):
-    monkeypatch.setenv("GEOCACHE_SEED", "9")
+    monkeypatch.setenv("GEOCACHE_SEED", "9")  # not a seed source: the default stays 0
     path = tmp_path / "exp.cfg"
     path.write_text("seed = 5\nJ = 12\n")
-    assert _sweep_config([]).seed == 9
+    assert _sweep_config([]).seed == 0
     from_file = _sweep_config(["--config", str(path)])
     assert (from_file.seed, from_file.J) == (5, 12)
     config = _sweep_config(["--config", str(path), "--seed", "2", "-J", "30"])
@@ -273,16 +277,23 @@ def test_fixed_integration_settings_have_no_flag(flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cli_rejects_bad_config_before_any_work(capsys):
+def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_sweep(config):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    output = tmp_path / "rows.csv"
     for argv, reason in [
-        (["-J", "0"], "catalog size"),
+        (["-J", "0", "-o", str(output)], "catalog size"),
         (["--beta", "1.5"], "path-loss exponent must exceed 2"),
         (["--seed", "-1", "--trials", "100"], "seed must be >= 0"),
         (["--tau-db", "4000"], "threshold 4000.0 dB"),
+        (["-o", str(tmp_path / "missing" / "x.csv")], "x.csv: cannot write output file"),
     ]:
         assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "2", *argv]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and reason in err and err.count("\n") == 1
+    assert not output.exists()  # a rejected config creates no file
 
 
 def test_run_sweep_rows_sorted_and_consistent():
@@ -559,18 +570,6 @@ def test_bound_cli(capsys):
     assert payload["satisfied"] is True
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GEOCACHE_SEED", "123")
-    code = main(
-        [
-            "simulate", "--policy", '{"type": "structured", "sizes": [1]}',
-            "--tau-db", "0", "-J", "4", "--trials", "100",
-        ]
-    )
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 123
-
-
 def test_cli_reports_errors_cleanly(capsys):
     code = main(["solve", "--policy", "onc", "--tau-db", "0", "-J", "8", "-L", "0"])
     assert code == 1
@@ -630,13 +629,6 @@ def test_inline_policy_errors_name_the_flag(capsys):
         assert main(["simulate", "--policy", policy, "-J", "4", "--trials", "100"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: --policy: not a valid policy"), policy
-
-
-def test_non_integer_env_seed_is_an_error(monkeypatch, capsys):
-    monkeypatch.setenv("GEOCACHE_SEED", "abc")
-    assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: GEOCACHE_SEED must be an integer, got 'abc'\n"
 
 
 # Boolean commands in a fresh interpreter; then one SINR command, which does load mpmath.

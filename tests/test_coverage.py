@@ -120,6 +120,8 @@ def test_boolean_rejects_bad_parameters():
         BooleanModelParams(lam=-1.0, tau=1.0, beta=3.0)
     with pytest.raises(ParameterError):
         BooleanModelParams(lam=1.0, tau=1.0, beta=1.5)
+    with pytest.raises(ParameterError, match="cannot place the support"):
+        boolean_coverage(BooleanModelParams(lam=1e300, tau=1.0, beta=3.0))  # scipy's isf is NaN
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +136,22 @@ def closed_form_I_at_zero(n, beta):
 
 
 def test_special_I_simple_value():
-    assert special_I(1, 4.0, 0.0) == pytest.approx(2.0 / math.pi, rel=1e-9)
+    value, err = special_I(1, 4.0, 0.0)
+    assert value == pytest.approx(2.0 / math.pi, rel=1e-9)
+    assert 0 <= err <= 1e-9 * value
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 @pytest.mark.parametrize("beta", [3.0, 4.0])
 def test_special_I_matches_closed_form_at_zero(n, beta):
-    assert special_I(n, beta, 0.0) == pytest.approx(
+    assert special_I(n, beta, 0.0)[0] == pytest.approx(
         closed_form_I_at_zero(n, beta), rel=1e-7
     )
 
 
 def test_special_I_vanishes_for_large_argument():
     # decay is algebraic, roughly x^(-2n/beta - 2/beta)
-    values = [special_I(2, 3.0, x) for x in (0.0, 1.0, 10.0, 1e3, 1e6, 1e9)]
+    values = [special_I(2, 3.0, x)[0] for x in (0.0, 1.0, 10.0, 1e3, 1e6, 1e9)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-12
 
@@ -196,7 +200,7 @@ def test_special_J_tensor_and_inversion_agree(n):
     beta, tau = 3.0, 10 ** (-6.5 / 10)  # nmax = 5
     meta = sinr_coverage(sir_params(tau, beta)).meta
     tau_n = tau / (1.0 - (n - 1) * tau)
-    scale = tau_n ** (-2.0 * n / beta) * special_I(n, beta, 0.0)
+    scale = tau_n ** (-2.0 * n / beta) * special_I(n, beta, 0.0)[0]
     tensor_value, tensor_err = special_J(n, beta, tau_n)
     budget = 3.0 * (scale * tensor_err + meta["sn_error_estimates"][n - 1]) + 1e-12
     assert abs(meta["sn"][n - 1] - scale * tensor_value) <= budget
@@ -236,7 +240,7 @@ def test_sn_zero_when_tuple_infeasible():
 def test_s1_reduces_to_special_I_at_unit_threshold():
     params = sir_params(1.0)
     s1 = sinr_coverage(params).meta["sn"][0]
-    assert s1 == pytest.approx(special_I(1, 3.0, 0.0), rel=1e-12)
+    assert s1 == pytest.approx(special_I(1, 3.0, 0.0)[0], rel=1e-12)
 
 
 def test_sinr_single_term_above_zero_db():
@@ -320,7 +324,7 @@ def tensor_pmf(tau, beta, noise_W):
     for n in range(1, params.nmax + 1):
         tau_n = tau / (1.0 - (n - 1) * tau)
         j_value, _ = special_J(n, beta, tau_n)
-        sn.append(tau_n ** (-2.0 * n / beta) * special_I(n, beta, params.noise_argument) * j_value)
+        sn.append(tau_n ** (-2.0 * n / beta) * special_I(n, beta, params.noise_argument)[0] * j_value)
     pk = [
         math.fsum((-1) ** (n - k) * math.comb(n, k) * sn[n - 1] for n in range(k, len(sn) + 1))
         for k in range(1, len(sn) + 1)
@@ -340,18 +344,18 @@ def test_sinr_without_noise_computes_no_I(monkeypatch):
     def no_I(n, beta, x):
         raise AssertionError("I evaluated at W = 0")
 
-    monkeypatch.setattr(coverage, "_special_I_with_error", no_I)
+    monkeypatch.setattr(coverage, "special_I", no_I)
     assert sinr_coverage(sir_params(0.5)).kmax == 2
 
 
 def test_sinr_raises_when_the_propagated_pmf_error_is_too_large(monkeypatch):
-    real = coverage._special_I_with_error
+    real = coverage.special_I
 
     def loose_I(n, beta, x):
         value, _ = real(n, beta, x)
         return value, 1e-5 * value  # as if the quadrature met only 1e-5
 
-    monkeypatch.setattr(coverage, "_special_I_with_error", loose_I)
+    monkeypatch.setattr(coverage, "special_I", loose_I)
     params = sir_params(10 ** (-9 / 10), noise_W=0.5)
     with pytest.raises(NumericalCancellationError, match="propagated error estimate"):
         sinr_coverage(params)

@@ -9,7 +9,6 @@ from geocache import (
     ParameterError,
     PopularityDistribution,
     StructuredPolicy,
-    canonicalize,
     hit_probability_general,
     hit_probability_structured,
 )
@@ -135,39 +134,6 @@ def test_hit_monotone_in_coverage_tail(rng):
         assert hit_probability_general(policy, pop, better) >= hit_probability_general(
             policy, pop, dist
         ) - 1e-15
-
-
-def test_canonicalize_swaps_into_prefix_blocks():
-    pop3 = PopularityDistribution(np.array([0.5, 0.3, 0.2]))
-    result = canonicalize(GeneralPolicy((frozenset({3}), frozenset({1, 2}))), pop3)
-    assert result.sizes == (1, 2)
-    # de-duplication empties the second block; it stays as a zero size
-    result = canonicalize(GeneralPolicy((frozenset({1}), frozenset({1}))), POP4)
-    assert result.sizes == (1, 0)
-
-
-def test_canonicalize_fixed_point():
-    policy = general_twin(StructuredPolicy((1, 2)))
-    result = canonicalize(policy, POP4)
-    assert result.sizes == (1, 2)
-
-
-def test_canonicalize_never_lowers_hit(rng):
-    for _ in range(500):
-        J = int(rng.integers(2, 10))
-        pop = random_popularity(rng, J)
-        dist = random_coverage(rng)
-        L = int(rng.integers(1, 4))
-        blocks = []
-        for _ in range(L):
-            size = int(rng.integers(1, J + 1))
-            blocks.append(frozenset(int(j) + 1 for j in rng.choice(J, size=size, replace=False)))
-        policy = GeneralPolicy(tuple(blocks))
-        canon = canonicalize(policy, pop)
-        assert len(canon.sizes) == len(policy.blocks)
-        before = hit_probability_general(policy, pop, dist)
-        after = hit_probability_structured(canon, pop, dist)
-        assert after >= before - 1e-12
 
 
 def _hit_of_block_list(blocks, pop, dist):
