@@ -7,6 +7,10 @@ Pbar(k) = Pr{N >= k}.
 Boolean model: N is Poisson with parameter
     lam' = lam * pi * tau^(-2/beta) * (P/W)^(2/beta) / K^2,
 the mean cell area times the station density (SNR >= tau disk radius).
+The pmf is built in plain Python by the ratio recurrence from the mode
+and cut where the tail mass Pr{N > k} drops below ``MASS_CUTOFF``; a mean
+above ``MAX_POISSON_MEAN`` is refused when the parameters are built.
+Every tail Pr{N >= k} is exactly rounded, in O(kmax) for the whole tail.
 
 SINR model: N has bounded support nmax = ceil(1/tau) and
     p_k = sum_{n=k}^{nmax} (-1)^(n-k) C(n,k) S_n(tau),
@@ -27,6 +31,10 @@ estimate: a second inversion with more nodes, plus the quadrature error
 of I. The equivalent form S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n),
 tau_n = tau / (1 - (n-1) tau), is the independent check: ``special_J``
 evaluates J by tensor quadrature for n <= 5.
+
+scipy is imported inside the two functions that use it, the quadrature
+of I (noisy SINR builds only) and the Gauss-Jacobi nodes of J (reached
+only from the tests), so the Boolean and SIR (W = 0) builds never load it.
 """
 
 from __future__ import annotations
@@ -35,9 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import roots_jacobi
-from scipy.stats import poisson
 
 from .errors import IntegrationError, NumericalCancellationError, ParameterError
 
@@ -53,6 +58,7 @@ __all__ = [
 ]
 
 MASS_CUTOFF = 1e-12  # the Boolean pmf ends where the tail mass Pr{N > k} drops below this
+MAX_POISSON_MEAN = 1e6  # Boolean models with a larger mean are refused: the pmf has ~mean entries
 I_REL_TOL = 1e-9  # relative tolerance of the adaptive quadrature of I
 GAUSS_NODES = 48  # Gauss-Jacobi nodes per dimension of the tensor rule for J
 J_MAX_ORDER = 5  # special_J's tensor rule covers n <= 5 (4 dimensions)
@@ -94,8 +100,23 @@ class CoverageDistribution:
         values = pmf.tolist()
         tail = np.empty(pmf.size + 1)
         tail[-1] = 0.0
+        # Shewchuk partials of values[k:], the exact running sum that math.fsum
+        # keeps; rounding it once per k equals math.fsum(values[k:]) in O(kmax)
+        partials = []
         for k in range(pmf.size - 1, -1, -1):
-            tail[k] = math.fsum(values[k:])
+            x = values[k]
+            i = 0
+            for y in partials:
+                if x < y:
+                    x, y = y, x
+                hi = x + y
+                lo = y - (hi - x)
+                if lo:
+                    partials[i] = lo
+                    i += 1
+                x = hi
+            partials[i:] = [x]
+            tail[k] = math.fsum(partials)
         pmf.flags.writeable = False
         tail.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
@@ -175,8 +196,11 @@ class BooleanModelParams(_ModelParams):
             mu = self.poisson_parameter
         except ArithmeticError as exc:  # K**2 or tau**(-2/beta) beyond the float range
             raise ParameterError(f"Poisson parameter out of range: {exc}") from None
-        if not math.isfinite(mu):
-            raise ParameterError(f"Poisson parameter is not finite: {mu}")
+        if not mu <= MAX_POISSON_MEAN:  # inf and NaN too
+            raise ParameterError(
+                f"cannot place the support of a Poisson pmf of mean {mu:g} "
+                f"(the limit is {MAX_POISSON_MEAN:g})"
+            )
 
     @property
     def poisson_parameter(self) -> float:
@@ -230,21 +254,31 @@ class SinrModelParams(_ModelParams):
 
 
 def boolean_coverage(params: BooleanModelParams) -> CoverageDistribution:
-    """Poisson coverage-number distribution, truncated at tail mass < MASS_CUTOFF."""
-    mu = params.poisson_parameter
-    # smallest kmax with Pr{N > kmax} < cutoff
-    kmax = poisson.isf(MASS_CUTOFF, mu)
-    if not math.isfinite(kmax):  # scipy gives NaN from about mu = 1e12
-        raise ParameterError(f"cannot place the support of a Poisson pmf of mean {mu:g}")
-    kmax = max(0, int(kmax))
-    while poisson.sf(kmax, mu) >= MASS_CUTOFF:
-        kmax += 1
-    while kmax > 0 and poisson.sf(kmax - 1, mu) < MASS_CUTOFF:
-        kmax -= 1
+    """Poisson coverage-number distribution, truncated at tail mass < MASS_CUTOFF.
 
-    pmf = poisson.pmf(np.arange(kmax + 1), mu)
+    The weights w_k = p_k / p_mode come from the ratio recurrence, anchored
+    at w_mode = 1 (mode = floor(mu)) and run up to mu + 12 sqrt(mu) + 60,
+    where the Poisson tail is far below the cutoff, and down to 0; their
+    exact sum normalises them. kmax is the smallest k with Pr{N > k} <
+    MASS_CUTOFF, found by a running tail sum from the top.
+    """
+    mu = params.poisson_parameter
+    mode = int(mu)
+    top = int(mu + 12.0 * math.sqrt(mu) + 60.0)
+    w = [0.0] * (top + 1)
+    w[mode] = 1.0
+    for k in range(mode, top):
+        w[k + 1] = w[k] * mu / (k + 1)
+    for k in range(mode, 0, -1):
+        w[k - 1] = w[k] * k / mu
+    total = math.fsum(w)
+    pmf = [v / total for v in w]
+    kmax, beyond = top, 0.0  # beyond = Pr{N > kmax}
+    while kmax > 0 and beyond + pmf[kmax] < MASS_CUTOFF:
+        beyond += pmf[kmax]
+        kmax -= 1
     return CoverageDistribution(
-        pmf=pmf,
+        pmf=np.array(pmf[: kmax + 1]),
         model_label="boolean",
         meta={
             "lambda": params.lam,
@@ -279,6 +313,7 @@ def special_I(n: int, beta: float, x: float) -> tuple[float, float]:
         raise ParameterError(f"path-loss exponent must exceed 2, got {beta}")
     if not (x >= 0.0):
         raise ParameterError(f"argument must be >= 0, got {x}")
+    from scipy import integrate  # here, not at the top: only noisy SINR builds need it
 
     lg1 = math.lgamma(1.0 - 2.0 / beta)
     lg2 = math.lgamma(1.0 + 2.0 / beta)
@@ -326,6 +361,8 @@ def _jacobi_rules(d, beta, m):
     Dimension i (1-based) carries the weight v^(i(2/beta+1)-1) * (1-v)^(2/beta),
     which is exactly the Jacobi weight after mapping [-1,1] -> [0,1].
     """
+    from scipy.special import roots_jacobi  # here, not at the top: only the tests reach J
+
     a = 2.0 / beta
     nodes, weights = [], []
     for i in range(1, d + 1):

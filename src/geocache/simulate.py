@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .coverage import CoverageDistribution
 from .errors import ParameterError
@@ -137,6 +136,8 @@ def poisson_gof_pvalue(empirical: CoverageDistribution, mu: float) -> float:
     Counts are binned at 0..7 with everything >= 8 lumped into the final
     category, matching the expected Poisson masses.
     """
+    from scipy import stats  # here, not at the top: only this check needs scipy.stats
+
     counts = empirical.meta.get("counts")
     trials = empirical.meta.get("trials")
     if counts is None or trials is None:

@@ -122,6 +122,8 @@ def test_config_validation():
         {"K": 1e-200},
         {"lam": 1e308},
         {"model": "sinr", "moment_ps": 1e-320, "noise_w": 1.0},
+        # a Poisson mean above MAX_POISSON_MEAN
+        {"lam": 1e7},
     ],
 )
 def test_config_rejects_bad_values_up_front(overrides):
@@ -644,8 +646,12 @@ for argv in (
 ):
     assert cli.main(argv) == 0, argv
 assert "mpmath" not in sys.modules, "a Boolean command loaded mpmath"
+assert "scipy" not in sys.modules, "a Boolean command loaded scipy"
 assert cli.main(["coverage", "--model", "sinr"]) == 0
 assert "mpmath" in sys.modules
+assert "scipy" not in sys.modules, "a SIR (W = 0) command loaded scipy"
+assert cli.main(["coverage", "--model", "sinr", "--noise-w", "0.5"]) == 0
+assert "scipy" in sys.modules
 """
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.stats import poisson
 
 from geocache import (
     BooleanModelParams,
@@ -57,6 +58,23 @@ def test_constructed_distribution_invariants(raw):
     np.testing.assert_allclose(tails - dist.tail[1:], dist.pmf, atol=1e-14)
 
 
+def _per_k_fsum_tail(pmf):
+    """The tail rebuilt by one exactly rounded sum per k: the O(kmax^2) reference."""
+    values = np.asarray(pmf).tolist()
+    return np.array([math.fsum(values[k:]) for k in range(len(values))] + [0.0])
+
+
+def test_tail_equals_per_k_fsum_bit_for_bit():
+    rng = np.random.default_rng(7)
+    pmfs = [rng.dirichlet(np.full(int(rng.integers(1, 400)), a)) for a in (0.05, 1.0, 20.0)]
+    pmfs += [rng.dirichlet(np.ones(50)) * 10.0 ** -rng.integers(0, 300, 50) for _ in range(3)]
+    mu = 1800.0
+    pmfs.append(boolean_coverage(BooleanModelParams(lam=mu / math.pi, tau=1.0, beta=3.0)).pmf)
+    for pmf in pmfs:
+        dist = CoverageDistribution(pmf=pmf / math.fsum(pmf.tolist()))
+        np.testing.assert_array_equal(dist.tail, _per_k_fsum_tail(dist.pmf))
+
+
 def test_distribution_rejects_bad_pmf():
     with pytest.raises(ParameterError):
         CoverageDistribution(pmf=np.array([0.5, 0.2]))  # mass far from 1
@@ -100,6 +118,24 @@ def test_boolean_empty_coverage_limit():
     assert dist.tail_at(1) == pytest.approx(0.0, abs=1e-11)
 
 
+def test_boolean_pmf_matches_scipy_poisson():
+    # the support rule of the scipy build this replaced: the smallest kmax with
+    # Pr{N > kmax} < MASS_CUTOFF, placed by isf and corrected by sf
+    for mu in np.logspace(-3, 4, 120).tolist():
+        params = BooleanModelParams(lam=mu / math.pi, tau=1.0, beta=3.0)
+        mu = params.poisson_parameter
+        kmax = max(0, int(poisson.isf(coverage.MASS_CUTOFF, mu)))
+        while poisson.sf(kmax, mu) >= coverage.MASS_CUTOFF:
+            kmax += 1
+        while kmax > 0 and poisson.sf(kmax - 1, mu) < coverage.MASS_CUTOFF:
+            kmax -= 1
+        expected = CoverageDistribution(pmf=poisson.pmf(np.arange(kmax + 1), mu))
+        dist = boolean_coverage(params)
+        assert dist.kmax == kmax, mu
+        worst = float(np.max(np.abs(dist.tail - expected.tail)))
+        assert worst <= (1e-13 if mu <= 100.0 else 2e-12), (mu, worst)
+
+
 def test_boolean_variance_equals_mean():
     dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=1.0, beta=3.0))
     mean = mean_coverage(dist)
@@ -122,6 +158,9 @@ def test_boolean_rejects_bad_parameters():
         BooleanModelParams(lam=1.0, tau=1.0, beta=1.5)
     with pytest.raises(ParameterError, match="cannot place the support"):
         boolean_coverage(BooleanModelParams(lam=1e300, tau=1.0, beta=3.0))  # scipy's isf is NaN
+    with pytest.raises(ParameterError, match="cannot place the support"):
+        BooleanModelParams(lam=1.01 * coverage.MAX_POISSON_MEAN / math.pi, tau=1.0, beta=3.0)
+    BooleanModelParams(lam=0.99 * coverage.MAX_POISSON_MEAN / math.pi, tau=1.0, beta=3.0)
 
 
 # ---------------------------------------------------------------------------
