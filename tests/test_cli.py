@@ -19,7 +19,7 @@ from geocache.cli import (
     parse_grid,
     run_sweep,
 )
-from geocache import CoverageDistribution, cli, solvers
+from geocache import CoverageDistribution, cli, simulate, solvers
 from geocache import coverage as cov
 from geocache.errors import GeocacheError, NumericalCancellationError, ParameterError
 
@@ -469,6 +469,23 @@ def test_sweep_sim_blank_for_policies_caching_nothing(monkeypatch):
     assert ok
     sims = {r["policy"]: r["sim_estimate"] for r in rows}
     assert sims == {"ind": None, "mp": 0.0, "onc": None}  # onc caches no item here
+
+
+def test_sweep_sim_columns_equal_one_simulate_call_per_policy():
+    # rows whose policy caches nothing: test_sweep_sim_blank_for_policies_caching_nothing
+    config = ExperimentConfig(tau_db_grid=(-3.0, 0.0, 6.0), J=8, L=2, trials=20000, seed=6)
+    rows, ok = run_sweep(config)
+    assert ok
+    pop = cli._build_popularity(config)
+    for row in rows:
+        sim = (row["sim_estimate"], row["sim_stderr"])
+        if row["policy"] == "ind":
+            assert sim == (None, None)
+            continue
+        dist = cli._build_coverage(cli._model_params(config, row["tau_db"]))
+        policy = cli._run_policy(row["policy"], pop, dist, config.L).policy
+        [report] = simulate.simulate_hits([policy], pop, dist, config.trials, config.seed)
+        assert sim == (report.estimate, report.stderr), row
 
 
 def test_solve_cli_emits_json(capsys):
