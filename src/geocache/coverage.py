@@ -27,8 +27,8 @@ term S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) is taken in
 closed form instead. Noise W multiplies S_n by
 I_{n,beta}(x) / I_{n,beta}(0), where x = W a^(-beta/2) and
 a = lam * pi * E[(P S)^(2/beta)] / K^2. Each S_n carries an error
-estimate: a second inversion with more nodes, plus the quadrature error
-of I. The equivalent form S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n),
+estimate (its change under an inversion with 16 fewer nodes, plus the
+quadrature error of I). The form S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n),
 tau_n = tau / (1 - (n-1) tau), is the independent check: ``special_J``
 evaluates J by tensor quadrature for n <= 5.
 
@@ -486,9 +486,11 @@ def _sn_with_errors(params: SinrModelParams):
     network form a PD(2/beta, 0) process, and N counts its atoms above
     s = tau/(1+tau) (Keeler & Blaszczyszyn 2014). Noise enters only
     through I: S_n = S_n^PD I_n(x) / I_n(0) with x = W a^(-beta/2),
-    because J does not depend on W. The error of S_n is its change when
-    the inversion uses 16 more nodes (and digits), plus the propagated
-    quadrature error of I.
+    because J does not depend on W; I_n(0) is taken in closed form. The
+    error of S_n is its change when the inversion uses 16 fewer nodes at
+    the same digits, plus the propagated quadrature error of I(x). The
+    change bounds the error where the inversion converges fast; within
+    about 0.01 dB below 0 dB it converges slowly and can fall short.
 
     With nmax = 1 (tau >= 1) the only term is S_1^PD = E[N] =
     tau^(-alpha) sin(pi alpha) / (pi alpha), taken in closed form: there
@@ -501,28 +503,25 @@ def _sn_with_errors(params: SinrModelParams):
     # nodes, and digits: the alternating sum multiplies S_n by up to C(nmax, nmax/2)
     m = max(48, 24 + nmax)
     ctx = mpmath.MPContext()
+    ctx.dps = m
+    alpha = ctx.mpf(2) / params.beta
     if nmax == 1:
-        ctx.dps = m
-        alpha = ctx.mpf(2) / params.beta
         sn = [ctx.mpf(params.tau) ** -alpha * ctx.sinpi(alpha) / (ctx.pi * alpha)]
         errs = [0.0]
     else:
-        rows = []
-        for nodes in (m + 16, m):
-            ctx.dps = nodes
-            alpha = ctx.mpf(2) / params.beta
-            s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
-            rows.append(_pd_sn(ctx, alpha, s, nmax, nodes))
-        finer, sn = rows
-        errs = [float(abs(a - b)) for a, b in zip(sn, finer)]
+        s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
+        sn = _pd_sn(ctx, alpha, s, nmax, m)
+        coarser = _pd_sn(ctx, alpha, s, nmax, m - 16)
+        errs = [float(abs(a - b)) for a, b in zip(sn, coarser)]
     x = params.noise_argument
     if x > 0.0:
+        log_g = math.lgamma(1.0 - 2.0 / params.beta) + math.lgamma(1.0 + 2.0 / params.beta)
         for n in range(1, nmax + 1):
             i_x, err_x = special_I(n, params.beta, x)
-            i_0, err_0 = special_I(n, params.beta, 0.0)
+            # I_n(0) = 2^(n-1) / (beta^(n-1) Gamma(1-2/beta)^n Gamma(1+2/beta)^n)
+            i_0 = math.exp((n - 1) * math.log(2.0 / params.beta) - n * log_g)
             ratio = i_x / i_0
-            ratio_err = (err_x + ratio * err_0) / i_0
-            errs[n - 1] = errs[n - 1] * ratio + abs(float(sn[n - 1])) * ratio_err
+            errs[n - 1] = errs[n - 1] * ratio + abs(float(sn[n - 1])) * err_x / i_0
             sn[n - 1] *= ratio
     return ctx, sn, errs
 

@@ -356,6 +356,71 @@ def test_sinr_mean_matches_closed_form_down_to_minus_20_db(beta):
             assert max(dist.meta["sn_error_estimates"]) <= 1e-12, db
 
 
+SLOW_NEAR_0_DB = (
+    "just below 0 dB the kink of the 2-fold density at 2s lies next to t = 1, the "
+    "inversion converges slowly and its change under 16 fewer nodes falls short of the error"
+)
+
+
+@pytest.mark.parametrize(
+    "beta, db",
+    [(3.0, -14), (3.0, -6), (3.0, -1), (3.0, -0.1), (3.0, -0.003)]
+    + [
+        pytest.param(beta, db, marks=pytest.mark.xfail(strict=True, reason=SLOW_NEAR_0_DB))
+        for beta, db in ((3.0, -0.007), (5.0, -0.01))
+    ],
+)
+def test_sn_error_estimate_bounds_the_inversion_error(beta, db):
+    # the reference runs 40 more nodes at 40 more digits; compared in mpmath,
+    # as float rounding of S_n (~1e-16) would swamp errors of ~1e-30
+    import mpmath
+
+    params = sir_params(10 ** (db / 10), beta)
+    ctx, sn, errs = coverage._sn_with_errors(params)
+    ref_ctx = mpmath.MPContext()
+    ref_ctx.dps = ctx.dps + 40
+    alpha = ref_ctx.mpf(2) / params.beta
+    s = ref_ctx.mpf(params.tau) / (1 + ref_ctx.mpf(params.tau))
+    ref = coverage._pd_sn(ref_ctx, alpha, s, params.nmax, ref_ctx.dps)
+    for n, (value, err, exact) in enumerate(zip(sn, errs, ref), start=1):
+        assert abs(ref_ctx.mpf(value) - exact) <= err, (db, n)
+
+
+# S_n and pmf of the -6 and -14 dB SIR builds (beta = 3), as float.hex strings
+PINNED_SIR = {
+    -6: (
+        "0x1.09e5677323defp+0 0x1.8313bed8b684cp-3 0x1.7df9e0f6221ffp-8 0x1.dae47351b7278p-18",
+        "0x1.27fc6a00cd1f9p-3 0x1.5b3114f6caa4ep-1 0x1.5f5a94770b265p-3 0x1.7c1efc82d068dp-8 "
+        "0x1.dae47351b7278p-18",
+    ),
+    -14: (
+        "0x1.c5f5274f8644cp+1 0x1.7e676447a7357p+2 0x1.948159e5b5f9ep+2 0x1.2254781038a33p+2 "
+        "0x1.2643e143506eep+1 0x1.ae28de3e01f2fp-1 0x1.c9f4800c3c8cfp-3 0x1.63cb7190b4e1bp-5 "
+        "0x1.91bf17522130bp-8 0x1.466aa5ee886a5p-11 0x1.77d2af76b0eabp-15 0x1.2c117df966878p-19 "
+        "0x1.42f2fa53dffe0p-24 0x1.c3786da554a99p-30 0x1.86b0deb15a9d6p-36 0x1.893704bfd2667p-43 "
+        "0x1.a7d0c5bffee55p-51 0x1.b5ab008a75f04p-60 0x1.7310a02f90089p-70 0x1.9d587cb0fffa8p-82 "
+        "0x1.af0bb1c97f5a9p-96 0x1.e38f1bcc4be2ap-113 0x1.b405b44072e28p-129 -0x1.49f797fe69aedp-130 "
+        "-0x1.3952f95497759p-129 0x1.1612cc242c326p-128",
+        "0x1.d8ace145e4d8ep-18 0x1.106ba1c6339a1p-3 0x1.5d16032af866ap-3 0x1.9ea43b9d070c0p-3 "
+        "0x1.9eac0ab6e43dfp-3 0x1.3fdb93868324cp-3 0x1.688ffe665c9f2p-4 0x1.20e9848eb8d34p-5 "
+        "0x1.4462ca1d4ac3dp-7 0x1.f92c54eb1b5bbp-10 0x1.0de7b4ee62180p-12 0x1.8668636af1218p-16 "
+        "0x1.773ba76a744bep-20 0x1.d395ddebab0a5p-25 0x1.6d86ab2d616b2p-30 0x1.5746de556d75cp-36 "
+        "0x1.6d9441e397a7ap-43 0x1.988cafde5f89fp-51 0x1.aecd3c2451371p-60 0x1.710c49f82a127p-70 "
+        "0x1.9ccb1054489b9p-82 0x1.aef5b8add0ae6p-96 0x1.3649986227e71p-112 0x0.0p+0 "
+        "0x1.6fffec708de6dp-120 0x0.0p+0 0x1.1612cc242c326p-128",
+    ),
+}
+
+
+@pytest.mark.parametrize("db", sorted(PINNED_SIR))
+def test_sir_values_are_pinned(db):
+    # a change to the node count or the digits that moves a value fails here
+    dist = sinr_coverage(sir_params(10 ** (db / 10)))
+    sn, pmf = PINNED_SIR[db]
+    assert [v.hex() for v in dist.meta["sn"]] == sn.split()
+    assert [float(v).hex() for v in dist.pmf] == pmf.split()
+
+
 def tensor_pmf(tau, beta, noise_W):
     """The pmf from S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n), J by tensor quadrature."""
     params = sir_params(tau, beta, noise_W=noise_W)
