@@ -10,7 +10,7 @@ the mean cell area times the station density (SNR >= tau disk radius).
 The pmf is built in plain Python by the ratio recurrence from the mode
 and cut where the tail mass Pr{N > k} drops below ``MASS_CUTOFF``; a mean
 above ``MAX_POISSON_MEAN`` is refused when the parameters are built.
-Every tail Pr{N >= k} is exactly rounded, in O(kmax) for the whole tail.
+Every tail Pr{N >= k} is one exact integer suffix sum, rounded once per k.
 
 SINR model: N has bounded support nmax = ceil(1/tau) and
     p_k = sum_{n=k}^{nmax} (-1)^(n-k) C(n,k) S_n(tau),
@@ -59,7 +59,7 @@ __all__ = [
 
 MASS_CUTOFF = 1e-12  # the Boolean pmf ends where the tail mass Pr{N > k} drops below this
 MAX_POISSON_MEAN = 1e6  # Boolean models with a larger mean are refused: the pmf has ~mean entries
-I_REL_TOL = 1e-9  # relative tolerance of the adaptive quadrature of I
+I_REL_TOL = 1e-14  # relative tolerance of the adaptive quadrature of I
 GAUSS_NODES = 48  # Gauss-Jacobi nodes per dimension of the tensor rule for J
 J_MAX_ORDER = 5  # special_J's tensor rule covers n <= 5 (4 dimensions)
 PMF_ERR_LIMIT = 1e-6  # sinr_coverage raises above this propagated pmf error
@@ -74,9 +74,10 @@ PMF_ERR_LIMIT = 1e-6  # sinr_coverage raises above this propagated pmf error
 class CoverageDistribution:
     """Distribution of the coverage number N on 0..kmax.
 
-    ``pmf[k] = Pr{N = k}`` and ``tail[k] = Pr{N >= k}`` for k = 0..kmax+1;
-    the tail is rebuilt by backward exact-rounded summation so that deep
-    tail values keep full relative accuracy. Beyond kmax the tail is zero.
+    ``pmf[k] = Pr{N = k}`` and ``tail[k] = Pr{N >= k}`` for k = 0..kmax+1.
+    The tail is one exact integer suffix sum of the pmf, rounded once per k,
+    so deep tail values keep full relative accuracy and each equals
+    ``math.fsum(pmf[k:])``. Beyond kmax the tail is zero.
     """
 
     pmf: np.ndarray
@@ -100,23 +101,14 @@ class CoverageDistribution:
         values = pmf.tolist()
         tail = np.empty(pmf.size + 1)
         tail[-1] = 0.0
-        # Shewchuk partials of values[k:], the exact running sum that math.fsum
-        # keeps; rounding it once per k equals math.fsum(values[k:]) in O(kmax)
-        partials = []
+        # a double in [0, ~1] is num / den with den = 2^e <= 2^1074, so the shift below
+        # is exactly value * 2^1074; int / int rounds correctly, so tail[k] == math.fsum(values[k:])
+        scale = 1 << 1074
+        exact = 0
         for k in range(pmf.size - 1, -1, -1):
-            x = values[k]
-            i = 0
-            for y in partials:
-                if x < y:
-                    x, y = y, x
-                hi = x + y
-                lo = y - (hi - x)
-                if lo:
-                    partials[i] = lo
-                    i += 1
-                x = hi
-            partials[i:] = [x]
-            tail[k] = math.fsum(partials)
+            num, den = values[k].as_integer_ratio()
+            exact += num << (1075 - den.bit_length())
+            tail[k] = exact / scale
         pmf.flags.writeable = False
         tail.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)

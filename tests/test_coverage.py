@@ -70,6 +70,14 @@ def test_tail_equals_per_k_fsum_bit_for_bit():
     pmfs += [rng.dirichlet(np.ones(50)) * 10.0 ** -rng.integers(0, 300, 50) for _ in range(3)]
     mu = 1800.0
     pmfs.append(boolean_coverage(BooleanModelParams(lam=mu / math.pi, tau=1.0, beta=3.0)).pmf)
+    # entries spread over 1e-320..1, where a summation by floating-point partials
+    # that are not kept in magnitude order can lose 1 ulp
+    rng = np.random.default_rng(1)
+    for _ in range(3000):
+        k = int(rng.integers(1, 60))
+        w = rng.random(k) * 10.0 ** rng.integers(-320, 0, size=k)
+        w[0] = 1.0
+        pmfs.append(w)
     for pmf in pmfs:
         dist = CoverageDistribution(pmf=pmf / math.fsum(pmf.tolist()))
         np.testing.assert_array_equal(dist.tail, _per_k_fsum_tail(dist.pmf))
@@ -193,6 +201,29 @@ def test_special_I_vanishes_for_large_argument():
     values = [special_I(2, 3.0, x)[0] for x in (0.0, 1.0, 10.0, 1e3, 1e6, 1e9)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-12
+
+
+@pytest.mark.parametrize("beta", [2.5, 4.0])
+def test_special_I_matches_mpmath_quadrature_at_positive_argument(beta):
+    # an independent route: the u-integral at 30 digits, split around the peak of u^(2n-1) e^(-u^2)
+    import mpmath
+
+    mp = mpmath.MPContext()
+    mp.dps = 30
+    b = mp.mpf(beta)
+    g1, g2 = mp.gamma(1 - 2 / b), mp.gamma(1 + 2 / b)
+    c = g1 ** (-b / 2)
+    for n in (1, 5, 20):
+        pref = 2**n / (b ** (n - 1) * g1**n * g2**n * mp.factorial(n - 1))
+        peak = mp.sqrt(mp.mpf(2 * n - 1) / 2)
+        for x in (0.01, 1.0, 10.0):
+            integral = mp.quad(
+                lambda u: u ** (2 * n - 1) * mp.exp(-u * u - u**b * x * c),
+                [0, peak / 2, peak, 2 * peak, mp.inf],
+            )
+            ref = float(pref * integral)
+            value, err = special_I(n, beta, x)
+            assert abs(value - ref) <= 3 * err + 4e-16 * ref, (n, x, value, ref, err)
 
 
 def test_special_I_rejects_bad_arguments():
@@ -442,6 +473,14 @@ def test_sinr_pmf_with_noise_matches_the_tensor_route(noise_W):
         tau = 10 ** (db / 10)
         dist = sinr_coverage(sir_params(tau, noise_W=noise_W))
         np.testing.assert_allclose(dist.pmf, tensor_pmf(tau, 3.0, noise_W), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0])
+def test_noisy_sinr_builds_at_the_lowest_figure_threshold(beta):
+    # the error of I, times C(n, k) over 100 terms, must stay below the pmf error limit
+    dist = sinr_coverage(sir_params(10 ** (-20 / 10), beta, noise_W=1.0))
+    assert dist.meta["pmf_error_estimate"] <= 1e-6
+    assert dist.pmf.size == 101
 
 
 def test_sinr_without_noise_computes_no_I(monkeypatch):
