@@ -144,7 +144,7 @@ def _simulable(policy) -> bool:
     return not isinstance(policy, solvers.IndPolicy) and len(policy.blocks) > 0
 
 
-def run_sweep(config: ExperimentConfig):
+def run_sweep(config: ExperimentConfig, pop: PopularityDistribution | None = None):
     """Evaluate every requested policy on every grid threshold.
 
     Returns (rows, ok): row dicts sorted by mean coverage then policy
@@ -156,8 +156,10 @@ def run_sweep(config: ExperimentConfig):
     which drives only the Monte Carlo columns. A cell's policies are all
     solved and re-checked first; then one ``simulate_hits`` call draws the
     sample that checks every policy of the cell that caches something.
+    ``pop`` is the config's popularity, built here unless the caller has.
     """
-    pop = _build_popularity(config)
+    if pop is None:
+        pop = _build_popularity(config)
     rows = []
     ok = True
     for tau_db in config.tau_db_grid:
@@ -418,6 +420,7 @@ def _emit_json(payload, stream) -> None:
 
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
+    pop = _build_popularity(config)  # a bad --gamma or --pop-file fails before -o creates a file
     out = contextlib.nullcontext(sys.stdout)
     if config.output:  # opened before any cell runs, so an unwritable path costs no sweep
         try:
@@ -426,7 +429,7 @@ def _cmd_sweep(args) -> int:
             reason = exc.strerror
             raise ParameterError(f"{config.output}: cannot write output file: {reason}") from None
     with out as stream:
-        rows, ok = run_sweep(config)
+        rows, ok = run_sweep(config, pop)
         write_sweep_csv(rows, config, stream)
     return 0 if ok else 2
 

@@ -77,7 +77,9 @@ class CoverageDistribution:
     ``pmf[k] = Pr{N = k}`` and ``tail[k] = Pr{N >= k}`` for k = 0..kmax+1.
     The tail is one exact integer suffix sum of the pmf, rounded once per k,
     so deep tail values keep full relative accuracy and each equals
-    ``math.fsum(pmf[k:])``. Beyond kmax the tail is zero.
+    ``math.fsum(pmf[k:])``. Beyond kmax the tail is zero: the solvers and the
+    block-policy evaluator index ``tail`` directly and read its last slot,
+    ``tail[kmax+1] = 0``, for every size past kmax.
     """
 
     pmf: np.ndarray
@@ -125,13 +127,6 @@ class CoverageDistribution:
         if k >= self.tail.size:
             return 0.0
         return float(self.tail[k])
-
-    def tail_array(self, upto: int) -> np.ndarray:
-        """Tail values Pbar(0..upto) as a dense vector (zero-padded)."""
-        out = np.zeros(upto + 1)
-        m = min(upto + 1, self.tail.size)
-        out[:m] = self.tail[:m]
-        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -82,7 +82,6 @@ def brute_structured(
             f"C({J + L},{L}) size tuples exceed the {ENUMERATION_BUDGET} budget"
         )
     prefix = pop.prefix
-    tails = dist.tail_array(J).tolist()
 
     best_value = -1.0
     best_sizes = None
@@ -91,7 +90,7 @@ def brute_structured(
         n = 0
         for m in sizes:
             if m:
-                value += (prefix[n + m] - prefix[n]) * tails[m]
+                value += (prefix[n + m] - prefix[n]) * dist.tail_at(m)
                 n += m
         if value > best_value:
             best_value = value
@@ -117,7 +116,6 @@ def brute_general(
             f"({n_subsets})^{L} block tuples exceed the {ENUMERATION_BUDGET} budget"
         )
     probs = pop.probs.tolist()
-    tails = dist.tail_array(J).tolist()
 
     masks = []
     for mask in range(1, n_subsets + 1):
@@ -134,7 +132,7 @@ def brute_general(
                 if r[j] is None or card < r[j]:
                     r[j] = card
         value = math.fsum(
-            probs[j] * tails[r[j]] for j in range(J) if r[j] is not None
+            probs[j] * dist.tail_at(r[j]) for j in range(J) if r[j] is not None
         )
         if value > best_value:
             best_value = value

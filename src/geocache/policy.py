@@ -111,8 +111,8 @@ def policy_from_json_dict(payload: dict):
     raise ParameterError(f"unknown policy type {kind!r}")
 
 
-# r_j of an item no block holds: larger than any coverage number, so its
-# tail Pr{N >= r_j} is exactly 0 whatever the distribution's support
+# r_j of an item no block holds: larger than any coverage number, so it is
+# never hit; the evaluator reads its tail, like any r_j > kmax, at tail[kmax + 1] = 0
 UNCACHED = np.iinfo(np.int64).max
 
 
@@ -139,10 +139,8 @@ def hit_probability_general(
     dist: CoverageDistribution,
 ) -> float:
     """P_hit = sum_j a_j * Pbar(r_j) of any block policy, summed exactly rounded."""
-    J = pop.size
-    r = item_thresholds(policy, J)
-    cached = r != UNCACHED
-    terms = pop.probs[cached] * dist.tail_array(J)[r[cached]]
+    r = item_thresholds(policy, pop.size)
+    terms = pop.probs * dist.tail[np.minimum(r, dist.kmax + 1)]
     return math.fsum(terms.tolist())
 
 

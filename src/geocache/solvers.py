@@ -81,19 +81,21 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
     Stage l holding n already-cached items scores each candidate size x by
     A([n+1, n+x]) * Pbar(x) plus the best continuation; the argmax chain is
     unrolled into sizes and reported in canonical nondecreasing order
-    (reordering stage optima never changes the value). O(L * J^2).
+    (reordering stage optima never changes the value). A size past kmax is
+    never decoded and never beats x = 0, so x <= kmax: O(L * J * min(J, kmax)).
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
     prefix = pop.prefix
-    tails = dist.tail_array(J)
+    tails = dist.tail
 
     value = np.zeros((L + 2, J + 1))
     choice = np.zeros((L + 1, J + 1), dtype=int)
     for l in range(L, 0, -1):
         for n in range(J + 1):
-            gains = (prefix[n:] - prefix[n]) * tails[: J - n + 1] + value[l + 1, n:]
+            end = min(J, n + dist.kmax) + 1
+            gains = (prefix[n:end] - prefix[n]) * tails[: end - n] + value[l + 1, n:end]
             x = int(np.argmax(gains))  # first max: smallest size wins ties
             value[l, n] = gains[x]
             choice[l, n] = x
@@ -123,8 +125,8 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
 # ---------------------------------------------------------------------------
 
 
-def _best_first_block(prefix: np.ndarray, tails: np.ndarray, J: int) -> int:
-    gains = (prefix[1:] - prefix[0]) * tails[1 : J + 1]
+def _best_first_block(prefix: np.ndarray, tails: np.ndarray, c: int) -> int:
+    gains = (prefix[1 : c + 1] - prefix[0]) * tails[1 : c + 1]
     return int(np.argmax(gains)) + 1
 
 
@@ -132,28 +134,29 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     """Greedy marginal-gain policy over arbitrary content subsets.
 
     The first block is the best popularity prefix. Each later block adds,
-    over candidate cardinalities c, the top-c items ranked by the marginal
-    gain a_j * (Pbar(c) - Pbar(r_j))^+ where r_j is the smallest block
-    already covering j; the best (c, set) pair wins. Ties prefer smaller
-    cardinality, then the lexicographically smallest item set.
+    over candidate cardinalities c = 1..max(1, min(J, kmax)), the top-c
+    items ranked by the marginal gain a_j * (Pbar(c) - Pbar(r_j))^+ where
+    r_j is the smallest block already covering j; the best (c, set) pair
+    wins (a larger c gains 0). Ties prefer smaller cardinality, then the
+    lexicographically smallest item set.
     """
     if K < 1:
         raise ParameterError(f"block count must be >= 1, got {K}")
     J = pop.size
     probs = pop.probs
-    sentinel = J + 1  # "not cached anywhere": its tail slot is exactly 0
-    tails = np.append(dist.tail_array(J), 0.0)
+    tails = dist.tail
+    sizes = range(1, max(1, min(J, dist.kmax)) + 1)
 
-    m1 = _best_first_block(pop.prefix, tails, J)
+    m1 = _best_first_block(pop.prefix, tails, sizes[-1])
     blocks = [frozenset(range(1, m1 + 1))]
-    r = np.full(J, sentinel, dtype=int)
+    r = np.full(J, dist.kmax + 1, dtype=int)  # "not cached anywhere": tail[kmax + 1] is 0
     r[:m1] = m1
 
-    evaluations = J
+    evaluations = len(sizes)
     for _ in range(2, K + 1):
         covered_tail = tails[r]
         best = None  # (gain, c, top_indices)
-        for c in range(1, J + 1):
+        for c in sizes:
             g = probs * np.maximum(tails[c] - covered_tail, 0.0)
             order = np.argsort(-g, kind="stable")
             top = order[:c]
@@ -185,19 +188,20 @@ def greedy_disjoint(
     """Greedy over consecutive disjoint blocks of the popularity ranking.
 
     Block l >= 2 takes the size maximizing A([used+1, used+m]) * Pbar(m)
-    over all sizes that fit. The result is reported in canonical order.
+    over the sizes that fit, up to kmax (a larger one gains 0, as m = 0
+    does). The result is reported in canonical order.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
     prefix = pop.prefix
-    tails = dist.tail_array(J)
 
-    m1 = _best_first_block(prefix, tails, J)
+    m1 = _best_first_block(prefix, dist.tail, max(1, min(J, dist.kmax)))
     raw = [m1]
     used = m1
     for _ in range(2, L + 1):
-        gains = (prefix[used:] - prefix[used]) * tails[: J - used + 1]
+        end = min(J, used + dist.kmax) + 1
+        gains = (prefix[used:end] - prefix[used]) * dist.tail[: end - used]
         m = int(np.argmax(gains))  # first max: smallest size wins ties
         raw.append(m)
         used += m

@@ -280,7 +280,7 @@ def test_fixed_integration_settings_have_no_flag(flag, capsys):
 
 
 def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
-    def no_sweep(config):
+    def no_sweep(*args):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(cli, "run_sweep", no_sweep)
@@ -291,6 +291,10 @@ def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
         (["--seed", "-1", "--trials", "100"], "seed must be >= 0"),
         (["--tau-db", "4000"], "threshold 4000.0 dB"),
         (["-o", str(tmp_path / "missing" / "x.csv")], "x.csv: cannot write output file"),
+        # the popularity is built before -o opens its file
+        (["--gamma", "-1", "-o", str(output)], "Zipf exponent must be finite and >= 0"),
+        (["--pop-file", str(tmp_path / "missing.json"), "-o", str(output)],
+         "cannot read popularity file"),
     ]:
         assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "2", *argv]) == 1
         out, err = capsys.readouterr()

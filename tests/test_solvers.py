@@ -25,7 +25,7 @@ from geocache import (
     zipf,
 )
 from geocache import solvers
-from geocache.policy import GeneralPolicy
+from geocache.policy import UNCACHED, GeneralPolicy, canonical_sizes, item_thresholds
 
 from conftest import random_coverage, random_instance, random_popularity
 
@@ -413,6 +413,131 @@ def test_solvers_reject_bad_block_count():
     for fn in (solve_dp, greedy_general, greedy_disjoint, most_popular, independent_caching):
         with pytest.raises(ParameterError):
             fn(POP4, DIST_HALF, 0)
+
+
+# ---------------------------------------------------------------------------
+# size searches bounded by kmax against full-range references
+# ---------------------------------------------------------------------------
+
+
+def _padded_tail(dist, J):
+    """Pbar(0..J) zero-padded past kmax, then a 0 for ggb's uncached sentinel J + 1."""
+    out = np.zeros(J + 2)
+    m = min(J + 1, dist.tail.size)
+    out[:m] = dist.tail[:m]
+    return out
+
+
+def _padded_hit(policy, pop, dist):
+    r = item_thresholds(policy, pop.size)
+    cached = r != UNCACHED
+    return math.fsum((pop.probs[cached] * _padded_tail(dist, pop.size)[r[cached]]).tolist())
+
+
+def _full_range_dp(pop, dist, L):
+    # one (n, x) matrix per stage, every size x that fits; argmax keeps the first max
+    J, prefix, tails = pop.size, pop.prefix, _padded_tail(dist, pop.size)
+    n, x = np.ogrid[: J + 1, : J + 1]
+    end = np.minimum(n + x, J)
+    value, choices = np.zeros(J + 1), []
+    for _ in range(L):
+        gains = np.where(n + x <= J, (prefix[end] - prefix[n]) * tails[x] + value[end], -np.inf)
+        choices.insert(0, np.argmax(gains, axis=1))
+        value = gains[np.arange(J + 1), choices[0]]
+    raw, used = [], 0
+    for choice in choices:
+        raw.append(int(choice[used]))
+        used += raw[-1]
+    policy = StructuredPolicy(canonical_sizes(raw))
+    return policy, {"dp_value": float(value[0]), "raw_sizes": raw}
+
+
+def _full_range_first_block(prefix, tails, J):
+    return int(np.argmax((prefix[1:] - prefix[0]) * tails[1 : J + 1])) + 1
+
+
+def _full_range_ggb(pop, dist, K):
+    J, probs, tails = pop.size, pop.probs, _padded_tail(dist, pop.size)
+    m1 = _full_range_first_block(pop.prefix, tails, J)
+    blocks = [frozenset(range(1, m1 + 1))]
+    r = np.full(J, J + 1)
+    r[:m1] = m1
+    for _ in range(2, K + 1):
+        covered_tail = tails[r]
+        best = None
+        for c in range(1, J + 1):
+            g = probs * np.maximum(tails[c] - covered_tail, 0.0)
+            top = np.argsort(-g, kind="stable")[:c]
+            gain = float(np.sum(g[top]))
+            if best is None or gain > best[0]:
+                best = (gain, c, np.sort(top))
+        _, c, top = best
+        blocks.append(frozenset(int(j) + 1 for j in top))
+        r[top] = np.minimum(r[top], c)
+    return GeneralPolicy(tuple(blocks)), {}
+
+
+def _full_range_gdbnc(pop, dist, L):
+    J, prefix, tails = pop.size, pop.prefix, _padded_tail(dist, pop.size)
+    raw = [_full_range_first_block(prefix, tails, J)]
+    for _ in range(2, L + 1):
+        used = sum(raw)
+        raw.append(int(np.argmax((prefix[used:] - prefix[used]) * tails[: J - used + 1])))
+    return StructuredPolicy(canonical_sizes(raw)), {"raw_sizes": raw}
+
+
+def _scan_instance(rng, i):
+    J = int(rng.integers(1, 61))
+    kind = i % 4
+    if kind == 0:  # every item ties
+        w = np.ones(J)
+    elif kind == 1:
+        w = zipf(J, (0.0, 0.56, 0.9, 1.5)[i // 4 % 4]).probs.copy()
+    else:
+        w = np.sort(rng.random(J))[::-1]
+        if kind == 2:  # zero-probability items after a random rank
+            w[int(rng.integers(1, J + 1)) :] = 0.0
+    kmax = int(rng.integers(0, 12))
+    pmf = rng.random(kmax + 1)
+    pmf[rng.random(kmax + 1) < 0.3] = 0.0
+    if pmf.sum() <= 0.0:
+        pmf[kmax] = 1.0
+    pop = PopularityDistribution(w / math.fsum(w.tolist()))
+    return pop, CoverageDistribution(pmf=pmf / math.fsum(pmf.tolist())), int(rng.integers(1, 7))
+
+
+def test_size_searches_bounded_by_kmax_match_full_range_references():
+    # a block larger than kmax is never decoded, so no solver scores one; the
+    # result must equal a search over every size up to J, to the bit
+    rng = np.random.default_rng(16)
+    solvers_and_references = [
+        (solve_dp, _full_range_dp),
+        (greedy_general, _full_range_ggb),
+        (greedy_disjoint, _full_range_gdbnc),
+    ]
+    for i in range(1000):
+        pop, dist, L = _scan_instance(rng, i)
+        for solve, reference in solvers_and_references:
+            result = solve(pop, dist, L)
+            policy, diagnostics = reference(pop, dist, L)
+            assert result.policy.to_json_dict() == policy.to_json_dict(), (i, solve.__name__)
+            assert result.hit_prob.hex() == _padded_hit(policy, pop, dist).hex()
+            assert diagnostics.items() <= result.diagnostics.items()
+        J, kmax = pop.size, dist.kmax
+        # a block larger than kmax + 1 and a whole-catalog block read the tail past the support
+        for policy in (
+            StructuredPolicy((1, kmax + 2)) if J >= kmax + 3 else StructuredPolicy((J,)),
+            GeneralPolicy((frozenset(range(1, J + 1)), frozenset({J}))),
+        ):
+            assert hit_probability_general(policy, pop, dist).hex() == _padded_hit(policy, pop, dist).hex()
+
+
+def test_ggb_scores_only_sizes_up_to_kmax():
+    # candidate_evaluations counts the (c, set) candidates scored: min(J, kmax) per block, at least 1
+    pop = zipf(50, 0.9)
+    for pmf, per_block in [([0.2, 0.3, 0.1, 0.4], 3), ([1.0], 1), ([0.0] * 60 + [1.0], 50)]:
+        result = greedy_general(pop, CoverageDistribution(pmf=np.array(pmf)), 4)
+        assert result.diagnostics["candidate_evaluations"] == 4 * per_block
 
 
 # ---------------------------------------------------------------------------
