@@ -17,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from geocache.cli import ExperimentConfig, parse_grid, run_sweep, write_sweep_csv  # noqa: E402
+from geocache.errors import GeocacheError  # noqa: E402
 
 PANELS = [  # (name, model, Zipf exponent, lowest threshold in dB)
     ("fig1a_boolean_gamma09", "boolean", 0.9, -12),
@@ -34,18 +35,25 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    try:  # a bad setting ends here, before the output directory exists
+        configs = {
+            name: ExperimentConfig(
+                model=model,
+                gamma=gamma,
+                tau_db_grid=parse_grid(f"{lowest}:12:{args.step}"),
+                trials=args.trials,
+                seed=args.seed,
+            )
+            for name, model, gamma, lowest in PANELS
+        }
+    except GeocacheError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     status = 0
-    for name, model, gamma, lowest in PANELS:
-        config = ExperimentConfig(
-            model=model,
-            gamma=gamma,
-            tau_db_grid=parse_grid(f"{lowest}:12:{args.step}"),
-            trials=args.trials,
-            seed=args.seed,
-        )
+    for name, config in configs.items():
         t0 = time.time()
         rows, ok = run_sweep(config)
         path = out_dir / f"{name}.csv"

@@ -31,6 +31,7 @@ from .policy import (  # the benchmark tracer rebinds the two hit_probability_* 
 from .popularity import PopularityDistribution, load_popularity, zipf
 
 ALL_POLICIES = ("onc", "ggb", "gdbnc", "mp", "ind")
+GRID_POINTS_MAX = 100_000  # the figure sweeps use at most 33
 CSV_FIELDS = (
     "tau_db",
     "tau_linear",
@@ -281,6 +282,8 @@ def parse_grid(text: str) -> tuple:
             raise ParameterError(f"grid range parts must be finite, got {text!r}")
         if step <= 0:
             raise ParameterError("grid step must be positive")
+        if (stop - start) / step >= GRID_POINTS_MAX:  # the range has floor(ratio) + 1 points
+            raise ParameterError(f"grid range has more than {GRID_POINTS_MAX} points, got {text!r}")
         values = []
         k = 0
         while True:

@@ -75,6 +75,20 @@ class IndPolicy:
 # ---------------------------------------------------------------------------
 
 
+def _best_sizes(prefix: np.ndarray, tail: np.ndarray, after: np.ndarray, top: int):
+    """Best size x <= top and its value A([n+1, n+x]) * Pbar(x) + after[n+x] at
+    every state n = 0..J, one pass over the states per size; ties go to the
+    smallest size (x = 0 scores after[n])."""
+    best = after.copy()
+    size = np.zeros(after.size, dtype=int)
+    for x in range(1, top + 1):
+        gains = (prefix[x:] - prefix[:-x]) * tail[x] + after[x:]
+        better = gains > best[:-x]
+        size[:-x][better] = x
+        best[:-x][better] = gains[better]
+    return size, best
+
+
 def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) -> SolverResult:
     """Maximize the hit probability over structured policies by backward DP.
 
@@ -82,30 +96,23 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
     A([n+1, n+x]) * Pbar(x) plus the best continuation; the argmax chain is
     unrolled into sizes and reported in canonical nondecreasing order
     (reordering stage optima never changes the value). A size past kmax is
-    never decoded and never beats x = 0, so x <= kmax: O(L * J * min(J, kmax)).
+    never decoded and never beats x = 0, so x <= kmax: O(L * J * min(J, kmax))
+    flops in L * min(J, kmax) vectorised passes, one per stage and size.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
-    prefix = pop.prefix
-    tails = dist.tail
 
-    value = np.zeros((L + 2, J + 1))
-    choice = np.zeros((L + 1, J + 1), dtype=int)
-    for l in range(L, 0, -1):
-        for n in range(J + 1):
-            end = min(J, n + dist.kmax) + 1
-            gains = (prefix[n:end] - prefix[n]) * tails[: end - n] + value[l + 1, n:end]
-            x = int(np.argmax(gains))  # first max: smallest size wins ties
-            value[l, n] = gains[x]
-            choice[l, n] = x
+    choice = np.zeros((L, J + 1), dtype=int)
+    value = np.zeros(J + 1)
+    for l in reversed(range(L)):
+        choice[l], value = _best_sizes(pop.prefix, dist.tail, value, min(J, dist.kmax))
 
     raw = []
     n = 0
-    for l in range(1, L + 1):
-        x = int(choice[l, n])
-        raw.append(x)
-        n += x
+    for row in choice:
+        raw.append(int(row[n]))
+        n += raw[-1]
 
     policy = StructuredPolicy(canonical_sizes(raw))
     hit = hit_probability_structured(policy, pop, dist)
@@ -113,7 +120,7 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
         policy=policy,
         hit_prob=hit,
         diagnostics={
-            "dp_value": float(value[1, 0]),
+            "dp_value": float(value[0]),
             "raw_sizes": raw,
             "stage_maximizations": L * (J + 1),
         },
@@ -123,11 +130,6 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
 # ---------------------------------------------------------------------------
 # Greedy with general blocks (GGB)
 # ---------------------------------------------------------------------------
-
-
-def _best_first_block(prefix: np.ndarray, tails: np.ndarray, c: int) -> int:
-    gains = (prefix[1 : c + 1] - prefix[0]) * tails[1 : c + 1]
-    return int(np.argmax(gains)) + 1
 
 
 def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: int) -> SolverResult:
@@ -147,7 +149,7 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     tails = dist.tail
     sizes = range(1, max(1, min(J, dist.kmax)) + 1)
 
-    m1 = _best_first_block(pop.prefix, tails, sizes[-1])
+    m1 = max(1, int(_best_sizes(pop.prefix, tails, np.zeros(J + 1), min(J, dist.kmax))[0][0]))
     blocks = [frozenset(range(1, m1 + 1))]
     r = np.full(J, dist.kmax + 1, dtype=int)  # "not cached anywhere": tail[kmax + 1] is 0
     r[:m1] = m1
@@ -187,24 +189,21 @@ def greedy_disjoint(
 ) -> SolverResult:
     """Greedy over consecutive disjoint blocks of the popularity ranking.
 
-    Block l >= 2 takes the size maximizing A([used+1, used+m]) * Pbar(m)
-    over the sizes that fit, up to kmax (a larger one gains 0, as m = 0
-    does). The result is reported in canonical order.
+    Each block takes the size maximizing A([used+1, used+m]) * Pbar(m), up
+    to kmax (a larger one gains 0, as m = 0 does; the first block has m >= 1),
+    read from one search over every used = 0..J, a vectorised pass per size.
+    The result is reported in canonical order.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
-    prefix = pop.prefix
+    size, _ = _best_sizes(pop.prefix, dist.tail, np.zeros(J + 1), min(J, dist.kmax))
 
-    m1 = _best_first_block(prefix, dist.tail, max(1, min(J, dist.kmax)))
-    raw = [m1]
-    used = m1
+    raw = [max(1, int(size[0]))]
+    used = raw[0]
     for _ in range(2, L + 1):
-        end = min(J, used + dist.kmax) + 1
-        gains = (prefix[used:end] - prefix[used]) * dist.tail[: end - used]
-        m = int(np.argmax(gains))  # first max: smallest size wins ties
-        raw.append(m)
-        used += m
+        raw.append(int(size[used]))
+        used += raw[-1]
 
     policy = StructuredPolicy(canonical_sizes(raw))
     hit = hit_probability_structured(policy, pop, dist)

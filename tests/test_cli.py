@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from geocache.cli import (
+    GRID_POINTS_MAX,
     ExperimentConfig,
     db_to_linear,
     main,
@@ -33,6 +34,7 @@ def test_db_to_linear():
 def test_parse_grid_range_and_list():
     assert parse_grid("-2:2:1") == (-2.0, -1.0, 0.0, 1.0, 2.0)
     assert parse_grid("0, 3,6") == (0.0, 3.0, 6.0)
+    assert len(parse_grid(f"0:{GRID_POINTS_MAX - 1}:1")) == GRID_POINTS_MAX
     with pytest.raises(GeocacheError):
         parse_grid("0:5")
     with pytest.raises(GeocacheError):
@@ -56,6 +58,8 @@ def test_parse_grid_rejects_non_finite_parts(text, capsys):
         ("0:5", "grid range must be start:stop:step, got '0:5'"),
         ("0:5:0", "grid step must be positive"),
         ("0:5:-1", "grid step must be positive"),
+        ("0:1e12:1", "grid range has more than 100000 points, got '0:1e12:1'"),
+        ("0:100000:1", "grid range has more than 100000 points, got '0:100000:1'"),
     ],
 )
 def test_tau_db_flag_reports_why_a_range_is_bad(text, reason, capsys):
@@ -177,7 +181,7 @@ def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path):
 @pytest.mark.parametrize(
     "line", ["gama = 0.5", "modle = sinr", "seed_ = 1", "integration = 0", "J = forty",
              "tau_db = 0:5", "lambda = 2", "gauss_nodes = 48", "tensor_dim_limit = 4",
-             "rel_tol_1d = 1e-9", "qmc_points = 8", "qmc_replicates = 2"],
+             "rel_tol_1d = 1e-9", "qmc_points = 8", "qmc_replicates = 2", "tau_db_grid = 0:1e12:1"],
 )
 def test_bad_config_line_names_key_and_file(tmp_path, capsys, line):
     path = tmp_path / "exp.cfg"
@@ -683,3 +687,16 @@ def test_boolean_commands_do_not_load_mpmath():
         [sys.executable, "-c", LAZY_MPMATH], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("flag", [["--step", "0"], ["--trials", "-5"]])
+def test_figure_script_refuses_a_bad_setting_in_one_line(tmp_path, flag):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_figure1.py"
+    out_dir = tmp_path / "nofig"
+    done = subprocess.run(
+        [sys.executable, str(script), *flag, "--out-dir", str(out_dir)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert not out_dir.exists()

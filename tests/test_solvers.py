@@ -506,6 +506,14 @@ def _scan_instance(rng, i):
     return pop, CoverageDistribution(pmf=pmf / math.fsum(pmf.tolist())), int(rng.integers(1, 7))
 
 
+def _assert_matches_reference(solve, reference, pop, dist, L, tag):
+    result = solve(pop, dist, L)
+    policy, diagnostics = reference(pop, dist, L)
+    assert result.policy.to_json_dict() == policy.to_json_dict(), (tag, solve.__name__)
+    assert result.hit_prob.hex() == _padded_hit(policy, pop, dist).hex()
+    assert diagnostics.items() <= result.diagnostics.items()
+
+
 def test_size_searches_bounded_by_kmax_match_full_range_references():
     # a block larger than kmax is never decoded, so no solver scores one; the
     # result must equal a search over every size up to J, to the bit
@@ -518,11 +526,7 @@ def test_size_searches_bounded_by_kmax_match_full_range_references():
     for i in range(1000):
         pop, dist, L = _scan_instance(rng, i)
         for solve, reference in solvers_and_references:
-            result = solve(pop, dist, L)
-            policy, diagnostics = reference(pop, dist, L)
-            assert result.policy.to_json_dict() == policy.to_json_dict(), (i, solve.__name__)
-            assert result.hit_prob.hex() == _padded_hit(policy, pop, dist).hex()
-            assert diagnostics.items() <= result.diagnostics.items()
+            _assert_matches_reference(solve, reference, pop, dist, L, i)
         J, kmax = pop.size, dist.kmax
         # a block larger than kmax + 1 and a whole-catalog block read the tail past the support
         for policy in (
@@ -530,6 +534,19 @@ def test_size_searches_bounded_by_kmax_match_full_range_references():
             GeneralPolicy((frozenset(range(1, J + 1)), frozenset({J}))),
         ):
             assert hit_probability_general(policy, pop, dist).hex() == _padded_hit(policy, pop, dist).hex()
+    # J >> kmax: the catalog_mc cells (J = 2000, L = 5, Zipf 0.9, Boolean -12/0/12 dB), then
+    # tied popularities; ggb's full-range reference is too slow at these sizes
+    wide = [
+        (zipf(2000, 0.9), boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (db / 10.0), beta=3.0)), 5)
+        for db in (-12, 0, 12)
+    ]
+    for J in (200, 250, 300, 400):
+        pmf = rng.random(int(rng.integers(2, 41)))
+        wide.append((PopularityDistribution(np.full(J, 1.0 / J)),
+                     CoverageDistribution(pmf=pmf / math.fsum(pmf.tolist())), int(rng.integers(1, 7))))
+    for i, (pop, dist, L) in enumerate(wide):
+        for solve, reference in ((solve_dp, _full_range_dp), (greedy_disjoint, _full_range_gdbnc)):
+            _assert_matches_reference(solve, reference, pop, dist, L, ("wide", i))
 
 
 def test_ggb_scores_only_sizes_up_to_kmax():
