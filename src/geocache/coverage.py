@@ -290,9 +290,12 @@ def special_I(n: int, beta: float, x: float) -> tuple[float, float]:
     I = 2^n * int_0^inf u^(2n-1) exp(-u^2 - u^beta x Gamma(1-2/beta)^(-beta/2)) du
         / [beta^(n-1) Gamma(1-2/beta)^n Gamma(1+2/beta)^n (n-1)!].
 
-    The prefactor is accumulated in the log domain (stable up to n ~ 20) and
-    the integral is evaluated adaptively to ``I_REL_TOL`` on a transformed
-    interval; the error estimate is the quadrature's absolute error.
+    The prefactor is accumulated in the log domain and the integral is
+    evaluated adaptively to ``I_REL_TOL`` on a transformed interval; the error
+    estimate is the quadrature's absolute error only. It leaves out the
+    rounding of exp(log_pref), which grows with n: against a 40-digit
+    I_n(0), the true relative error at n = 100 is 1.0e-13 (beta = 2.5) and
+    3.0e-14 (beta = 3), where the estimate reports 9.8e-15 and 8.3e-15.
     """
     if n < 1:
         raise ParameterError(f"order n must be >= 1, got {n}")

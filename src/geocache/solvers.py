@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .coverage import CoverageDistribution
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
 from .policy import (
     GeneralPolicy,
     StructuredPolicy,
@@ -311,9 +311,13 @@ def independent_caching(
     KKT condition a_j G'(1-b_j) = mu is solved for all interior items at
     once by a tabulated inverse of G' with safeguarded Newton polish.
 
+    Where G' is flat (constant, or flat to double precision), b(mu) jumps
+    across the budget between adjacent doubles lo < hi. The bisection then
+    stops and returns the point of the segment from b(hi) to b(lo) whose sum
+    is L, with multiplier hi: only items at that multiplier change on it.
+
     Returns a ``SolverResult`` holding an ``IndPolicy``; its diagnostics
-    give the number of mu steps and the final |sum(b) - L|. Raises
-    ``ConvergenceError`` if the bisection stalls short of the budget.
+    give the number of mu steps and the final |sum(b) - L|.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
@@ -340,40 +344,31 @@ def independent_caching(
 
     b = np.zeros(J)
     b[:L] = 1.0
-    if not np.any(dist.pmf[2:] > 0.0):
-        # at most single coverage: G' is constant (0 if never covered), the
-        # program is a box LP
-        return result(b, float(probs[L - 1]) * gp1)
-
-    solve = _gprime_inverse(deriv)
-    b = _marginals(0.0, probs, gp0, gp1, solve)
-    total = float(b.sum())
-    if total <= L + 1e-12:
+    if gp1 == 0.0:  # never covered: every b hits 0
         return result(b, 0.0)
 
+    solve = _gprime_inverse(deriv)
+    b_lo = _marginals(0.0, probs, gp0, gp1, solve)
+    if float(b_lo.sum()) <= L + 1e-12:
+        return result(b_lo, 0.0)
+
+    # b(lo) overfills the budget, b(hi) does not; just above a_1 G'(1) nothing is cached
     lo, hi = 0.0, float(probs[0]) * gp1
-    best = (abs(total - L), b, 0.0)
-    for iterations in range(1, 201):
-        mu = 0.5 * (lo + hi)
+    b_hi = np.zeros(J)
+    iterations = 0
+    while lo < (mu := 0.5 * (lo + hi)) < hi:
+        iterations += 1
         b = _marginals(mu, probs, gp0, gp1, solve)
         total = float(b.sum())
-        gap = abs(total - L)
-        if gap < best[0]:
-            best = (gap, b, mu)
-        if gap < 1e-9:
-            break
+        if abs(total - L) < 1e-9:
+            return result(b, mu, iterations)
         if total > L:
-            lo = mu
+            lo, b_lo = mu, b
         else:
-            hi = mu
-        if hi - lo <= 1e-18 * max(1.0, hi):
-            break
-    gap, b, mu = best
-    if gap >= 1e-8:
-        raise ConvergenceError(
-            f"dual bisection stalled with |sum(b) - L| = {gap:.3e} after {iterations} steps"
-        )
-    return result(b, mu, iterations)
+            hi, b_hi = mu, b
+    # lo, hi are adjacent doubles: b jumps on a flat stretch of G'; meet the budget on the jump
+    theta = (L - b_hi.sum()) / (b_lo.sum() - b_hi.sum())
+    return result(b_hi + theta * (b_lo - b_hi), hi, iterations)
 
 
 # ---------------------------------------------------------------------------

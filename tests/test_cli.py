@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from geocache.cli import (
+    BLOCKS_MAX,
     GRID_POINTS_MAX,
     ExperimentConfig,
     db_to_linear,
@@ -103,6 +104,7 @@ def test_config_validation():
         {"tau_db_grid": (0.0, float("nan"))},
         {"tau_db_grid": (float("-inf"), 3.0)},
         {"L": 0},
+        {"L": BLOCKS_MAX + 1},
         {"J": 0},
         {"trials": -1},
         {"policies": ("onc", "onc", "mp")},
@@ -138,6 +140,7 @@ def test_config_rejects_bad_values_up_front(overrides):
 def test_config_accepts_boundary_values():
     config = ExperimentConfig(L=1, J=1, trials=0, tau_db_grid=(-30.0, 30.0))
     assert (config.L, config.J, config.trials) == (1, 1, 0)
+    assert ExperimentConfig(L=BLOCKS_MAX).L == BLOCKS_MAX
     # a^(-beta/2) overflows here, but without noise it is never read
     assert run_sweep(ExperimentConfig(model="sinr", lam=1e-320, J=4, L=1, tau_db_grid=(0.0,)))[1]
 
@@ -291,6 +294,7 @@ def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
     output = tmp_path / "rows.csv"
     for argv, reason in [
         (["-J", "0", "-o", str(output)], "catalog size"),
+        (["-L", "100000000", "-o", str(output)], f"block count L must be in 1..{BLOCKS_MAX}"),
         (["--beta", "1.5"], "path-loss exponent must exceed 2"),
         (["--seed", "-1", "--trials", "100"], "seed must be >= 0"),
         (["--tau-db", "4000"], "threshold 4000.0 dB"),
@@ -601,6 +605,11 @@ def test_cli_reports_errors_cleanly(capsys):
     code = main(["solve", "--policy", "onc", "--tau-db", "0", "-J", "8", "-L", "0"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    code = main(["bound", "-J", "8", "--greedy-blocks", str(BLOCKS_MAX + 1)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --greedy-blocks must be at most {BLOCKS_MAX}, got {BLOCKS_MAX + 1}\n"
+    )
 
 
 SOLVE = ["solve", "--policy", "onc", "--pop-file", "FILE"]

@@ -7,7 +7,6 @@ from numpy.polynomial import polynomial as npoly
 
 from geocache import (
     BooleanModelParams,
-    ConvergenceError,
     CoverageDistribution,
     ParameterError,
     PopularityDistribution,
@@ -25,6 +24,7 @@ from geocache import (
     zipf,
 )
 from geocache import solvers
+from geocache.oracle import reference_hit
 from geocache.policy import UNCACHED, GeneralPolicy, canonical_sizes, item_thresholds
 
 from conftest import random_coverage, random_instance, random_popularity
@@ -198,6 +198,12 @@ def test_ind_uniform_popularity_spreads_budget():
     np.testing.assert_allclose(result.policy.b, [0.5, 0.5, 0.5, 0.5], atol=1e-7)
     # 1 - G(1 - 1/2) with G(z) = 0.5 z + 0.5 z^2
     assert result.hit_prob == pytest.approx(1.0 - (0.5 * 0.5 + 0.5 * 0.25), abs=1e-7)
+    # single coverage: G' is constant, so the tied items share the budget
+    dist = CoverageDistribution(pmf=np.array([0.5, 0.5]))
+    result = independent_caching(pop, dist, 2)
+    assert result.policy.b.tolist() == [0.5] * 4
+    assert result.hit_prob == pytest.approx(0.25, abs=1e-15)
+    _assert_kkt(result, pop, dist)
 
 
 def test_ind_budget_saturates(rng):
@@ -364,21 +370,32 @@ def test_ind_boolean_cell_pinned():
     assert hit_probability_ind(result.policy, pop, dist) == result.hit_prob
 
 
-def test_ind_ill_conditioned_budget_raises_convergence_error():
+def _assert_meets_budget(result, pop, dist, L):
+    b = result.policy.b
+    assert abs(float(b.sum()) - L) <= 1e-12
+    assert np.all(np.diff(b) <= 0.0)  # nonincreasing
+    assert abs(result.hit_prob - reference_hit(result.policy, pop, dist)) <= 1e-12
+
+
+def test_ind_ill_conditioned_budget_meets_it_on_the_jump():
     # G'(z) = 0.2 + 8.8 z^10 is so flat near 0 that b(mu) jumps by ~1e-6
-    # between adjacent doubles mu; the nested bisection stalls here as well
+    # between adjacent doubles mu; the nested bisection stalls here
     dist = CoverageDistribution(pmf=np.array([0.0, 0.2] + [0.0] * 9 + [0.8]))
-    with pytest.raises(ConvergenceError, match="stalled"):
-        independent_caching(zipf(8, 0.6), dist, 3)
+    pop = zipf(8, 0.6)
+    result = independent_caching(pop, dist, 3)
+    _assert_meets_budget(result, pop, dist, 3)
+    _assert_kkt(result, pop, dist)
+    assert result.diagnostics["mu_iterations"] <= 60
 
 
-def test_ind_stalled_bisection_raises_convergence_error(monkeypatch):
+def test_ind_all_or_nothing_step_splits_the_budget(monkeypatch):
     # b(mu) jumps from caching everything to caching nothing, so no mu meets the budget
     monkeypatch.setattr(
         solvers, "_marginals", lambda mu, probs, *_: np.full(probs.size, float(mu < 0.1))
     )
-    with pytest.raises(ConvergenceError, match="stalled"):
-        independent_caching(POP4, DIST_HALF, 2)
+    result = independent_caching(POP4, DIST_HALF, 2)
+    _assert_meets_budget(result, POP4, DIST_HALF, 2)
+    assert result.policy.b.tolist() == [0.5] * 4
 
 
 # ---------------------------------------------------------------------------
