@@ -6,8 +6,8 @@ from .coverage import (
     SinrModelParams,
     boolean_coverage,
     mean_coverage,
+    noise_factor,
     sinr_coverage,
-    special_I,
     special_J,
 )
 from .errors import (
@@ -66,11 +66,11 @@ __all__ = [
     "load_popularity",
     "mean_coverage",
     "most_popular",
+    "noise_factor",
     "simulate_boolean_ppp",
     "simulate_hits",
     "sinr_coverage",
     "solve_dp",
-    "special_I",
     "special_J",
     "zipf",
 ]

@@ -24,17 +24,17 @@ function. It is evaluated by fixed-Talbot inversion in mpmath, with the
 node count and the working precision growing with nmax, and the
 alternating sum runs at that precision. For tau >= 1 (nmax = 1) the one
 term S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) is taken in
-closed form instead. Noise W multiplies S_n by
+closed form instead. Noise W multiplies S_n by ``noise_factor``,
 I_{n,beta}(x) / I_{n,beta}(0), where x = W a^(-beta/2) and
 a = lam * pi * E[(P S)^(2/beta)] / K^2. Each S_n carries an error
 estimate (its change under an inversion with 16 fewer nodes, plus the
-quadrature error of I). The form S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n),
+error of the noise factor). The form S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n),
 tau_n = tau / (1 - (n-1) tau), is the independent check: ``special_J``
 evaluates J by tensor quadrature for n <= 5.
 
-scipy is imported inside the two functions that use it, the quadrature
-of I (noisy SINR builds only) and the Gauss-Jacobi nodes of J (reached
-only from the tests), so the Boolean and SIR (W = 0) builds never load it.
+scipy is imported inside the two functions that use it, ``noise_factor``
+(noisy SINR builds only) and the Gauss-Jacobi nodes of J (reached only
+from the tests), so the Boolean and SIR (W = 0) builds never load it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ __all__ = [
     "BooleanModelParams",
     "SinrModelParams",
     "boolean_coverage",
-    "special_I",
+    "noise_factor",
     "special_J",
     "sinr_coverage",
     "mean_coverage",
@@ -59,7 +59,7 @@ __all__ = [
 
 MASS_CUTOFF = 1e-12  # the Boolean pmf ends where the tail mass Pr{N > k} drops below this
 MAX_POISSON_MEAN = 1e6  # Boolean models with a larger mean are refused: the pmf has ~mean entries
-I_REL_TOL = 1e-14  # relative tolerance of the adaptive quadrature of I
+I_REL_TOL = 1e-14  # relative tolerance of the adaptive quadrature of the noise factor
 GAUSS_NODES = 48  # Gauss-Jacobi nodes per dimension of the tensor rule for J
 J_MAX_ORDER = 5  # special_J's tensor rule covers n <= 5 (4 dimensions)
 PMF_ERR_LIMIT = 1e-6  # sinr_coverage raises above this propagated pmf error
@@ -228,7 +228,7 @@ class SinrModelParams(_ModelParams):
 
     @property
     def noise_argument(self) -> float:
-        """Argument W * a^(-beta/2) fed to the I special function; 0 without
+        """Argument W * a^(-beta/2) of the noise factor; 0 without
         noise, whatever the float range makes of a^(-beta/2)."""
         if self.noise_W == 0.0:
             return 0.0
@@ -284,18 +284,18 @@ def boolean_coverage(params: BooleanModelParams) -> CoverageDistribution:
 # ---------------------------------------------------------------------------
 
 
-def special_I(n: int, beta: float, x: float) -> tuple[float, float]:
-    """Special function I_{n,beta}(x); returns (value, error_estimate).
+def noise_factor(n: int, beta: float, x: float) -> tuple[float, float]:
+    """Noise factor I_{n,beta}(x) / I_{n,beta}(0) of S_n; returns (value, error_estimate).
 
-    I = 2^n * int_0^inf u^(2n-1) exp(-u^2 - u^beta x Gamma(1-2/beta)^(-beta/2)) du
-        / [beta^(n-1) Gamma(1-2/beta)^n Gamma(1+2/beta)^n (n-1)!].
-
-    The prefactor is accumulated in the log domain and the integral is
-    evaluated adaptively to ``I_REL_TOL`` on a transformed interval; the error
-    estimate is the quadrature's absolute error only. It leaves out the
-    rounding of exp(log_pref), which grows with n: against a 40-digit
-    I_n(0), the true relative error at n = 100 is 1.0e-13 (beta = 2.5) and
-    3.0e-14 (beta = 3), where the estimate reports 9.8e-15 and 8.3e-15.
+    With v = u^2 in the integral of I the prefactor cancels, and the factor
+    is the mean E[exp(-x c V^(beta/2))] over V ~ Gamma(n, 1), with
+    c = Gamma(1-2/beta)^(-beta/2). The deviation d = E[-expm1(-x c V^(beta/2))]
+    is integrated first and 1 - d returned where d <= 1/2, so the error
+    scales with d, not with 1. Where d > 1/2 the factor is small, and the
+    mean is integrated directly to keep its relative accuracy. Both weigh
+    by the Gamma density in the log domain and run adaptively to
+    ``I_REL_TOL`` on [0, 4(n-1) + 200]; the error estimate is the
+    quadrature's plus the rounding of lgamma(n) and of 1 - d.
     """
     if n < 1:
         raise ParameterError(f"order n must be >= 1, got {n}")
@@ -303,46 +303,45 @@ def special_I(n: int, beta: float, x: float) -> tuple[float, float]:
         raise ParameterError(f"path-loss exponent must exceed 2, got {beta}")
     if not (x >= 0.0):
         raise ParameterError(f"argument must be >= 0, got {x}")
+    if x == 0.0:
+        return 1.0, 0.0
     from scipy import integrate  # here, not at the top: only noisy SINR builds need it
 
-    lg1 = math.lgamma(1.0 - 2.0 / beta)
-    lg2 = math.lgamma(1.0 + 2.0 / beta)
-    # log prefactor: 2^n / (beta^(n-1) G(1-2/b)^n G(1+2/b)^n (n-1)!)
-    log_pref = n * math.log(2.0) - (n - 1) * math.log(beta) - n * (lg1 + lg2) - math.lgamma(n)
-    c = math.exp(-beta / 2.0 * lg1)  # Gamma(1-2/beta)^(-beta/2)
+    cx = x * math.exp(-beta / 2.0 * math.lgamma(1.0 - 2.0 / beta))
+    log_norm = math.lgamma(n)
+    log_norm_err = 2.0 * math.ulp(max(log_norm, 1.0))  # bounds its error for n <= 5000
+    top = 4.0 * (n - 1) + 200.0
 
-    two_n_m1 = 2 * n - 1
+    def mean(g, points):
+        def integrand(v):
+            return math.exp((n - 1) * math.log(v) - v - log_norm) * g(cx * v ** (beta / 2.0))
 
-    def integrand(t):
-        # u = t/(1-t) maps (0,1) -> (0,inf); evaluate in log domain
-        if t <= 0.0 or t >= 1.0:
-            return 0.0
-        u = t / (1.0 - t)
-        logf = two_n_m1 * math.log(u) - u * u + log_pref
-        if x > 0.0:
-            logf -= x * c * u**beta
-        if logf < -745.0:  # exp underflow
-            return 0.0
-        return math.exp(logf) / (1.0 - t) ** 2
+        value, abserr = integrate.quad(
+            integrand,
+            0.0,
+            top,
+            epsabs=1e-300,
+            epsrel=I_REL_TOL,
+            limit=400,
+            points=points,
+            full_output=True,
+        )[:2]
+        if value != 0.0 and abserr > 100.0 * I_REL_TOL * value:
+            raise IntegrationError(
+                f"noise factor ({n},{beta})({x}): quadrature achieved {abserr:.3e} absolute "
+                f"error (value {value:.6e}), above the fixed relative tolerance {I_REL_TOL:g}"
+            )
+        return value, abserr + log_norm_err * value
 
-    u_peak = math.sqrt(two_n_m1 / 2.0)
-    t_peak = u_peak / (1.0 + u_peak)
-    value, abserr, info = integrate.quad(
-        integrand,
-        0.0,
-        1.0,
-        epsabs=1e-300,
-        epsrel=I_REL_TOL,
-        limit=400,
-        points=[t_peak],
-        full_output=True,
-    )[:3]
-    if value != 0.0 and abserr > 100.0 * I_REL_TOL * abs(value):
-        raise IntegrationError(
-            f"I_({n},{beta})({x}): quadrature achieved {abserr:.3e} absolute error "
-            f"(value {value:.6e}), above the fixed relative tolerance {I_REL_TOL:g}"
-        )
-    return value, abserr
+    d, err = mean(lambda y: -math.expm1(-y), [n - 0.5])
+    if d <= 0.5:
+        return 1.0 - d, err + 0.5 * math.ulp(1.0 - d)
+    # the peak of the mean's integrand moves down from n - 1/2 as x grows; split
+    # within a factor 2 of it and at its doublings, so no piece hides a narrow peak
+    # (at most 60: past 2^60 times the peak the integrand underflows to 0)
+    split = min(n - 0.5, ((n - 0.5) / (0.5 * beta) / cx) ** (2.0 / beta))
+    points = [split * 2.0**k for k in range(min(60, math.ceil(math.log2(top / split))))]
+    return mean(lambda y: math.exp(-y), points)
 
 
 def _jacobi_rules(d, beta, m):
@@ -476,10 +475,10 @@ def _sn_with_errors(params: SinrModelParams):
     network form a PD(2/beta, 0) process, and N counts its atoms above
     s = tau/(1+tau) (Keeler & Blaszczyszyn 2014). Noise enters only
     through I: S_n = S_n^PD I_n(x) / I_n(0) with x = W a^(-beta/2),
-    because J does not depend on W; I_n(0) is taken in closed form. The
-    error of S_n is its change when the inversion uses 16 fewer nodes at
-    the same digits, plus the propagated quadrature error of I(x). The
-    change bounds the error where the inversion converges fast; within
+    because J does not depend on W. The error of S_n is its change when
+    the inversion uses 16 fewer nodes at the same digits, plus the
+    propagated error of the noise factor. The change bounds the error
+    where the inversion converges fast; within
     about 0.01 dB below 0 dB it converges slowly and can fall short.
 
     With nmax = 1 (tau >= 1) the only term is S_1^PD = E[N] =
@@ -505,14 +504,10 @@ def _sn_with_errors(params: SinrModelParams):
         errs = [float(abs(a - b)) for a, b in zip(sn, coarser)]
     x = params.noise_argument
     if x > 0.0:
-        log_g = math.lgamma(1.0 - 2.0 / params.beta) + math.lgamma(1.0 + 2.0 / params.beta)
         for n in range(1, nmax + 1):
-            i_x, err_x = special_I(n, params.beta, x)
-            # I_n(0) = 2^(n-1) / (beta^(n-1) Gamma(1-2/beta)^n Gamma(1+2/beta)^n)
-            i_0 = math.exp((n - 1) * math.log(2.0 / params.beta) - n * log_g)
-            ratio = i_x / i_0
-            errs[n - 1] = errs[n - 1] * ratio + abs(float(sn[n - 1])) * err_x / i_0
-            sn[n - 1] *= ratio
+            factor, err_f = noise_factor(n, params.beta, x)
+            errs[n - 1] = errs[n - 1] * factor + abs(float(sn[n - 1])) * err_f
+            sn[n - 1] *= factor
     return ctx, sn, errs
 
 

@@ -110,12 +110,14 @@ def simulate_boolean_ppp(
         raise ParameterError("seed must be a nonnegative integer")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ParameterError(f"intensity must be positive, got {lam}")
-    if radius < 0.0:
-        raise ParameterError(f"radius must be >= 0, got {radius}")
-    if window_side < 10.0 * radius or window_side <= 0.0:
-        raise ParameterError("window side must be at least 10x the radius")
-
+    if not (radius >= 0.0 and math.isfinite(radius)):  # NaN too
+        raise ParameterError(f"radius must be finite and >= 0, got {radius}")
+    if not (window_side >= 10.0 * radius and 0.0 < window_side < math.inf):
+        raise ParameterError(f"window side must be finite and >= 10x the radius, got {window_side}")
     mu = lam * window_side * window_side
+    if not math.isfinite(mu):
+        raise ParameterError(f"mean station count lam * window_side^2 must be finite, got {mu}")
+
     center = 0.5 * window_side
     r2 = radius * radius
     covered = []  # the coverage count of every trial, block by block

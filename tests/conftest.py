@@ -25,6 +25,13 @@ def random_coverage(rng, kmax: int | None = None) -> CoverageDistribution:
     return CoverageDistribution(pmf=w / math.fsum(w.tolist()), model_label="random")
 
 
+def closed_form_I_at_zero(n, beta):
+    """I_{n,beta}(0) = 2^(n-1) / (beta^(n-1) Gamma(1-2/beta)^n Gamma(1+2/beta)^n)."""
+    g1 = math.gamma(1.0 - 2.0 / beta)
+    g2 = math.gamma(1.0 + 2.0 / beta)
+    return 2.0 ** (n - 1) / (beta ** (n - 1) * g1**n * g2**n)
+
+
 def random_instance(rng, max_J: int = 12, max_L: int = 4):
     J = int(rng.integers(2, max_J + 1))
     L = int(rng.integers(1, max_L + 1))

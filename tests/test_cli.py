@@ -13,6 +13,7 @@ import pytest
 
 from geocache.cli import (
     BLOCKS_MAX,
+    CATALOG_MAX,
     GRID_POINTS_MAX,
     ExperimentConfig,
     db_to_linear,
@@ -130,6 +131,8 @@ def test_config_validation():
         {"model": "sinr", "moment_ps": 1e-320, "noise_w": 1.0},
         # a Poisson mean above MAX_POISSON_MEAN
         {"lam": 1e7},
+        # a catalog above the limit (J = 10^12 ran out of memory)
+        {"J": CATALOG_MAX + 1},
     ],
 )
 def test_config_rejects_bad_values_up_front(overrides):
@@ -141,6 +144,8 @@ def test_config_accepts_boundary_values():
     config = ExperimentConfig(L=1, J=1, trials=0, tau_db_grid=(-30.0, 30.0))
     assert (config.L, config.J, config.trials) == (1, 1, 0)
     assert ExperimentConfig(L=BLOCKS_MAX).L == BLOCKS_MAX
+    assert ExperimentConfig(J=CATALOG_MAX).J == CATALOG_MAX
+    assert ExperimentConfig(J=2000).J == 2000  # the benchmark's catalog
     # a^(-beta/2) overflows here, but without noise it is never read
     assert run_sweep(ExperimentConfig(model="sinr", lam=1e-320, J=4, L=1, tau_db_grid=(0.0,)))[1]
 
@@ -295,6 +300,7 @@ def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
     for argv, reason in [
         (["-J", "0", "-o", str(output)], "catalog size"),
         (["-L", "100000000", "-o", str(output)], f"block count L must be in 1..{BLOCKS_MAX}"),
+        (["-J", "1000000000000", "-o", str(output)], f"catalog size J must be in 1..{CATALOG_MAX}"),
         (["--beta", "1.5"], "path-loss exponent must exceed 2"),
         (["--seed", "-1", "--trials", "100"], "seed must be >= 0"),
         (["--tau-db", "4000"], "threshold 4000.0 dB"),

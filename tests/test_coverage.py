@@ -14,12 +14,14 @@ from geocache import (
     SinrModelParams,
     boolean_coverage,
     mean_coverage,
+    noise_factor,
     sinr_coverage,
-    special_I,
     special_J,
 )
 from geocache import coverage
 from geocache.errors import NumericalCancellationError
+
+from conftest import closed_form_I_at_zero
 
 
 # ---------------------------------------------------------------------------
@@ -172,67 +174,105 @@ def test_boolean_rejects_bad_parameters():
 
 
 # ---------------------------------------------------------------------------
-# special function I
+# noise factor I_n(x) / I_n(0)
 # ---------------------------------------------------------------------------
 
 
-def closed_form_I_at_zero(n, beta):
-    g1 = math.gamma(1.0 - 2.0 / beta)
-    g2 = math.gamma(1.0 + 2.0 / beta)
-    return 2.0 ** (n - 1) / (beta ** (n - 1) * g1**n * g2**n)
+def defining_I(n, beta, x):
+    """I_{n,beta}(x) by quadrature of its defining u-integral.
+
+    I_{n,beta}(x) = 2^n / (beta^(n-1) (n-1)! (G1 G2)^n)
+                    * int_0^inf u^(2n-1) exp(-u^2 - u^beta x G1^(-beta/2)) du,
+    with G1 = Gamma(1-2/beta) and G2 = Gamma(1+2/beta).
+    """
+    g1, g2 = math.gamma(1.0 - 2.0 / beta), math.gamma(1.0 + 2.0 / beta)
+    c = g1 ** (-beta / 2.0)
+    peak = math.sqrt((2 * n - 1) / 2.0)
+    integral = 0.0
+    for a, b in ((0.0, peak), (peak, math.inf)):
+        integral += quad(
+            lambda u: u ** (2 * n - 1) * math.exp(-u * u - u**beta * x * c),
+            a, b, epsabs=0.0, epsrel=1e-12, limit=200,
+        )[0]
+    return 2.0**n / (beta ** (n - 1) * math.factorial(n - 1) * (g1 * g2) ** n) * integral
 
 
 def test_special_I_simple_value():
-    value, err = special_I(1, 4.0, 0.0)
-    assert value == pytest.approx(2.0 / math.pi, rel=1e-9)
-    assert 0 <= err <= 1e-9 * value
+    # I_1(0) at beta = 4 is 2/pi; the closed form the tests use for I_n(0) gives it
+    assert closed_form_I_at_zero(1, 4.0) == pytest.approx(2.0 / math.pi, rel=1e-12)
+    assert defining_I(1, 4.0, 0.0) == pytest.approx(2.0 / math.pi, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 @pytest.mark.parametrize("beta", [3.0, 4.0])
 def test_special_I_matches_closed_form_at_zero(n, beta):
-    assert special_I(n, beta, 0.0)[0] == pytest.approx(
-        closed_form_I_at_zero(n, beta), rel=1e-7
-    )
+    # the closed-form I_n(0) that the dual routes below multiply by the noise factor
+    assert defining_I(n, beta, 0.0) == pytest.approx(closed_form_I_at_zero(n, beta), rel=1e-7)
+    # and I_n(x) / I_n(0) from the defining integral is the library's noise factor
+    for x in (0.01, 1.0):
+        ratio = defining_I(n, beta, x) / closed_form_I_at_zero(n, beta)
+        assert noise_factor(n, beta, x)[0] == pytest.approx(ratio, rel=1e-7)
 
 
-def test_special_I_vanishes_for_large_argument():
-    # decay is algebraic, roughly x^(-2n/beta - 2/beta)
-    values = [special_I(2, 3.0, x)[0] for x in (0.0, 1.0, 10.0, 1e3, 1e6, 1e9)]
+def test_noise_factor_is_exactly_one_at_zero_argument():
+    for beta in (2.5, 3.0, 4.0):
+        for n in range(1, 101):
+            assert noise_factor(n, beta, 0.0) == (1.0, 0.0)
+
+
+def test_noise_factor_decreases_to_zero():
+    # I_n(x) decays algebraically, roughly as x^(-2n/beta), and underflows by x = 1e300
+    xs = (0.0, 1e-6, 1.0, 10.0, 1e3, 1e6, 1e9, 1e12, 1e300)
+    values = [noise_factor(2, 3.0, x)[0] for x in xs]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-12
 
 
-@pytest.mark.parametrize("beta", [2.5, 4.0])
-def test_special_I_matches_mpmath_quadrature_at_positive_argument(beta):
-    # an independent route: the u-integral at 30 digits, split around the peak of u^(2n-1) e^(-u^2)
+def noise_factor_reference(mp, n, beta, x):
+    """E[exp(-x c V^(beta/2))], V ~ Gamma(n, 1), c = Gamma(1-2/beta)^(-beta/2), by mp.quad.
+
+    The integral is split at v_p, the peak of v^(n-1/2) exp(-v - x c v^(beta/2)),
+    next to the peak of the integrand v^(n-1) exp(...), and the integrand is
+    divided by its value at v_p: mp.quad stops at an absolute tolerance, so
+    a factor far below 1 would otherwise come back with a few digits only.
+    """
+    e = mp.mpf(beta) / 2
+    cx = mp.gamma(1 - 1 / e) ** -e * x
+    lo, hi = mp.mpf(0), mp.mpf(n)
+    for _ in range(180):  # bisection for v_p: v + e cx v^e = n - 1/2
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mid + e * cx * mid**e < n - 0.5 else (lo, mid)
+
+    def log_f(v):
+        return (n - 1) * mp.log(v) - v - cx * v**e
+
+    top = log_f(lo)
+    # on this grid, maxdegree 6 agrees to 3e-30 with the default degree and a finer split
+    body = mp.quad(lambda v: mp.exp(log_f(v) - top), [0, lo, mp.inf], maxdegree=6)
+    return body * mp.exp(top - mp.loggamma(n))
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0])
+def test_noise_factor_matches_mpmath_reference(beta):
+    # both branches: d = 1 - factor ~ x at x = 1e-6, the factor far below 1e-30 at n >= 60
     import mpmath
 
     mp = mpmath.MPContext()
-    mp.dps = 30
-    b = mp.mpf(beta)
-    g1, g2 = mp.gamma(1 - 2 / b), mp.gamma(1 + 2 / b)
-    c = g1 ** (-b / 2)
-    for n in (1, 5, 20):
-        pref = 2**n / (b ** (n - 1) * g1**n * g2**n * mp.factorial(n - 1))
-        peak = mp.sqrt(mp.mpf(2 * n - 1) / 2)
-        for x in (0.01, 1.0, 10.0):
-            integral = mp.quad(
-                lambda u: u ** (2 * n - 1) * mp.exp(-u * u - u**b * x * c),
-                [0, peak / 2, peak, 2 * peak, mp.inf],
-            )
-            ref = float(pref * integral)
-            value, err = special_I(n, beta, x)
+    mp.dps = 50
+    for n in (1, 5, 20, 60, 100):
+        for x in (1e-6, 1e-2, 1.0, 18.0):
+            ref = float(noise_factor_reference(mp, n, beta, x))
+            value, err = noise_factor(n, beta, x)
             assert abs(value - ref) <= 3 * err + 4e-16 * ref, (n, x, value, ref, err)
 
 
-def test_special_I_rejects_bad_arguments():
+def test_noise_factor_rejects_bad_arguments():
     with pytest.raises(ParameterError):
-        special_I(0, 3.0, 0.0)
+        noise_factor(0, 3.0, 0.0)
     with pytest.raises(ParameterError):
-        special_I(1, 2.0, 0.0)
+        noise_factor(1, 2.0, 0.0)
     with pytest.raises(ParameterError):
-        special_I(1, 3.0, -1.0)
+        noise_factor(1, 3.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +310,7 @@ def test_special_J_tensor_and_inversion_agree(n):
     beta, tau = 3.0, 10 ** (-6.5 / 10)  # nmax = 5
     meta = sinr_coverage(sir_params(tau, beta)).meta
     tau_n = tau / (1.0 - (n - 1) * tau)
-    scale = tau_n ** (-2.0 * n / beta) * special_I(n, beta, 0.0)[0]
+    scale = tau_n ** (-2.0 * n / beta) * closed_form_I_at_zero(n, beta)
     tensor_value, tensor_err = special_J(n, beta, tau_n)
     budget = 3.0 * (scale * tensor_err + meta["sn_error_estimates"][n - 1]) + 1e-12
     assert abs(meta["sn"][n - 1] - scale * tensor_value) <= budget
@@ -310,7 +350,7 @@ def test_sn_zero_when_tuple_infeasible():
 def test_s1_reduces_to_special_I_at_unit_threshold():
     params = sir_params(1.0)
     s1 = sinr_coverage(params).meta["sn"][0]
-    assert s1 == pytest.approx(special_I(1, 3.0, 0.0)[0], rel=1e-12)
+    assert s1 == pytest.approx(closed_form_I_at_zero(1, 3.0), rel=1e-12)
 
 
 def test_sinr_single_term_above_zero_db():
@@ -453,13 +493,15 @@ def test_sir_values_are_pinned(db):
 
 
 def tensor_pmf(tau, beta, noise_W):
-    """The pmf from S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n), J by tensor quadrature."""
+    """The pmf from S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n), J by tensor quadrature
+    and I_n(x) as the closed-form I_n(0) times the noise factor."""
     params = sir_params(tau, beta, noise_W=noise_W)
     sn = []
     for n in range(1, params.nmax + 1):
         tau_n = tau / (1.0 - (n - 1) * tau)
         j_value, _ = special_J(n, beta, tau_n)
-        sn.append(tau_n ** (-2.0 * n / beta) * special_I(n, beta, params.noise_argument)[0] * j_value)
+        i_n = closed_form_I_at_zero(n, beta) * noise_factor(n, beta, params.noise_argument)[0]
+        sn.append(tau_n ** (-2.0 * n / beta) * i_n * j_value)
     pk = [
         math.fsum((-1) ** (n - k) * math.comb(n, k) * sn[n - 1] for n in range(k, len(sn) + 1))
         for k in range(1, len(sn) + 1)
@@ -477,28 +519,30 @@ def test_sinr_pmf_with_noise_matches_the_tensor_route(noise_W):
 
 @pytest.mark.parametrize("beta", [2.5, 3.0, 4.0])
 def test_noisy_sinr_builds_at_the_lowest_figure_threshold(beta):
-    # the error of I, times C(n, k) over 100 terms, must stay below the pmf error limit
-    dist = sinr_coverage(sir_params(10 ** (-20 / 10), beta, noise_W=1.0))
-    assert dist.meta["pmf_error_estimate"] <= 1e-6
-    assert dist.pmf.size == 101
+    # the error of the noise factor, times C(n, k) over 100 terms, must stay below
+    # the pmf error limit; at W = 0.01 the factor is 1 - d with a small d
+    for noise_W in (1.0, 0.01):
+        dist = sinr_coverage(sir_params(10 ** (-20 / 10), beta, noise_W=noise_W))
+        assert dist.meta["pmf_error_estimate"] <= 1e-6, noise_W
+        assert dist.pmf.size == 101
 
 
 def test_sinr_without_noise_computes_no_I(monkeypatch):
     def no_I(n, beta, x):
-        raise AssertionError("I evaluated at W = 0")
+        raise AssertionError("noise factor evaluated at W = 0")
 
-    monkeypatch.setattr(coverage, "special_I", no_I)
+    monkeypatch.setattr(coverage, "noise_factor", no_I)
     assert sinr_coverage(sir_params(0.5)).kmax == 2
 
 
 def test_sinr_raises_when_the_propagated_pmf_error_is_too_large(monkeypatch):
-    real = coverage.special_I
+    real = coverage.noise_factor
 
     def loose_I(n, beta, x):
         value, _ = real(n, beta, x)
         return value, 1e-5 * value  # as if the quadrature met only 1e-5
 
-    monkeypatch.setattr(coverage, "special_I", loose_I)
+    monkeypatch.setattr(coverage, "noise_factor", loose_I)
     params = sir_params(10 ** (-9 / 10), noise_W=0.5)
     with pytest.raises(NumericalCancellationError, match="propagated error estimate"):
         sinr_coverage(params)

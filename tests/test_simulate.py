@@ -127,6 +127,21 @@ def test_ppp_window_precondition():
         simulate_boolean_ppp(lam=1.0, radius=1.0, window_side=5.0, trials=10, seed=1)
 
 
+@pytest.mark.parametrize(
+    "lam, radius, window_side, reason",
+    [
+        (1.0, math.nan, 5.0, "radius must be finite"),  # counted 0 in every trial
+        (1.0, math.inf, math.inf, "radius must be finite"),
+        (1.0, 1.0, math.inf, "window side must be finite"),  # numpy: lam value too large
+        (1.0, 1.0, math.nan, "window side must be finite"),
+        (1e300, 1.0, 1e10, "lam \\* window_side\\^2 must be finite"),
+    ],
+)
+def test_ppp_rejects_sizes_that_are_not_finite(lam, radius, window_side, reason):
+    with pytest.raises(ParameterError, match=reason):
+        simulate_boolean_ppp(lam=lam, radius=radius, window_side=window_side, trials=10, seed=1)
+
+
 def test_ppp_mean_matches_poisson():
     radius = 1.0 / math.sqrt(math.pi)  # lam * pi * r^2 = 1
     emp = simulate_boolean_ppp(
