@@ -5,6 +5,13 @@ All randomness flows through numpy Generators seeded per trial block from
 are scheduled. One ``simulate_hits`` call draws each block's sample once
 and scores every policy it is given on it; a policy's estimate depends
 only on (pop, dist, trials, seed), never on the other policies of the call.
+
+Its draws of N and I are the ones ``Generator.choice(p.size, p=p)``
+makes from the same stream, found by a guide-table inverse cdf (Chen &
+Asau, AIIE Trans. 1974; Devroye 1986, sec. III.2.4) instead of a binary
+search over the whole support. The spatial check samples only the
+coverage disc's bounding square: by the restriction property of the
+Poisson process, the stations outside it never count.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageDistribution
+from .coverage import MAX_POISSON_MEAN, CoverageDistribution
 from .errors import ParameterError
 from .policy import GeneralPolicy, StructuredPolicy, item_thresholds
 from .popularity import PopularityDistribution
@@ -47,6 +54,45 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(block_index)]))
 
 
+def _inverse_cdf(p: np.ndarray):
+    """Draw function u -> index for the pmf p, equal to ``Generator.choice``.
+
+    The cdf is built as ``choice`` builds it and the index is its
+    ``searchsorted(cdf, u, side="right")``, so the draws match ``choice``
+    draw for draw on the same uniforms. A guide table of m >= 4 * p.size
+    keys brackets each index: u in [k/m, (k+1)/m) lies in [g[k], g[k+1]],
+    with g[k] = searchsorted(cdf, k/m, side="right"). m is a power of two,
+    so u * m and k/m are exact. Each bracket is then halved, all uniforms at
+    once, in at most ceil(log2(p.size)) passes: a long run of zero mass
+    widens one bracket, not the pass count.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    m = 1 << (4 * cdf.size - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
+    lower = guide[:-1]
+    upper = np.minimum(guide[1:], cdf.size - 1)  # u < 1 = cdf[-1]
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        key = (u * m).astype(np.intp)
+        index, top = lower[key], upper[key]
+        open_ = np.flatnonzero(index < top)  # brackets holding more than one index
+        lo, hi, v = index[open_], top[open_], u[open_]
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            lo, hi = _halve(cdf, v, lo, hi)
+        index[open_] = lo
+        return index
+
+    return draw
+
+
+def _halve(cdf, u, lo, hi):
+    """One bisection pass: keep the half of [lo, hi] holding the first cdf > u."""
+    mid = (lo + hi) >> 1
+    right = cdf[mid] <= u
+    return np.where(right, mid + 1, lo), np.where(right, hi, mid)
+
+
 def simulate_hits(
     policies: Sequence[GeneralPolicy | StructuredPolicy],
     pop: PopularityDistribution,
@@ -57,11 +103,13 @@ def simulate_hits(
     """Estimate each policy's hit probability by sampling (N, I) independently.
 
     Returns one report per policy, in order. Every trial block draws its
-    coverage numbers N and requested items I once, and all policies are
-    scored on that one sample, so each report equals the one a call with
-    that policy alone returns. A trial succeeds iff the smallest block
-    containing the requested item has cardinality at most the sampled
-    coverage number. An empty ``policies`` draws nothing and returns [].
+    coverage numbers N and requested items I once, one uniform each and
+    in that order, by the inverse cdf ``Generator.choice`` applies (see
+    ``_inverse_cdf``). All policies are scored on that one sample, so each
+    report equals the one a call with that policy alone returns. A trial
+    succeeds iff the smallest block containing the requested item has
+    cardinality at most the sampled coverage number. An empty
+    ``policies`` draws nothing and returns [].
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -73,12 +121,13 @@ def simulate_hits(
     if not thresholds:
         return []
 
-    support = np.arange(dist.pmf.size)
+    draw_coverage = _inverse_cdf(dist.pmf)
+    draw_item = _inverse_cdf(pop.probs)
     successes = [0] * len(thresholds)
     for block, count in _trial_blocks(trials):
         rng = _block_rng(seed, block)
-        n_cov = rng.choice(support, size=count, p=dist.pmf)
-        items = rng.choice(J, size=count, p=pop.probs)
+        n_cov = draw_coverage(rng.random(count))
+        items = draw_item(rng.random(count))
         for i, threshold in enumerate(thresholds):
             successes[i] += int(np.count_nonzero(threshold[items] <= n_cov))
 
@@ -99,10 +148,15 @@ def simulate_boolean_ppp(
 ) -> CoverageDistribution:
     """Empirical coverage-count distribution of a planar Poisson process.
 
-    Stations land uniformly in a square window; the coverage count is the
-    number of stations within ``radius`` of the window center. The window
-    is at least 10 radii wide, so the disc lies inside it and the count is
-    exactly Poisson(lam * pi * radius^2), with no edge effect.
+    Stations form a Poisson process of intensity ``lam`` on a square window
+    at least 10 radii wide; the coverage count is the number of stations
+    within ``radius`` of the window center. By the restriction property, the
+    stations in the disc's bounding square [c - r, c + r]^2 are a Poisson
+    process of their own and the ones outside it never count, so only that
+    square is sampled: Poisson(lam * (2r)^2) points per trial, uniform in
+    it. The count is exactly Poisson(lam * pi * radius^2), with no edge
+    effect, and does not depend on ``window_side``. A per-trial mean over
+    ``coverage.MAX_POISSON_MEAN`` is refused before any draw.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -117,16 +171,20 @@ def simulate_boolean_ppp(
     mu = lam * window_side * window_side
     if not math.isfinite(mu):
         raise ParameterError(f"mean station count lam * window_side^2 must be finite, got {mu}")
+    side = 2.0 * radius
+    mu_square = lam * side * side
+    if not mu_square <= MAX_POISSON_MEAN:
+        raise ParameterError(
+            f"mean station count lam * (2 radius)^2 per trial is {mu_square:g}, "
+            f"above the limit {MAX_POISSON_MEAN:g}"
+        )
 
-    center = 0.5 * window_side
     r2 = radius * radius
     covered = []  # the coverage count of every trial, block by block
     for block, count in _trial_blocks(trials):
         rng = _block_rng(seed, block)
-        n_points = rng.poisson(mu, size=count)
-        total = int(n_points.sum())
-        xy = rng.random((total, 2)) * window_side
-        d = xy - center
+        n_points = rng.poisson(mu_square, size=count)
+        d = (rng.random((int(n_points.sum()), 2)) - 0.5) * side  # offsets from the center
         inside = (d * d).sum(axis=1) <= r2
         trial_ids = np.repeat(np.arange(count), n_points)
         covered.append(np.bincount(trial_ids[inside], minlength=count))

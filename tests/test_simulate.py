@@ -8,18 +8,22 @@ import numpy as np
 import pytest
 
 from geocache import (
+    BooleanModelParams,
     CoverageDistribution,
     GeneralPolicy,
     ParameterError,
     PopularityDistribution,
     StructuredPolicy,
+    boolean_coverage,
     hit_probability_general,
     simulate,
     simulate_boolean_ppp,
     simulate_hits,
     zipf,
 )
+from geocache.coverage import MAX_POISSON_MEAN
 from geocache.simulate import poisson_gof_pvalue
+from geocache.solvers import BLOCK_SOLVERS
 
 from conftest import random_coverage, random_popularity
 
@@ -113,6 +117,82 @@ def test_no_policies_draw_no_sample(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# guide-table draws
+# ---------------------------------------------------------------------------
+
+
+def boolean_minus_12_db():
+    return boolean_coverage(BooleanModelParams(lam=1.0, tau=10 ** (-12 / 10), beta=3.0))
+
+
+def mostly_zero_pmf(size=200_000):
+    p = np.zeros(size)
+    p[:3] = [0.1, 0.2, 0.1]
+    p[-3:] = [0.2, 0.3, 0.1]
+    return p
+
+
+DRAW_PMFS = {
+    "zipf-2000": lambda: zipf(2000, 0.9).probs,
+    "boolean-12dB": lambda: boolean_minus_12_db().pmf,
+    "one-entry": lambda: np.array([1.0]),
+    "zero-run": lambda: np.array([0.0, 0.2] + [0.0] * 9 + [0.8]),
+    "mostly-zero": mostly_zero_pmf,
+}
+
+
+@pytest.mark.parametrize("make_pmf", DRAW_PMFS.values(), ids=DRAW_PMFS)
+def test_draws_match_generator_choice(make_pmf):
+    p = make_pmf()
+    draw = simulate._inverse_cdf(p)
+    for seed in (0, 1, 7, 2024):
+        want = np.random.default_rng(seed).choice(p.size, size=16384, p=p)
+        assert np.array_equal(draw(np.random.default_rng(seed).random(16384)), want), seed
+
+
+def test_bisection_passes_are_bounded(monkeypatch):
+    # uniforms just above the zero run's cdf level share one guide bracket
+    # about 2e5 indices wide with their index at its far end; a search that
+    # steps one index at a time would take that many passes
+    p = mostly_zero_pmf()
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    u = np.random.default_rng(3).random(16384)
+    u[:64] = cdf[2] + np.arange(64) * 1e-12
+    passes = []
+    halve = simulate._halve
+
+    def counted(*args):
+        passes.append(1)
+        return halve(*args)
+
+    monkeypatch.setattr(simulate, "_halve", counted)
+    index = simulate._inverse_cdf(p)(u)
+    assert np.array_equal(index, np.searchsorted(cdf, u, side="right"))
+    assert np.all(index[:64] == p.size - 3)
+    assert 0 < len(passes) <= math.ceil(math.log2(p.size)) + 1
+
+
+# the four block policies at J = 2000, L = 5, -12 dB, 1e5 trials, seed 5
+PINNED_HITS = {
+    "gdbnc": "0x1.da469d7342edcp-2",
+    "ggb": "0x1.da469d7342edcp-2",
+    "mp": "0x1.a2e09fe86833cp-3",
+    "onc": "0x1.e1da7b0b39192p-2",
+}
+
+
+def test_block_policy_estimates_are_pinned():
+    # a change to the draws (a bracket, the order of the two streams) moves these values
+    pop = zipf(2000, 0.9)
+    dist = boolean_minus_12_db()
+    names = sorted(PINNED_HITS)
+    policies = [BLOCK_SOLVERS[name](pop, dist, 5).policy for name in names]
+    reports = simulate_hits(policies, pop, dist, trials=10**5, seed=5)
+    assert {name: r.estimate.hex() for name, r in zip(names, reports)} == PINNED_HITS
+
+
+# ---------------------------------------------------------------------------
 # spatial Poisson process
 # ---------------------------------------------------------------------------
 
@@ -140,6 +220,31 @@ def test_ppp_window_precondition():
 def test_ppp_rejects_sizes_that_are_not_finite(lam, radius, window_side, reason):
     with pytest.raises(ParameterError, match=reason):
         simulate_boolean_ppp(lam=lam, radius=radius, window_side=window_side, trials=10, seed=1)
+
+
+def test_ppp_refuses_a_square_mean_over_the_limit_before_any_draw(monkeypatch):
+    def no_draw(seed, block_index):
+        raise AssertionError("a trial block was drawn")
+
+    monkeypatch.setattr(simulate, "_block_rng", no_draw)
+    with pytest.raises(ParameterError, match="per trial is 4e\\+20"):
+        simulate_boolean_ppp(lam=1e20, radius=1.0, window_side=10.0, trials=10, seed=1)
+    side = 2.0 * 1.01 * math.sqrt(MAX_POISSON_MEAN)  # lam * (2r)^2 just over the limit
+    with pytest.raises(ParameterError, match="above the limit"):
+        simulate_boolean_ppp(lam=1.0, radius=side / 2, window_side=10.0 * side, trials=10, seed=1)
+
+
+def test_ppp_huge_window_samples_only_the_square():
+    # lam * window_side^2 = 1e12 stations, but each trial draws ~4
+    emp = simulate_boolean_ppp(lam=1.0, radius=1.0, window_side=1e6, trials=10, seed=1)
+    assert sum(emp.meta["counts"]) == 10 and emp.meta["window_side"] == 1e6
+
+
+def test_ppp_counts_do_not_depend_on_the_window():
+    # restriction property: stations outside the disc's bounding square never count
+    small = simulate_boolean_ppp(lam=1.0, radius=0.7, window_side=7.0, trials=40000, seed=4)
+    large = simulate_boolean_ppp(lam=1.0, radius=0.7, window_side=7e3, trials=40000, seed=4)
+    assert small.meta["counts"] == large.meta["counts"]
 
 
 def test_ppp_mean_matches_poisson():
