@@ -233,9 +233,8 @@ def most_popular(pop: PopularityDistribution, dist: CoverageDistribution, L: int
 # ---------------------------------------------------------------------------
 
 
-_TABLE_CELLS = 2**14  # uniform cells of the G' table on [0, 1]
-_POLISH_TOL = 1e-14  # stop polishing once every iterate moves by no more than this
-_POLISH_MAX = 64  # safeguarded steps; bisection alone shrinks a cell below the tol in 33
+_POLISH_TOL = 1e-14  # stop once every Newton iterate moves by no more than this
+_POLISH_MAX = 64  # Newton steps per solve; a start from the bisection's upper end needs a few
 
 
 def hit_probability_ind(
@@ -248,24 +247,26 @@ def hit_probability_ind(
     return math.fsum(hit_terms.tolist())
 
 
-def _gprime_inverse(deriv: np.ndarray):
-    """Return ``solve(t)``, the z in (0, 1) with G'(z) = t for G'(0) < t < G'(1).
+def _marginals(
+    mu: float, probs: np.ndarray, gp0: float, gp1: float, deriv: np.ndarray, z_right: np.ndarray
+) -> np.ndarray:
+    """b(mu) from the KKT conditions: b_j = 1 where mu/a_j <= G'(0), 0 where
+    mu/a_j >= G'(1), else 1 - z with G'(z) = mu/a_j.
 
-    ``deriv`` holds the coefficients of the nondecreasing polynomial G'. It
-    is tabulated once on a uniform grid; each solve inverts the table with
-    ``np.interp`` and polishes with Newton steps, evaluating G' and G'' as
-    one power-matrix product. Every iterate stays inside the bracket the
-    table cell gives (tightened by the sign of each residual); a step with
-    G'' <= 0 or one leaving the bracket bisects it instead.
+    G' (coefficients ``deriv``) has nonnegative coefficients, so it is
+    nondecreasing and convex on [0, 1], and Newton steps from any z with
+    G'(z) >= mu/a_j fall monotonically to the root. ``z_right`` holds such a
+    start for every item: 1 - b_j at any larger multiplier, since z_j grows
+    with mu. Each step evaluates G' and G'' as one power-matrix product.
     """
-    grid = np.linspace(0.0, 1.0, _TABLE_CELLS + 1)
-    table = npoly.polyval(grid, deriv)
-    deriv2 = deriv[1:] * np.arange(1, deriv.size)
-
-    def solve(t: np.ndarray) -> np.ndarray:
-        cell = np.searchsorted(table, t)  # table[cell - 1] < t <= table[cell]
-        lo, hi = grid[cell - 1], grid[cell]
-        z = np.clip(np.interp(t, table, grid), lo, hi)
+    t = np.where(probs > 0.0, mu / np.where(probs > 0.0, probs, 1.0), np.inf)
+    b = np.zeros(probs.size)
+    b[t <= gp0] = 1.0
+    mid = (t > gp0) & (t < gp1)
+    if np.any(mid):
+        t = t[mid]
+        z = z_right[mid]
+        deriv2 = deriv[1:] * np.arange(1, deriv.size)
         powers = np.empty((t.size, deriv.size))
         powers[:, 0] = 1.0
         for _ in range(_POLISH_MAX):
@@ -273,28 +274,12 @@ def _gprime_inverse(deriv: np.ndarray):
             np.cumprod(powers, axis=1, out=powers)
             resid = powers @ deriv - t
             slope = powers[:, :-1] @ deriv2
-            lo = np.where(resid < 0.0, z, lo)
-            hi = np.where(resid > 0.0, z, hi)
-            newton = z - resid / np.where(slope > 0.0, slope, np.inf)
-            inside = (slope > 0.0) & (newton >= lo) & (newton <= hi)
-            step = np.where(inside, newton, 0.5 * (lo + hi)) - z
-            z = z + step
+            # G' and G'' both underflow to 0 where mu bisects down into the subnormals
+            step = np.divide(resid, slope, out=np.zeros(t.size), where=slope > 0.0)
+            z = z - step
             if np.max(np.abs(step)) <= _POLISH_TOL:
                 break
-        return z
-
-    return solve
-
-
-def _marginals(mu: float, probs: np.ndarray, gp0: float, gp1: float, solve) -> np.ndarray:
-    """b(mu) from the KKT conditions: b_j = 1 where mu/a_j <= G'(0), 0 where
-    mu/a_j >= G'(1), else 1 - z with G'(z) = mu/a_j found by ``solve``."""
-    t = np.where(probs > 0.0, mu / np.where(probs > 0.0, probs, 1.0), np.inf)
-    b = np.zeros(probs.size)
-    b[t <= gp0] = 1.0
-    mid = (t > gp0) & (t < gp1)
-    if np.any(mid):
-        b[mid] = 1.0 - solve(t[mid])
+        b[mid] = 1.0 - z
     return b
 
 
@@ -309,7 +294,7 @@ def independent_caching(
     s.t. sum b_j <= L, 0 <= b_j <= 1 is solved by an outer bisection on the
     dual multiplier mu, stopped once |sum(b) - L| < 1e-9. For each mu the
     KKT condition a_j G'(1-b_j) = mu is solved for all interior items at
-    once by a tabulated inverse of G' with safeguarded Newton polish.
+    once by Newton steps started from b at the bisection's upper end.
 
     Where G' is flat (constant, or flat to double precision), b(mu) jumps
     across the budget between adjacent doubles lo < hi. The bisection then
@@ -347,8 +332,7 @@ def independent_caching(
     if gp1 == 0.0:  # never covered: every b hits 0
         return result(b, 0.0)
 
-    solve = _gprime_inverse(deriv)
-    b_lo = _marginals(0.0, probs, gp0, gp1, solve)
+    b_lo = _marginals(0.0, probs, gp0, gp1, deriv, np.ones(J))
     if float(b_lo.sum()) <= L + 1e-12:
         return result(b_lo, 0.0)
 
@@ -358,7 +342,7 @@ def independent_caching(
     iterations = 0
     while lo < (mu := 0.5 * (lo + hi)) < hi:
         iterations += 1
-        b = _marginals(mu, probs, gp0, gp1, solve)
+        b = _marginals(mu, probs, gp0, gp1, deriv, 1.0 - b_hi)
         total = float(b.sum())
         if abs(total - L) < 1e-9:
             return result(b, mu, iterations)

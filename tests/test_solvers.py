@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,15 +332,15 @@ def test_ind_matches_nested_bisection_on_random_instances(rng):
         _assert_matches_nested_bisection(pop, dist, L)
 
 
-@pytest.mark.parametrize(
-    "pmf",
-    [
-        [0.2, 0.5, 0.0, 0.3],  # p_2 = 0: G''(0) = 0
-        [0.1, 0.3, 0.0, 0.4, 0.2],
-        [0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7],  # mass only at k = 9
-        [0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8],
-    ],
-)
+FLAT_NEAR_ZERO_PMFS = [
+    [0.2, 0.5, 0.0, 0.3],  # p_2 = 0: G''(0) = 0
+    [0.1, 0.3, 0.0, 0.4, 0.2],
+    [0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7],  # mass only at k = 9
+    [0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8],
+]
+
+
+@pytest.mark.parametrize("pmf", FLAT_NEAR_ZERO_PMFS)
 def test_ind_flat_derivative_near_zero(pmf):
     dist = CoverageDistribution(pmf=np.array(pmf))
     for J, gamma, L in ((20, 0.9, 5), (40, 1.2, 2)):
@@ -358,6 +359,57 @@ def test_ind_kkt_residual_on_random_instances(rng):
         _assert_kkt(result, pop, dist)
         checked += int(np.sum((result.policy.b > 0.0) & (result.policy.b < 1.0)))
     assert checked > 100
+
+
+def test_ind_newton_start_changes_only_the_speed(rng):
+    # any z_right = 1 - b(mu') with mu' > mu lies right of every root, like z = 1
+    dists = [CoverageDistribution(pmf=np.array(pmf)) for pmf in FLAT_NEAR_ZERO_PMFS]
+    dists += [random_coverage(rng, int(rng.integers(2, 12))) for _ in range(100)]
+    compared = 0
+    for dist in dists:
+        pop = random_popularity(rng, int(rng.integers(2, 40)))
+        deriv = dist.pmf[1:] * np.arange(1, dist.pmf.size)
+        if deriv.size < 2:
+            continue
+        gp0, gp1 = float(npoly.polyval(0.0, deriv)), float(npoly.polyval(1.0, deriv))
+        ones = np.ones(pop.size)
+        for _ in range(5):
+            mu, mu_right = np.sort(rng.random(2)) * float(pop.probs[0]) * gp1
+            args = (pop.probs, gp0, gp1, deriv)
+            z_right = 1.0 - solvers._marginals(mu_right, *args, ones)
+            b = solvers._marginals(mu, *args, ones)
+            np.testing.assert_allclose(
+                solvers._marginals(mu, *args, z_right), b, rtol=0.0, atol=1e-14
+            )
+            compared += int(np.sum((b > 0.0) & (b < 1.0)))
+    assert compared > 500
+
+
+@pytest.mark.parametrize(
+    "J, gamma, taus_db",
+    [
+        (40, 0.9, range(-12, 13)),  # the Boolean panels of Figure 1
+        (40, 0.56, range(-12, 13)),
+        (2000, 0.9, (-12, -6, 0, 6, 12)),  # the J = 2000 catalog
+    ],
+)
+def test_ind_kkt_on_figure_and_catalog_cells(J, gamma, taus_db):
+    pop = zipf(J, gamma)
+    for tau_db in taus_db:
+        dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (tau_db / 10.0), beta=3.0))
+        _assert_kkt(independent_caching(pop, dist, 5), pop, dist)
+
+
+def test_ind_underflow_regime_meets_budget():
+    # Boolean beta = 2.5 at -36 dB: mean coverage ~2.4e3, so G' and G'' underflow to 0
+    # on most of [0, 1] and mu bisects down into the subnormals
+    pop = zipf(10, 0.9)
+    dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (-36.0 / 10.0), beta=2.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = independent_caching(pop, dist, 9)
+    assert abs(float(result.policy.b.sum()) - 9) <= 1e-9
+    assert abs(result.hit_prob - reference_hit(result.policy, pop, dist)) <= 1e-12
 
 
 def test_ind_boolean_cell_pinned():
