@@ -104,7 +104,10 @@ def _build_popularity(config: ExperimentConfig) -> PopularityDistribution:
 
 def _model_params(config: ExperimentConfig, tau_db: float):
     """The coverage-model parameters of ``config`` at threshold ``tau_db``; both
-    models' parameters are built, so each checks its settings whichever one runs."""
+    models' parameters are built, so each checks its settings whichever one runs.
+    Of the SINR checks, only the support limit reads tau beyond the checks both
+    share; it bounds the cost of a SINR build, so a Boolean run builds its SINR
+    parameters at tau = 1."""
     try:
         tau = db_to_linear(tau_db)
     except OverflowError:
@@ -120,7 +123,7 @@ def _model_params(config: ExperimentConfig, tau_db: float):
     )
     sinr = cov.SinrModelParams(
         lam=config.lam,
-        tau=tau,
+        tau=tau if config.model == "sinr" else 1.0,
         beta=config.beta,
         K=config.K,
         noise_W=config.noise_w,

@@ -22,7 +22,12 @@ alpha = 2/beta, and N counts its atoms above s = tau/(1+tau), so
 one inverse Laplace transform of a power of the upper incomplete gamma
 function. It is evaluated by fixed-Talbot inversion in mpmath, with the
 node count and the working precision growing with nmax, and the
-alternating sum runs at that precision. For tau >= 1 (nmax = 1) the one
+alternating sum runs at that precision. Each process builds the nodes of
+a (count, precision) pair once; each inversion takes Gamma(-alpha) once
+and every node's Gamma(-alpha, s p) from its 1F1 form, with guard bits
+for the cancellation between the two. A support bound nmax above
+``SINR_NMAX_MAX`` is refused when the parameters are built, as its build
+would take minutes. For tau >= 1 (nmax = 1) the one
 term S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) is taken in
 closed form instead. Noise W multiplies S_n by ``noise_factor``,
 I_{n,beta}(x) / I_{n,beta}(0), where x = W a^(-beta/2) and
@@ -39,6 +44,7 @@ from the tests), so the Boolean and SIR (W = 0) builds never load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,6 +65,7 @@ __all__ = [
 
 MASS_CUTOFF = 1e-12  # the Boolean pmf ends where the tail mass Pr{N > k} drops below this
 MAX_POISSON_MEAN = 1e6  # Boolean models with a larger mean are refused: the pmf has ~mean entries
+SINR_NMAX_MAX = 320  # SINR models with a larger support bound are refused: -25 dB (nmax 317) takes ~5 s
 I_REL_TOL = 1e-14  # relative tolerance of the adaptive quadrature of the noise factor
 GAUSS_NODES = 48  # Gauss-Jacobi nodes per dimension of the tensor rule for J
 J_MAX_ORDER = 5  # special_J's tensor rule covers n <= 5 (4 dimensions)
@@ -209,6 +216,11 @@ class SinrModelParams(_ModelParams):
             raise ParameterError(f"noise power must be >= 0, got {self.noise_W}")
         if not (self.moment_PS > 0.0 and math.isfinite(self.moment_PS)):
             raise ParameterError(f"moment_PS must be positive, got {self.moment_PS}")
+        if not 1.0 / self.tau <= SINR_NMAX_MAX:  # nmax = ceil(1/tau); 1/tau = inf too
+            raise ParameterError(
+                f"SINR support bound ceil(1/tau) must be at most {SINR_NMAX_MAX} (tau >= "
+                f"{-10 * math.log10(SINR_NMAX_MAX):.2f} dB), got tau = {self.tau:g}"
+            )
         try:
             x = self.noise_argument
         except ArithmeticError as exc:  # a is 0 or beyond the float range
@@ -420,22 +432,46 @@ def special_J(n: int, beta: float, x: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _upper_gamma(ctx, a, z):
-    """Gamma(a, z) = Gamma(a) - z^a e^(-z) / a * 1F1(1; 1 + a; z), a not an integer.
-
-    This is the form ``ctx.gammainc`` falls back to after its asymptotic
-    2F0 series fails to converge, as it does for |z| below about 2.3 times
-    the digits, which holds at most nodes here. Calling it directly gives
-    the same values without that attempt, up to 9 times faster at low
-    thresholds. ``hypercomb`` adds precision where the two terms cancel.
+@functools.lru_cache(maxsize=16)
+def _talbot_nodes(m: int, prec: int):
+    """(r, nodes, weights) of fixed Talbot with m nodes at prec bits: r = 2m/5,
+    theta_k = k pi/m, p_0 = r, p_k = r theta_k (cot theta_k + i), and the
+    weights e^r/2 and e^(p_k)(1 + i sigma_k), sigma_k = theta_k +
+    (theta_k cot theta_k - 1) cot theta_k. They depend on neither tau nor
+    beta; the key holds the precision, so no value is reused at another.
     """
-    def terms(a):
-        return (
-            ([], [], [a], [], [], [], 0),
-            ([-ctx.exp(-z), z, a], [1, a, -1], [], [], [1], [1 + a], z),
-        )
+    import mpmath  # here, not at the top: the Boolean path never loads it
 
-    return ctx.hypercomb(terms, [a])
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
+    r = ctx.mpf(2 * m) / 5
+    nodes, weights = [r], [ctx.exp(r) / 2]
+    for k in range(1, m):
+        theta = ctx.pi * k / m
+        cot = ctx.cot(theta)
+        p = r * theta * ctx.mpc(cot, 1)
+        nodes.append(p)
+        weights.append(ctx.exp(p) * ctx.mpc(1, theta + (theta * cot - 1) * cot))
+    return r, tuple(nodes), tuple(weights)
+
+
+def _node_gammas(ctx, alpha, zs) -> list:
+    """[Gamma(-alpha, z) for z in zs] at the working precision of ctx, as
+        Gamma(-alpha, z) = Gamma(-alpha) + e^(-alpha log z - z) 1F1(1; 1-alpha; z) / alpha.
+    The two terms cancel by up to Re(z) log2(e) bits, so each z runs
+    int(1.45 max(0, Re z)) + 20 bits above the working precision, and
+    Gamma(-alpha), computed once, runs at the largest of these guards.
+    """
+    top = max(float(ctx.re(z)) for z in zs)
+    with ctx.extraprec(int(1.45 * max(0.0, top)) + 20):
+        gamma_alpha = ctx.gamma(-alpha)
+    out = []
+    for z in zs:
+        with ctx.extraprec(int(1.45 * max(0.0, float(ctx.re(z)))) + 20):
+            g = ctx.exp(-alpha * ctx.log(z) - z) * ctx.hyp1f1(1, 1 - alpha, z) / alpha
+            g += gamma_alpha
+        out.append(+g)  # rounded to the working precision
+    return out
 
 
 def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> list:
@@ -443,22 +479,16 @@ def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> list:
 
     S_n^PD = alpha^(n-1) / (n Gamma(1-alpha)^n) * f_n(1), where f_n is the
     inverse Laplace transform of Gamma(-alpha, s p)^n. Fixed Talbot
-    (Abate & Valko 2004) with r = 2m/5, theta_k = k pi/m,
-    p_k = r theta_k (cot theta_k + i) and
-    sigma_k = theta_k + (theta_k cot theta_k - 1) cot theta_k gives
+    (Abate & Valko 2004) with the nodes p_k and the weights of
+    ``_talbot_nodes`` gives
         f(1) = r/m [e^r F(r)/2 + sum_{k=1}^{m-1} Re(e^(p_k) F(p_k) (1 + i sigma_k))].
-    Every n reuses the m values Gamma(-alpha, s p_k).
+    Every n reuses the m values Gamma(-alpha, s p_k) of ``_node_gammas``;
+    the largest cancellation among them is at p_0 = r.
     """
-    r = ctx.mpf(2 * m) / 5
-    terms = [ctx.exp(r) / 2]
-    gammas = [_upper_gamma(ctx, -alpha, s * r)]
-    for k in range(1, m):
-        theta = ctx.pi * k / m
-        cot = ctx.cot(theta)
-        p = r * theta * ctx.mpc(cot, 1)
-        terms.append(ctx.exp(p) * ctx.mpc(1, theta + (theta * cot - 1) * cot))
-        gammas.append(_upper_gamma(ctx, -alpha, s * p))
-    front = r / m / alpha
+    r, nodes, weights = _talbot_nodes(m, ctx.prec)
+    gammas = _node_gammas(ctx, alpha, [s * ctx.convert(p) for p in nodes])
+    terms = [ctx.convert(w) for w in weights]
+    front = ctx.convert(r) / m / alpha
     base = alpha / ctx.gamma(1 - alpha)
     out = []
     for n in range(1, nmax + 1):

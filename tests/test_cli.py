@@ -316,6 +316,27 @@ def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
     assert not output.exists()  # a rejected config creates no file
 
 
+@pytest.mark.parametrize("command", [["sweep", "-J", "4", "-L", "1"], ["coverage"]])
+def test_sinr_threshold_past_the_support_limit_is_refused_before_any_build(
+    monkeypatch, capsys, command
+):
+    def no_build(params):
+        raise AssertionError("a coverage build ran")
+
+    monkeypatch.setattr(cov, "sinr_coverage", no_build)
+    assert main([*command, "--model", "sinr", "--tau-db=-30"]) == 1
+    out, err = capsys.readouterr()
+    limit = f"support bound ceil(1/tau) must be at most {cov.SINR_NMAX_MAX}"
+    assert out == "" and err.startswith("error: ") and limit in err and err.count("\n") == 1
+
+
+def test_sinr_support_limit_leaves_the_boolean_model_and_minus_25_db():
+    assert ExperimentConfig(model="sinr", tau_db_grid=(-25.0,)).tau_db_grid == (-25.0,)
+    assert ExperimentConfig(model="boolean", tau_db_grid=(-36.0,)).model == "boolean"
+    with pytest.raises(ParameterError, match="support bound"):
+        ExperimentConfig(model="sinr", tau_db_grid=(0.0, -30.0))
+
+
 def test_run_sweep_rows_sorted_and_consistent():
     config = ExperimentConfig(
         tau_db_grid=(6.0, 0.0, 3.0), J=10, L=3, policies=("onc", "mp"), seed=1

@@ -340,6 +340,17 @@ def sir_params(tau, beta=3.0, **kw):
     return SinrModelParams(lam=1.0, tau=tau, beta=beta, **kw)
 
 
+def test_sinr_thresholds_past_the_support_limit_are_refused():
+    # the cost of a build grows with nmax = ceil(1/tau): -25 dB (nmax 317) builds
+    # in seconds, -30 dB (nmax 1000) would run for minutes
+    limit = coverage.SINR_NMAX_MAX
+    assert sir_params(10 ** (-25 / 10)).nmax == 317
+    assert sir_params(1.0 / limit).nmax == limit
+    for tau in (0.999 / limit, 1e-3, 5e-324):
+        with pytest.raises(ParameterError, match=f"must be at most {limit}"):
+            sir_params(tau)
+
+
 def test_sn_zero_when_tuple_infeasible():
     # once (n-1) tau >= 1 no n stations can all reach tau: the support ends at nmax
     for tau, nmax in ((1.0, 1), (0.6, 2)):
@@ -457,8 +468,56 @@ def test_sn_error_estimate_bounds_the_inversion_error(beta, db):
         assert abs(ref_ctx.mpf(value) - exact) <= err, (db, n)
 
 
-# S_n and pmf of the -6 and -14 dB SIR builds (beta = 3), as float.hex strings
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.0])
+def test_node_gammas_match_mpmath_gammainc(beta):
+    # the one check of Gamma(-alpha, z) that does not go through _pd_sn: mpmath's own
+    # incomplete gamma at 30 more digits, at every node of both inversions of a build
+    import mpmath
+
+    for db in (-1, -3, -6, -14, -20):
+        params = sir_params(10 ** (db / 10), beta)
+        ctx = coverage._sn_with_errors(params)[0]  # the build's digits; it runs dps nodes
+        ref = mpmath.MPContext()
+        ref.dps = ctx.dps + 30
+        alpha = ctx.mpf(2) / beta
+        s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
+        for m in (ctx.dps, ctx.dps - 16):
+            zs = [s * ctx.convert(p) for p in coverage._talbot_nodes(m, ctx.prec)[1]]
+            for k, (z, value) in enumerate(zip(zs, coverage._node_gammas(ctx, alpha, zs))):
+                exact = ref.gammainc(-ref.convert(alpha), ref.convert(z))
+                bound = abs(exact) * ref.ldexp(1, 8 - ctx.prec)
+                assert abs(ref.convert(value) - exact) <= bound, (db, m, k)
+
+
+def test_talbot_nodes_are_cached_per_precision():
+    # one node count at the digits of a build (48) and of the m + 40 reference of the
+    # error-estimate test (88): a key blind to the precision would hand one the other's nodes
+    import mpmath
+
+    def sn(dps):
+        ctx = mpmath.MPContext()
+        ctx.dps = dps
+        alpha = ctx.mpf(2) / 3
+        s = ctx.mpf(0.25) / (1 + ctx.mpf(0.25))
+        return coverage._pd_sn(ctx, alpha, s, 4, 48)
+
+    cold = {}
+    for dps in (48, 88):
+        coverage._talbot_nodes.cache_clear()
+        cold[dps] = sn(dps)
+    coverage._talbot_nodes.cache_clear()
+    for dps in (48, 88, 48, 88):
+        assert sn(dps) == cold[dps], dps  # mpf equality is exact
+    assert coverage._talbot_nodes.cache_info().hits == 2
+
+
+# S_n and pmf of SIR builds (beta = 3), as float.hex strings: -1 dB has the largest
+# node |z| (~400) and guard of the figure grid, -20 dB runs 124 nodes at 124 digits
 PINNED_SIR = {
+    -1: (
+        "0x1.edac130b77282p-2 0x1.4ca0a4af5ca06p-10",
+        "0x1.09d046cc9c1a4p-1 0x1.eb12d1c2186eep-2 0x1.4ca0a4af5ca06p-10",
+    ),
     -6: (
         "0x1.09e5677323defp+0 0x1.8313bed8b684cp-3 0x1.7df9e0f6221ffp-8 0x1.dae47351b7278p-18",
         "0x1.27fc6a00cd1f9p-3 0x1.5b3114f6caa4ep-1 0x1.5f5a94770b265p-3 0x1.7c1efc82d068dp-8 "
@@ -479,6 +538,59 @@ PINNED_SIR = {
         "0x1.6d9441e397a7ap-43 0x1.988cafde5f89fp-51 0x1.aecd3c2451371p-60 0x1.710c49f82a127p-70 "
         "0x1.9ccb1054489b9p-82 0x1.aef5b8add0ae6p-96 0x1.3649986227e71p-112 0x0.0p+0 "
         "0x1.6fffec708de6dp-120 0x0.0p+0 0x1.1612cc242c326p-128",
+    ),
+    -20: (
+        "0x1.1d128f96de418p+3 0x1.76e06335f29fdp+5 0x1.64d9587b1d126p+7 0x1.08eab28d54cd0p+9 "
+        "0x1.4041ffb1ca5eep+10 0x1.44324f4f784e3p+11 0x1.1846adaeed530p+12 0x1.a3ee6081efbb9p+12 "
+        "0x1.13a73e2d65703p+13 0x1.3fe5dc03c2cdfp+13 0x1.4a7cfda3bf728p+13 0x1.31b402914010ap+13 "
+        "0x1.fccbb27338881p+12 0x1.7e6ecf72f8b1ap+12 0x1.0481ac852c6f3p+12 0x1.428bb5b0c1e1bp+11 "
+        "0x1.6bd115e9e75e3p+10 0x1.769ac8a39c6fep+9 0x1.60b380425d0dfp+8 0x1.30187c42b8116p+7 "
+        "0x1.e0c4a99b509c8p+5 0x1.5cc84cbb2756ap+4 0x1.d0cf6a5737ffep+2 0x1.1ca6d21dcd10dp+1 "
+        "0x1.40945324f1b1ap-1 0x1.4c170d8cb4297p-3 0x1.3c7d9a7984127p-5 0x1.1583319423cf9p-7 "
+        "0x1.bfbed16be221ap-10 0x1.4c4282d72d57dp-12 0x1.c57d142ca6281p-15 0x1.1c7eb90a419b8p-17 "
+        "0x1.47fc7deb7f6e2p-20 0x1.5b3d292bbe2dep-23 0x1.515d01eef8aebp-26 0x1.2c8e5ef58a0e5p-29 "
+        "0x1.eaa2c9f761578p-33 0x1.6e885014167ecp-36 0x1.f4b1fec1de90ep-40 0x1.384b888f0e12bp-43 "
+        "0x1.634a31a38a0acp-47 0x1.701d6ece2f6ccp-51 0x1.5ad1e35310a9bp-55 0x1.28a3a9e2dace3p-59 "
+        "0x1.cbd9f7db25176p-64 0x1.4264295d2ab21p-68 0x1.9809356d15c12p-73 0x1.d1237cbd03009p-78 "
+        "0x1.dc73315f23356p-83 0x1.b56f8860cc7b0p-88 0x1.6702f2ece7fb7p-93 0x1.06a2d46a10eafp-98 "
+        "0x1.5577d271ba997p-104 0x1.8939880350089p-110 0x1.8faba1036f57fp-116 0x1.653119875a0ffp-122 "
+        "0x1.1791f1a7bf18cp-128 0x1.7d9d5fbb5fdcbp-135 0x1.c4213ffd8167cp-142 0x1.cea419749ad9dp-149 "
+        "0x1.96abffbf34f1dp-156 0x1.3152f35b9ee1dp-163 0x1.85288ee336743p-171 0x1.a236462fb55c4p-179 "
+        "0x1.78333339219dbp-187 0x1.190bb4055ca01p-195 0x1.59c5f075f0598p-204 0x1.5b0d6f4902906p-213 "
+        "0x1.194f7a0381976p-222 0x1.6c3bd8504a609p-232 0x1.741c4d5e852fap-242 0x1.27fab099a367dp-252 "
+        "0x1.693ab02d1082dp-263 0x1.4cc2c96a9d88ep-274 0x1.c672fb63385fcp-286 0x1.c2e0cc30e19a2p-298 "
+        "0x1.3dbb514fe1e1dp-310 0x1.31e99ee7341dap-323 -0x1.40eb5c37d11c7p-331 0x1.50122548f79ffp-329 "
+        "-0x1.cbd9f2d5d1bdcp-329 0x1.c88c71ebc920bp-329 -0x1.6612bfaae0dd8p-329 0x1.a4a9fcb9c978ap-330 "
+        "-0x1.d5e8db924a361p-332 -0x1.f40d6650ffe7fp-332 0x1.0f1f6e323069bp-330 -0x1.3d4b430c146dfp-330 "
+        "0x1.1bbac2237cb2cp-330 -0x1.9524fe7007812p-331 0x1.aaa0c711c930fp-332 -0x1.58a7abb97778cp-334 "
+        "-0x1.3147d6e4b3a65p-333 0x1.123bc7c43f030p-332 -0x1.26e5000c8046ap-332 0x1.ef57b5794b13ap-333 "
+        "-0x1.511892c52b340p-333 0x1.5baeb7ca9d859p-334 -0x1.53bb7a77152fep-336 -0x1.50b5078611fcep-336",
+        "0x1.19edbec039f41p-68 0x1.86f35f7ef0dc1p-5 0x1.a8e5ac1b80c71p-5 0x1.cad7f8b810b02p-5 "
+        "0x1.ebb2bbb4fab9cp-5 0x1.05099b6f38116p-4 0x1.1225bbb64508ap-4 0x1.1c35f1f580969p-4 "
+        "0x1.222d564d4f813p-4 0x1.22feb962a5304p-4 0x1.1dbc0c721362ep-4 0x1.11bff6fc6a000p-4 "
+        "0x1.fdbb592dd5c0fp-5 0x1.cb1bcb83a7731p-5 0x1.8e14940e09e19p-5 0x1.4a8bc5020b8efp-5 "
+        "0x1.056bd18378e26p-5 0x1.87b486cf43f7dp-6 0x1.148482134a82ep-6 0x1.6e072cedb22eep-7 "
+        "0x1.c42c024a26a93p-8 0x1.03939d14bbc6ap-8 0x1.13fb7514b01c1p-9 0x1.0edd532f93e99p-10 "
+        "0x1.e97b1d98812e4p-12 0x1.963b056759947p-13 0x1.350f35608ddbbp-14 0x1.ae60017c68decp-16 "
+        "0x1.11d7ba831be08p-17 0x1.3e10b6a930ea3p-19 0x1.50cd3f975018ap-21 0x1.44cfa32f12a87p-23 "
+        "0x1.1d04607e3ae08p-25 0x1.c6b3e54f4a637p-28 0x1.496bd7df4f294p-30 0x1.b1200ab55ed05p-33 "
+        "0x1.0223daf14195dp-35 0x1.16b1692205736p-38 0x1.103f75eca2293p-41 0x1.e0c77a2d13a1dp-45 "
+        "0x1.7f49e643373f0p-48 0x1.138fe39513e4dp-51 0x1.64dd6a6833644p-55 0x1.9fad9d8f962c6p-59 "
+        "0x1.b2dad6524e434p-63 0x1.97ed66ec961e9p-67 0x1.56900b0b70938p-71 0x1.010e7e6f1ae4bp-75 "
+        "0x1.580f3ce229929p-80 0x1.99d782520854bp-85 0x1.b1832c8643e9bp-90 0x1.9633a165c3906p-95 "
+        "0x1.5049c89d1fb6ap-100 0x1.ea9b0a14152c6p-106 0x1.3a5f84f394bafp-111 0x1.60c9c60c14cf3p-117 "
+        "0x1.5977958cf047ap-123 0x1.261bc835f1afap-129 0x1.b19e06612859fp-136 0x1.1397d40c93ec8p-142 "
+        "0x1.2ca0d28c1e646p-149 0x1.1803000f2eb97p-156 0x1.baf8afc3ebadcp-164 0x1.27cf117c69af2p-171 "
+        "0x1.4b69e01d0bc9dp-179 0x1.3552c9965ca3dp-187 0x1.dd69b75ecbb79p-196 0x1.2e1ff5cb0b73ep-204 "
+        "0x1.36c7ba3520649p-213 0x1.0146fa60c53b7p-222 0x1.5324ec1df3959p-232 0x1.5fc410e6eb782p-242 "
+        "0x1.0dc6f7a66e76bp-252 0x1.dddb529ad03f5p-258 0x0.0p+0 0x1.687a83a443e03p-260 "
+        "0x0.0p+0 0x1.81abe37044ae5p-263 0x0.0p+0 0x1.3181757fc6accp-266 "
+        "0x0.0p+0 0x1.6c747593b5ef5p-270 0x0.0p+0 0x1.46b461bc148bap-274 "
+        "0x0.0p+0 0x1.b2531311d6ba6p-279 0x0.0p+0 0x1.a279076dc04c8p-284 "
+        "0x0.0p+0 0x1.1a8c55b7cd0dbp-289 0x0.0p+0 0x1.fd78b9c521271p-296 "
+        "0x0.0p+0 0x1.1d7f42161ec48p-302 0x0.0p+0 0x1.63572da249880p-310 "
+        "0x0.0p+0 0x1.91c0a9d252a47p-319 0x0.0p+0 0x1.0465f6ebcfe33p-329 "
+        "0x0.0p+0",
     ),
 }
 
