@@ -34,6 +34,7 @@ ALL_POLICIES = ("onc", "ggb", "gdbnc", "mp", "ind")
 GRID_POINTS_MAX = 100_000  # the figure sweeps use at most 33
 BLOCKS_MAX = 1000  # -L and --greedy-blocks; `bound` at J = 2000, -12 dB: ~2.2 s on a 2-vCPU Xeon
 CATALOG_MAX = 100_000  # -J; a default sweep at J = 10^5, -12 dB: ~1.2 s and 258 MiB peak, same host
+MC_PASS_ENTRIES = 1 << 20  # per-item cut values one Monte Carlo pass of a sweep holds: 8 MiB
 CSV_FIELDS = (
     "tau_db",
     "tau_linear",
@@ -159,15 +160,17 @@ def run_sweep(config: ExperimentConfig, pop: PopularityDistribution | None = Non
     cells are marked (empty hit_prob) without aborting the sweep; cells
     whose coverage build failed (NaN mean coverage) sort last, by
     threshold then policy. The SINR coverage does not depend on the seed,
-    which drives only the Monte Carlo columns. A cell's policies are all
-    solved and re-checked first; then one ``simulate_hits`` call draws the
-    sample that checks every policy of the cell that caches something.
+    which drives only the Monte Carlo columns. Every row whose policy
+    caches something is checked on one sample, in one ``simulate_hits``
+    pass for the whole sweep; pending rows times J reaching
+    ``MC_PASS_ENTRIES`` start a new pass. No estimate depends on its pass.
     ``pop`` is the config's popularity, built here unless the caller has.
     """
     if pop is None:
         pop = _build_popularity(config)
     rows = []
     ok = True
+    pending = []  # (row, policy, dist) of the rows the next Monte Carlo pass checks
     for tau_db in config.tau_db_grid:
         params = _model_params(config, tau_db)
         try:
@@ -176,7 +179,6 @@ def run_sweep(config: ExperimentConfig, pop: PopularityDistribution | None = Non
             print(f"warning: coverage failed at {tau_db} dB: {exc}", file=sys.stderr)
             dist = None
         mean_cov = float("nan") if dist is None else cov.mean_coverage(dist)
-        simulated = []  # (row, policy) of the cell's rows that one Monte Carlo checks
         for name in sorted(config.policies):
             row = dict.fromkeys(CSV_FIELDS)
             row.update(tau_db=tau_db, tau_linear=params.tau, mean_coverage=mean_cov, policy=name)
@@ -190,24 +192,33 @@ def run_sweep(config: ExperimentConfig, pop: PopularityDistribution | None = Non
                     ok = False
                 row["hit_prob"] = result.hit_prob
                 if config.trials and _simulable(result.policy):
-                    simulated.append((row, result.policy))
+                    pending.append((row, result.policy, dist))
             except GeocacheError as exc:
                 print(
                     f"warning: policy {name} failed at {tau_db} dB: {exc}",
                     file=sys.stderr,
                 )
             row["wall_time_ms"] = (time.perf_counter() - t0) * 1e3
-        if simulated:  # one sample for the whole cell; each row bears an equal share of its time
-            t0 = time.perf_counter()
-            reports = simulate.simulate_hits(
-                [policy for _, policy in simulated], pop, dist, config.trials, config.seed
-            )
-            share_ms = (time.perf_counter() - t0) * 1e3 / len(simulated)
-            for (row, _), report in zip(simulated, reports):
-                row.update(sim_estimate=report.estimate, sim_stderr=report.stderr)
-                row["wall_time_ms"] += share_ms
+            if len(pending) * pop.size >= MC_PASS_ENTRIES:
+                _simulate_pass(pending, pop, config)
+                pending = []
+    if pending:
+        _simulate_pass(pending, pop, config)
     rows.sort(key=_row_order)
     return rows, ok
+
+
+def _simulate_pass(cases, pop, config: ExperimentConfig) -> None:
+    """Fill the Monte Carlo columns of the (row, policy, dist) cases from one
+    sample; each row's wall time gains an equal share of the pass."""
+    t0 = time.perf_counter()
+    rows, policies, dists = zip(*cases)
+    # trials by position: the benchmark's tracer reads it as the fourth argument
+    reports = simulate.simulate_hits(policies, pop, dists, config.trials, config.seed)
+    share_ms = (time.perf_counter() - t0) * 1e3 / len(cases)
+    for row, report in zip(rows, reports):
+        row.update(sim_estimate=report.estimate, sim_stderr=report.stderr)
+        row["wall_time_ms"] += share_ms
 
 
 def _row_order(row) -> tuple:
@@ -486,7 +497,7 @@ def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     pop, dist = _instance_from_config(config)
     policy = _load_policy_arg(args.policy)
-    [report] = simulate.simulate_hits([policy], pop, dist, config.trials, config.seed)
+    [report] = simulate.simulate_hits([policy], pop, [dist], config.trials, config.seed)
     _emit_json(asdict(report), sys.stdout)
     return 0
 

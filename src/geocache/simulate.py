@@ -3,11 +3,16 @@
 All randomness flows through numpy Generators seeded per trial block from
 (seed, block_index), so totals are reproducible regardless of how blocks
 are scheduled. One ``simulate_hits`` call draws each block's sample once
-and scores every policy it is given on it; a policy's estimate depends
-only on (pop, dist, trials, seed), never on the other policies of the call.
+and scores every (policy, coverage) case it is given on it; a case's
+estimate depends only on (policy, pop, dist, trials, seed), never on the
+other cases of the call.
 
-Its draws of N and I are the ones ``Generator.choice(p.size, p=p)``
-makes from the same stream, found by a guide-table inverse cdf (Chen &
+A hit needs the coverage number N to reach the item's threshold r. N is
+never drawn: ``Generator.choice`` would take it as the inverse cdf
+``searchsorted(cdf, u, side="right")``, which is >= r exactly when
+``cdf[r - 1] <= u`` (Devroye 1986, sec. III.2), so each case tests that
+cut against the same uniform u. The items I are the ones ``choice``
+draws from the same stream, found by a guide-table inverse cdf (Chen &
 Asau, AIIE Trans. 1974; Devroye 1986, sec. III.2.4) instead of a binary
 search over the whole support. The spatial check samples only the
 coverage disc's bounding square: by the restriction property of the
@@ -93,43 +98,53 @@ def _halve(cdf, u, lo, hi):
     return np.where(right, mid + 1, lo), np.where(right, hi, mid)
 
 
+def _cuts(threshold: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """Per item, ``cdf[r - 1]`` for its threshold r, or inf for r > kmax: with
+    the cdf built as ``Generator.choice`` builds it, ``cut <= u`` holds
+    exactly when the N that ``choice`` takes from u is >= r."""
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
+    cdf[-1] = np.inf  # r = kmax + 1 and UNCACHED: N never exceeds kmax
+    return cdf[np.minimum(threshold, cdf.size) - 1]
+
+
 def simulate_hits(
     policies: Sequence[GeneralPolicy | StructuredPolicy],
     pop: PopularityDistribution,
-    dist: CoverageDistribution,
+    dists: Sequence[CoverageDistribution],
     trials: int,
     seed: int = 0,
 ) -> list[SimReport]:
-    """Estimate each policy's hit probability by sampling (N, I) independently.
+    """Estimate each case's hit probability by sampling (N, I) independently.
 
-    Returns one report per policy, in order. Every trial block draws its
-    coverage numbers N and requested items I once, one uniform each and
-    in that order, by the inverse cdf ``Generator.choice`` applies (see
-    ``_inverse_cdf``). All policies are scored on that one sample, so each
-    report equals the one a call with that policy alone returns. A trial
-    succeeds iff the smallest block containing the requested item has
-    cardinality at most the sampled coverage number. An empty
-    ``policies`` draws nothing and returns [].
+    Case i is ``policies[i]`` on the coverage ``dists[i]``; one report per
+    case, in order. Every trial block draws one uniform u per trial, then
+    the requested items from a second one by the inverse cdf of
+    ``Generator.choice`` (``_inverse_cdf``). A trial succeeds iff N reaches
+    the item's threshold r, the size of its smallest block. N is not
+    drawn: the test is ``cdf[r - 1] <= u`` (``_cuts``). All cases share one
+    sample, so each report equals the one a call with that case alone
+    returns. An empty ``policies`` draws nothing and returns [].
     """
+    if len(policies) != len(dists):
+        raise ParameterError(f"{len(policies)} policies but {len(dists)} coverage distributions")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     J = pop.size
-    # UNCACHED exceeds every coverage number
-    thresholds = [item_thresholds(policy, J) for policy in policies]
-    if not thresholds:
+    cuts = [_cuts(item_thresholds(policy, J), dist.pmf) for policy, dist in zip(policies, dists)]
+    if not cuts:
         return []
 
-    draw_coverage = _inverse_cdf(dist.pmf)
     draw_item = _inverse_cdf(pop.probs)
-    successes = [0] * len(thresholds)
+    successes = [0] * len(cuts)
     for block, count in _trial_blocks(trials):
         rng = _block_rng(seed, block)
-        n_cov = draw_coverage(rng.random(count))
+        u = rng.random(count)
         items = draw_item(rng.random(count))
-        for i, threshold in enumerate(thresholds):
-            successes[i] += int(np.count_nonzero(threshold[items] <= n_cov))
+        for i, cut in enumerate(cuts):
+            successes[i] += int(np.count_nonzero(cut[items] <= u))
 
     reports = []
     for hits in successes:

@@ -199,7 +199,7 @@ def test_criterion_07_monte_carlo_agreement():
             blocks.append(frozenset(int(j) + 1 for j in rng.choice(J, size=size, replace=False)))
         policy = GeneralPolicy(tuple(blocks))
         analytic = hit_probability_general(policy, pop, dist)
-        report = simulate_hits([policy], pop, dist, trials=10**5, seed=1000 + i)[0]
+        report = simulate_hits([policy], pop, [dist], trials=10**5, seed=1000 + i)[0]
         sigma = max(report.stderr, 1e-12)
         worst_sigma = max(worst_sigma, abs(report.estimate - analytic) / sigma)
         ok &= abs(report.estimate - analytic) <= 4.0 * report.stderr

@@ -523,8 +523,62 @@ def test_sweep_sim_columns_equal_one_simulate_call_per_policy():
             continue
         dist = cli._build_coverage(cli._model_params(config, row["tau_db"]))
         policy = cli._run_policy(row["policy"], pop, dist, config.L).policy
-        [report] = simulate.simulate_hits([policy], pop, dist, config.trials, config.seed)
+        [report] = simulate.simulate_hits([policy], pop, [dist], config.trials, config.seed)
         assert sim == (report.estimate, report.stderr), row
+
+
+# sim_estimate of a J = 2000, L = 5 sweep at -6, 0 and 6 dB, 20000 trials, seed 7,
+# equal to one simulate_hits call per row; ind rows have none
+PINNED_SWEEP = {
+    (-6.0, "gdbnc"): "0x1.50be0ded288cep-2",
+    (-6.0, "ggb"): "0x1.50be0ded288cep-2",
+    (-6.0, "mp"): "0x1.9ed288ce703b0p-3",
+    (-6.0, "onc"): "0x1.59e83e425aee6p-2",
+    (0.0, "gdbnc"): "0x1.b74bc6a7ef9dbp-3",
+    (0.0, "ggb"): "0x1.b74bc6a7ef9dbp-3",
+    (0.0, "mp"): "0x1.8d9e83e425aeep-3",
+    (0.0, "onc"): "0x1.cd844d013a92ap-3",
+    (6.0, "gdbnc"): "0x1.29930be0ded29p-3",
+    (6.0, "ggb"): "0x1.29930be0ded29p-3",
+    (6.0, "mp"): "0x1.29930be0ded29p-3",
+    (6.0, "onc"): "0x1.29930be0ded29p-3",
+}
+PINNED_SWEEP_CONFIG = ExperimentConfig(J=2000, L=5, tau_db_grid=(-6.0, 0.0, 6.0), trials=20000, seed=7)
+
+
+def test_sweep_sim_estimates_are_pinned():
+    rows, ok = run_sweep(PINNED_SWEEP_CONFIG)
+    assert ok
+    got = {
+        (r["tau_db"], r["policy"]): r["sim_estimate"].hex()
+        for r in rows
+        if r["sim_estimate"] is not None
+    }
+    assert got == PINNED_SWEEP
+
+
+@pytest.mark.parametrize("cases_per_pass", [1, 5])
+def test_sweep_starts_a_new_pass_at_the_entry_bound(monkeypatch, cases_per_pass):
+    calls = []
+    simulate_hits = simulate.simulate_hits
+
+    def counted(*args):  # no keywords: the benchmark's tracer reads trials as args[3]
+        calls.append(len(args[0]))
+        return simulate_hits(*args)
+
+    monkeypatch.setattr(simulate, "simulate_hits", counted)
+    whole, _ = run_sweep(PINNED_SWEEP_CONFIG)
+    assert calls == [len(PINNED_SWEEP)]  # the whole sweep in one pass
+    calls.clear()
+    monkeypatch.setattr(cli, "MC_PASS_ENTRIES", cases_per_pass * PINNED_SWEEP_CONFIG.J)
+    split, _ = run_sweep(PINNED_SWEEP_CONFIG)
+    full, rest = divmod(len(PINNED_SWEEP), cases_per_pass)
+    assert calls == [cases_per_pass] * full + [rest] * (rest > 0)
+
+    def untimed(rows):
+        return [dict(row, wall_time_ms=None) for row in rows]
+
+    assert untimed(split) == untimed(whole)
 
 
 def test_solve_cli_emits_json(capsys):

@@ -22,6 +22,7 @@ from geocache import (
     zipf,
 )
 from geocache.coverage import MAX_POISSON_MEAN
+from geocache.policy import UNCACHED
 from geocache.simulate import poisson_gof_pvalue
 from geocache.solvers import BLOCK_SOLVERS
 
@@ -34,14 +35,14 @@ def test_uncached_items_never_hit_under_deep_coverage():
     # every request sees 9 stations, far more than the catalog holds items
     dist = CoverageDistribution(pmf=np.array([0.0] * 9 + [1.0]))
     policy = GeneralPolicy((frozenset({1}),))
-    report = simulate_hits([policy], POP4, dist, trials=20000, seed=5)[0]
+    report = simulate_hits([policy], POP4, [dist], trials=20000, seed=5)[0]
     assert abs(report.estimate - 0.4) <= 4.0 * report.stderr
 
 
 def test_empty_coverage_never_hits():
     dist = CoverageDistribution(pmf=np.array([1.0]))
     policy = GeneralPolicy((frozenset({1}),))
-    report = simulate_hits([policy], POP4, dist, trials=5000, seed=3)[0]
+    report = simulate_hits([policy], POP4, [dist], trials=5000, seed=3)[0]
     assert report.estimate == 0.0
     assert report.stderr == 0.0
 
@@ -49,17 +50,17 @@ def test_empty_coverage_never_hits():
 def test_full_singleton_caching_always_hits():
     dist = CoverageDistribution(pmf=np.array([0.0, 0.6, 0.4]))
     policy = GeneralPolicy(tuple(frozenset({j}) for j in range(1, 5)))
-    report = simulate_hits([policy], POP4, dist, trials=5000, seed=3)[0]
+    report = simulate_hits([policy], POP4, [dist], trials=5000, seed=3)[0]
     assert report.estimate == 1.0
 
 
 def test_fixed_seed_reproducible():
     dist = CoverageDistribution(pmf=np.array([0.2, 0.5, 0.3]))
     policy = GeneralPolicy((frozenset({1, 2}), frozenset({3})))
-    a = simulate_hits([policy], POP4, dist, trials=40000, seed=11)[0]
-    b = simulate_hits([policy], POP4, dist, trials=40000, seed=11)[0]
+    a = simulate_hits([policy], POP4, [dist], trials=40000, seed=11)[0]
+    b = simulate_hits([policy], POP4, [dist], trials=40000, seed=11)[0]
     assert a == b
-    c = simulate_hits([policy], POP4, dist, trials=40000, seed=12)[0]
+    c = simulate_hits([policy], POP4, [dist], trials=40000, seed=12)[0]
     assert c.estimate != a.estimate  # different stream actually sampled
 
 
@@ -69,7 +70,7 @@ def test_estimate_agrees_with_analytic_value(rng):
         dist = random_coverage(rng)
         policy = GeneralPolicy((frozenset({1, 2}), frozenset({3, 4, 5}), frozenset({1})))
         analytic = hit_probability_general(policy, pop, dist)
-        report = simulate_hits([policy], pop, dist, trials=10**5, seed=int(rng.integers(1e6)))[0]
+        report = simulate_hits([policy], pop, [dist], trials=10**5, seed=int(rng.integers(1e6)))[0]
         slack = max(4.0 * report.stderr, 1e-4)
         assert abs(report.estimate - analytic) <= slack
 
@@ -77,7 +78,7 @@ def test_estimate_agrees_with_analytic_value(rng):
 def test_stderr_formula():
     dist = CoverageDistribution(pmf=np.array([0.5, 0.5]))
     policy = GeneralPolicy((frozenset({1}),))
-    report = simulate_hits([policy], POP4, dist, trials=1000, seed=0)[0]
+    report = simulate_hits([policy], POP4, [dist], trials=1000, seed=0)[0]
     expected = math.sqrt(report.estimate * (1 - report.estimate) / 1000)
     assert report.stderr == pytest.approx(expected, rel=1e-12)
 
@@ -86,25 +87,35 @@ def test_simulate_rejects_bad_inputs():
     dist = CoverageDistribution(pmf=np.array([0.5, 0.5]))
     policy = GeneralPolicy((frozenset({1}),))
     with pytest.raises(ParameterError):
-        simulate_hits([policy], POP4, dist, trials=0)
+        simulate_hits([policy], POP4, [dist], trials=0)
     with pytest.raises(ParameterError):
-        simulate_hits([policy], POP4, dist, trials=10, seed=-1)
+        simulate_hits([policy], POP4, [dist], trials=10, seed=-1)
     with pytest.raises(ParameterError):
-        simulate_hits([GeneralPolicy((frozenset({9}),))], POP4, dist, trials=10)
+        simulate_hits([GeneralPolicy((frozenset({9}),))], POP4, [dist], trials=10)
+    for policies, dists in (([policy], []), ([policy], [dist, dist]), ([], [dist])):
+        with pytest.raises(ParameterError, match="coverage distributions"):
+            simulate_hits(policies, POP4, dists, trials=10)
 
 
 def test_policies_share_one_sample_and_keep_their_own_estimates():
     pop = zipf(10, 0.8)
-    dist = CoverageDistribution(pmf=np.array([0.1, 0.4, 0.3, 0.2]))
-    policies = [
-        StructuredPolicy((1, 2, 3)),
-        GeneralPolicy((frozenset({1, 4}), frozenset({2, 3, 5}), frozenset({2}))),
-        StructuredPolicy((0, 2, 2)),
+    deep = CoverageDistribution(pmf=np.array([0.1, 0.4, 0.3, 0.2]))
+    shallow = CoverageDistribution(pmf=np.array([0.3, 0.5, 0.2]))
+    structured = StructuredPolicy((1, 2, 3))
+    cases = [  # (policy, dist): one policy on two coverages, two policies on one
+        (structured, deep),
+        (GeneralPolicy((frozenset({1, 4}), frozenset({2, 3, 5}), frozenset({2}))), shallow),
+        (StructuredPolicy((0, 2, 2)), deep),
+        (structured, shallow),
     ]
-    shared = simulate_hits(policies, pop, dist, 40000, 8)  # three trial blocks
-    assert shared == [simulate_hits([p], pop, dist, 40000, 8)[0] for p in policies]
-    assert len({r.estimate for r in shared}) == 3  # so the reversal below shows
-    assert simulate_hits(policies[::-1], pop, dist, 40000, 8) == shared[::-1]
+    policies, dists = map(list, zip(*cases))
+    shared = simulate_hits(policies, pop, dists, 40000, 8)  # three trial blocks
+    assert shared == [simulate_hits([p], pop, [d], 40000, 8)[0] for p, d in cases]
+    assert len({r.estimate for r in shared}) == 4  # so the reorderings below show
+    assert simulate_hits(policies[::-1], pop, dists[::-1], 40000, 8) == shared[::-1]
+    order = [2, 0, 3, 1]
+    reordered = simulate_hits([policies[i] for i in order], pop, [dists[i] for i in order], 40000, 8)
+    assert reordered == [shared[i] for i in order]
 
 
 def test_no_policies_draw_no_sample(monkeypatch):
@@ -112,8 +123,7 @@ def test_no_policies_draw_no_sample(monkeypatch):
         raise AssertionError("a trial block was drawn")
 
     monkeypatch.setattr(simulate, "_block_rng", no_draw)
-    dist = CoverageDistribution(pmf=np.array([0.5, 0.5]))
-    assert simulate_hits([], POP4, dist, trials=1000, seed=1) == []
+    assert simulate_hits([], POP4, [], trials=1000, seed=1) == []
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +158,35 @@ def test_draws_match_generator_choice(make_pmf):
     for seed in (0, 1, 7, 2024):
         want = np.random.default_rng(seed).choice(p.size, size=16384, p=p)
         assert np.array_equal(draw(np.random.default_rng(seed).random(16384)), want), seed
+
+
+# the cdf reaches 1.0 at index 1 by rounding, though the last entry has mass
+CUT_PMFS = {**DRAW_PMFS, "rounded-tail": lambda: np.array([0.5, 0.5, 1e-20])}
+
+
+@pytest.mark.parametrize("make_pmf", CUT_PMFS.values(), ids=CUT_PMFS)
+def test_cut_test_equals_the_coverage_number_generator_choice_draws(make_pmf):
+    p = make_pmf()
+    r = np.append(np.arange(1, p.size + 1), UNCACHED)  # every r in 1..kmax+1, then UNCACHED
+    cut = simulate._cuts(r, p)
+    draws = min(4096, (1 << 24) // r.size)  # bounds the r-by-draw tables
+    for seed in (0, 1, 7, 2024):
+        n = np.random.default_rng(seed).choice(p.size, size=draws, p=p)
+        u = np.random.default_rng(seed).random(draws)
+        assert np.array_equal(cut[:, None] <= u, n >= r[:, None]), seed
+
+
+def test_a_uniform_equal_to_its_cut_is_a_hit(monkeypatch):
+    class Tied:  # every uniform is 0.5: the cut of r = 1 below, and POP4's item 2
+        def random(self, count):
+            return np.full(count, 0.5)
+
+    monkeypatch.setattr(simulate, "_block_rng", lambda seed, block_index: Tied())
+    pmf = np.array([0.5, 0.5])
+    assert np.searchsorted(np.cumsum(pmf), 0.5, side="right") == 1  # choice's N at u = 0.5
+    dist = CoverageDistribution(pmf=pmf)
+    report = simulate_hits([GeneralPolicy((frozenset({2}),))], POP4, [dist], trials=100)[0]
+    assert report.estimate == 1.0
 
 
 def test_bisection_passes_are_bounded(monkeypatch):
@@ -188,7 +227,7 @@ def test_block_policy_estimates_are_pinned():
     dist = boolean_minus_12_db()
     names = sorted(PINNED_HITS)
     policies = [BLOCK_SOLVERS[name](pop, dist, 5).policy for name in names]
-    reports = simulate_hits(policies, pop, dist, trials=10**5, seed=5)
+    reports = simulate_hits(policies, pop, [dist] * len(policies), trials=10**5, seed=5)
     assert {name: r.estimate.hex() for name, r in zip(names, reports)} == PINNED_HITS
 
 
@@ -333,6 +372,6 @@ def test_simulated_hits_match_both_evaluators_on_disjoint_policy():
     analytic_s = hit_probability_structured(structured, pop, dist)
     analytic_g = hit_probability_general(general, pop, dist)
     assert analytic_s == analytic_g
-    report = simulate_hits([structured], pop, dist, trials=10**5, seed=17)[0]
-    assert report == simulate_hits([general], pop, dist, trials=10**5, seed=17)[0]
+    report = simulate_hits([structured], pop, [dist], trials=10**5, seed=17)[0]
+    assert report == simulate_hits([general], pop, [dist], trials=10**5, seed=17)[0]
     assert abs(report.estimate - analytic_s) <= 4.0 * report.stderr

@@ -243,76 +243,113 @@ def test_ind_invariant_under_equal_popularity_permutation():
     assert b[2] == pytest.approx(b[3], abs=1e-10)
 
 
-def _nested_bisection_ind(pop, dist, L):
-    """Reference (b, mu, hit): the outer mu bisection around an 80-step
-    bisection of a_j G'(1 - b_j) = mu per item, evaluated by Horner."""
-    J = pop.size
-    probs = pop.probs
-    pmf = dist.pmf
-    deriv = pmf[1:] * np.arange(1, pmf.size)
+def _horner(z, coef):
+    """``npoly.polyval`` per row: row i of z at the polynomial of row i of coef.
 
-    def hit(b):
+    Zero top coefficients, which pad a row to the longest polynomial,
+    leave every value as polyval gives it for the unpadded row.
+    """
+    acc = coef[:, -1:] + z * 0
+    for k in range(coef.shape[1] - 2, -1, -1):
+        acc = coef[:, k : k + 1] + acc * z
+    return acc
+
+
+def _nested_bisection_ind(instances):
+    """Reference [(b, mu, hit)] for [(pop, dist, L)]: the outer mu bisection
+    around an 80-step bisection of a_j G'(1 - b_j) = mu per item, evaluated
+    by Horner.
+
+    All instances bisect at once, each with its own midpoints and stop
+    rule. Items pad to the longest catalog with zero popularity (b = 0)
+    and G' to the highest degree with zero coefficients.
+    """
+    results = [None] * len(instances)
+
+    def hit(probs, pmf, b):
         return math.fsum((probs * (1.0 - npoly.polyval(1.0 - b, pmf))).tolist())
 
-    if L >= J:
-        return np.ones(J), 0.0, hit(np.ones(J))
-    gp0 = float(npoly.polyval(0.0, deriv)) if deriv.size else 0.0
-    gp1 = float(npoly.polyval(1.0, deriv)) if deriv.size else 0.0
-    top = np.zeros(J)
-    top[:L] = 1.0
-    if gp1 == 0.0:
-        return top, 0.0, 0.0
-    if not np.any(pmf[2:] > 0.0):
-        return top, float(probs[L - 1]) * gp1, hit(top)
+    searched = []  # (index, probs, deriv, gp0, gp1, L) of the instances that bisect
+    for i, (pop, dist, L) in enumerate(instances):
+        J, probs, pmf = pop.size, pop.probs, dist.pmf
+        deriv = pmf[1:] * np.arange(1, pmf.size)
+        gp0 = float(npoly.polyval(0.0, deriv)) if deriv.size else 0.0
+        gp1 = float(npoly.polyval(1.0, deriv)) if deriv.size else 0.0
+        top = np.zeros(J)
+        top[:L] = 1.0
+        if L >= J:
+            results[i] = (np.ones(J), 0.0, hit(probs, pmf, np.ones(J)))
+        elif gp1 == 0.0:
+            results[i] = (top, 0.0, 0.0)
+        elif not np.any(pmf[2:] > 0.0):
+            results[i] = (top, float(probs[L - 1]) * gp1, hit(probs, pmf, top))
+        else:
+            searched.append((i, probs, deriv, gp0, gp1, L))
+    if not searched:
+        return results
+
+    _, prob_rows, deriv_rows, gp0, gp1, L = zip(*searched)
+    gp0, gp1, L = (np.array(v, dtype=float)[:, None] for v in (gp0, gp1, L))
+    sizes = [a.size for a in prob_rows]
+    probs = np.zeros((len(searched), max(sizes)))
+    deriv = np.zeros((len(searched), max(d.size for d in deriv_rows)))
+    for row, (a, d) in enumerate(zip(prob_rows, deriv_rows)):
+        probs[row, : a.size] = a
+        deriv[row, : d.size] = d
 
     def b_of_mu(mu):
         t = np.where(probs > 0.0, mu / np.where(probs > 0.0, probs, 1.0), np.inf)
-        b = np.zeros(J)
-        b[t <= gp0] = 1.0
-        mid = (t > gp0) & (t < gp1)
-        if np.any(mid):
-            target = t[mid]
-            zlo = np.zeros(target.size)
-            zhi = np.ones(target.size)
-            for _ in range(80):
-                zm = 0.5 * (zlo + zhi)
-                below = npoly.polyval(zm, deriv) < target
-                zlo = np.where(below, zm, zlo)
-                zhi = np.where(below, zhi, zm)
-            b[mid] = 1.0 - 0.5 * (zlo + zhi)
-        return b
+        b = np.where(t <= gp0, 1.0, 0.0)
+        zlo = np.zeros(t.shape)
+        zhi = np.ones(t.shape)
+        for _ in range(80):
+            zm = 0.5 * (zlo + zhi)
+            below = _horner(zm, deriv) < t
+            zlo = np.where(below, zm, zlo)
+            zhi = np.where(below, zhi, zm)
+        return np.where((t > gp0) & (t < gp1), 1.0 - 0.5 * (zlo + zhi), b)
 
-    b = b_of_mu(0.0)
-    total = float(b.sum())
-    if total <= L + 1e-12:
-        return b, 0.0, hit(b)
-    lo, hi = 0.0, float(probs[0]) * gp1
-    best = (abs(total - L), b, 0.0)
+    def totals(b):  # each row summed as np.sum sums the unpadded row
+        return np.array([[row[:size].sum()] for row, size in zip(b, sizes)])
+
+    mu = np.zeros((len(searched), 1))
+    b = b_of_mu(mu)
+    total = totals(b)
+    done = total <= L + 1e-12
+    lo, hi = np.zeros_like(mu), probs[:, :1] * gp1
+    best_gap, best_b, best_mu = np.abs(total - L), b, mu
     for _ in range(200):
-        mu = 0.5 * (lo + hi)
+        if done.all():
+            break
+        active = ~done
+        mu = np.where(active, 0.5 * (lo + hi), mu)
         b = b_of_mu(mu)
-        total = float(b.sum())
-        gap = abs(total - L)
-        if gap < best[0]:
-            best = (gap, b, mu)
-        if gap < 1e-9:
-            break
-        if total > L:
-            lo = mu
-        else:
-            hi = mu
-        if hi - lo <= 1e-18 * max(1.0, hi):
-            break
-    _, b, mu = best
-    return b, mu, hit(b)
+        total = totals(b)
+        gap = np.abs(total - L)
+        better = active & (gap < best_gap)
+        best_gap = np.where(better, gap, best_gap)
+        best_b = np.where(better, b, best_b)
+        best_mu = np.where(better, mu, best_mu)
+        going = active & ~(gap < 1e-9)
+        lo = np.where(going & (total > L), mu, lo)
+        hi = np.where(going & ~(total > L), mu, hi)
+        done = ~going | (hi - lo <= 1e-18 * np.maximum(1.0, hi))
+    for row, (i, a, *_) in enumerate(searched):
+        pmf = instances[i][1].pmf
+        b = best_b[row, : a.size]
+        results[i] = (b, float(best_mu[row, 0]), hit(a, pmf, b))
+    return results
 
 
-def _assert_matches_nested_bisection(pop, dist, L):
-    result = independent_caching(pop, dist, L)
-    b, mu, hit = _nested_bisection_ind(pop, dist, L)
-    assert abs(result.hit_prob - hit) <= 1e-12
-    np.testing.assert_allclose(result.policy.b, b, rtol=0.0, atol=1e-12)
-    return result
+def _assert_matches_nested_bisection(instances):
+    """The ind results of [(pop, dist, L)], each checked against the reference."""
+    results = []
+    for (pop, dist, L), (b, mu, hit) in zip(instances, _nested_bisection_ind(instances)):
+        result = independent_caching(pop, dist, L)
+        assert abs(result.hit_prob - hit) <= 1e-12
+        np.testing.assert_allclose(result.policy.b, b, rtol=0.0, atol=1e-12)
+        results.append(result)
+    return results
 
 
 def _assert_kkt(result, pop, dist):
@@ -327,9 +364,7 @@ def _assert_kkt(result, pop, dist):
 
 
 def test_ind_matches_nested_bisection_on_random_instances(rng):
-    for _ in range(200):
-        pop, dist, L = random_instance(rng)
-        _assert_matches_nested_bisection(pop, dist, L)
+    _assert_matches_nested_bisection([random_instance(rng) for _ in range(200)])
 
 
 FLAT_NEAR_ZERO_PMFS = [
@@ -343,9 +378,8 @@ FLAT_NEAR_ZERO_PMFS = [
 @pytest.mark.parametrize("pmf", FLAT_NEAR_ZERO_PMFS)
 def test_ind_flat_derivative_near_zero(pmf):
     dist = CoverageDistribution(pmf=np.array(pmf))
-    for J, gamma, L in ((20, 0.9, 5), (40, 1.2, 2)):
-        pop = zipf(J, gamma)
-        result = _assert_matches_nested_bisection(pop, dist, L)
+    instances = [(zipf(J, gamma), dist, L) for J, gamma, L in ((20, 0.9, 5), (40, 1.2, 2))]
+    for (pop, _, _), result in zip(instances, _assert_matches_nested_bisection(instances)):
         _assert_kkt(result, pop, dist)
 
 
