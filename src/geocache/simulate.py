@@ -136,18 +136,20 @@ def simulate_hits(
     cuts = [_cuts(item_thresholds(policy, J), dist.pmf) for policy, dist in zip(policies, dists)]
     if not cuts:
         return []
+    distinct = {}  # cut bytes -> (slot, cut): equal cut vectors are scored once
+    slots = [distinct.setdefault(cut.tobytes(), (len(distinct), cut))[0] for cut in cuts]
 
     draw_item = _inverse_cdf(pop.probs)
-    successes = [0] * len(cuts)
+    successes = [0] * len(distinct)
     for block, count in _trial_blocks(trials):
         rng = _block_rng(seed, block)
         u = rng.random(count)
         items = draw_item(rng.random(count))
-        for i, cut in enumerate(cuts):
+        for i, cut in distinct.values():
             successes[i] += int(np.count_nonzero(cut[items] <= u))
 
     reports = []
-    for hits in successes:
+    for hits in (successes[i] for i in slots):
         estimate = hits / trials
         stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
         reports.append(SimReport(estimate=estimate, stderr=stderr, trials=trials, seed=seed))

@@ -75,18 +75,29 @@ class IndPolicy:
 # ---------------------------------------------------------------------------
 
 
-def _best_sizes(prefix: np.ndarray, tail: np.ndarray, after: np.ndarray, top: int):
-    """Best size x <= top and its value A([n+1, n+x]) * Pbar(x) + after[n+x] at
-    every state n = 0..J, one pass over the states per size; ties go to the
-    smallest size (x = 0 scores after[n])."""
-    best = after.copy()
-    size = np.zeros(after.size, dtype=int)
-    for x in range(1, top + 1):
-        gains = (prefix[x:] - prefix[:-x]) * tail[x] + after[x:]
-        better = gains > best[:-x]
-        size[:-x][better] = x
-        best[:-x][better] = gains[better]
-    return size, best
+_SCORE_ENTRIES = 1 << 14  # scores a size search holds at once: 128 KiB, cache-sized
+
+
+def _best_sizes(prefix: np.ndarray, tail: np.ndarray, top: int, stages: int):
+    """Best size x <= top at every stage l and state n = 0..J, and value[0]: value[l, n] =
+    max_x A([n+1, n+x]) * Pbar(x) + value[l+1, n+x], value[stages] = 0, -inf past J.
+    Each row of scores is one state; its first argmax is the smallest best size."""
+    J = prefix.size - 1
+    window = np.lib.stride_tricks.sliding_window_view
+    reach = window(np.append(prefix, np.full(top, prefix[-1])), top + 1)
+    choice = np.empty((stages, J + 1), dtype=int)
+    value = np.full((stages + 1, J + 1 + top), -np.inf)
+    value[stages, : J + 1] = 0.0
+    ahead = window(value, top + 1, axis=1)  # a view: it sees each stage as it is written
+    step = max(1, _SCORE_ENTRIES // (top + 1))
+    for start in reversed(range(0, J + 1, step)):  # last block first: its gains serve every stage
+        rows = slice(start, min(start + step, J + 1))
+        gains = (reach[rows] - prefix[rows, None]) * tail[: top + 1]
+        for l in reversed(range(stages)):
+            scores = gains + ahead[l + 1, rows]
+            choice[l, rows] = scores.argmax(axis=1)
+            value[l, rows] = np.take_along_axis(scores, choice[l, rows, None], axis=1)[:, 0]
+    return choice, value[0, : J + 1]
 
 
 def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) -> SolverResult:
@@ -97,16 +108,13 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
     unrolled into sizes and reported in canonical nondecreasing order
     (reordering stage optima never changes the value). A size past kmax is
     never decoded and never beats x = 0, so x <= kmax: O(L * J * min(J, kmax))
-    flops in L * min(J, kmax) vectorised passes, one per stage and size.
+    flops; the gains of a block of states serve every stage.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
 
-    choice = np.zeros((L, J + 1), dtype=int)
-    value = np.zeros(J + 1)
-    for l in reversed(range(L)):
-        choice[l], value = _best_sizes(pop.prefix, dist.tail, value, min(J, dist.kmax))
+    choice, value = _best_sizes(pop.prefix, dist.tail, min(J, dist.kmax), L)
 
     raw = []
     n = 0
@@ -140,7 +148,8 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     items ranked by the marginal gain a_j * (Pbar(c) - Pbar(r_j))^+ where
     r_j is the smallest block already covering j; the best (c, set) pair
     wins (a larger c gains 0). Ties prefer smaller cardinality, then the
-    lexicographically smallest item set.
+    lexicographically smallest item set. A block of sizes shares one gain
+    matrix and one stable row argsort.
     """
     if K < 1:
         raise ParameterError(f"block count must be >= 1, got {K}")
@@ -149,23 +158,23 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     tails = dist.tail
     sizes = range(1, max(1, min(J, dist.kmax)) + 1)
 
-    m1 = max(1, int(_best_sizes(pop.prefix, tails, np.zeros(J + 1), min(J, dist.kmax))[0][0]))
+    # the first block is state 0's best size, which reads no prefix sum past the largest size
+    m1 = max(1, int(_best_sizes(pop.prefix[: len(sizes) + 1], tails, len(sizes), 1)[0][0, 0]))
     blocks = [frozenset(range(1, m1 + 1))]
     r = np.full(J, dist.kmax + 1, dtype=int)  # "not cached anywhere": tail[kmax + 1] is 0
     r[:m1] = m1
 
-    evaluations = len(sizes)
     for _ in range(2, K + 1):
         covered_tail = tails[r]
         best = None  # (gain, c, top_indices)
-        for c in sizes:
-            g = probs * np.maximum(tails[c] - covered_tail, 0.0)
-            order = np.argsort(-g, kind="stable")
-            top = order[:c]
-            gain = float(np.sum(g[top]))
-            evaluations += 1
-            if best is None or gain > best[0]:
-                best = (gain, c, np.sort(top))
+        for c_rows in np.array_split(np.array(sizes), math.ceil(len(sizes) * J / _SCORE_ENTRIES)):
+            g = probs * np.maximum(tails[c_rows, None] - covered_tail, 0.0)
+            order = np.argsort(-g, axis=1, kind="stable")[:, : c_rows[-1]]
+            ranked = np.take_along_axis(g, order, axis=1)
+            for i, c in enumerate(c_rows.tolist()):
+                gain = float(ranked[i, :c].sum())
+                if best is None or gain > best[0]:
+                    best = (gain, c, np.sort(order[i, :c]))
         _, c, top = best
         blocks.append(frozenset(int(j) + 1 for j in top))
         r[top] = np.minimum(r[top], c)
@@ -175,7 +184,7 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     return SolverResult(
         policy=policy,
         hit_prob=hit,
-        diagnostics={"candidate_evaluations": evaluations},
+        diagnostics={"candidate_evaluations": K * len(sizes)},
     )
 
 
@@ -191,13 +200,13 @@ def greedy_disjoint(
 
     Each block takes the size maximizing A([used+1, used+m]) * Pbar(m), up
     to kmax (a larger one gains 0, as m = 0 does; the first block has m >= 1),
-    read from one search over every used = 0..J, a vectorised pass per size.
+    read from one search over every used = 0..J (``_best_sizes``, one stage).
     The result is reported in canonical order.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
-    size, _ = _best_sizes(pop.prefix, dist.tail, np.zeros(J + 1), min(J, dist.kmax))
+    size = _best_sizes(pop.prefix, dist.tail, min(J, dist.kmax), 1)[0][0]
 
     raw = [max(1, int(size[0]))]
     used = raw[0]
@@ -248,8 +257,9 @@ def hit_probability_ind(
 
 
 def _marginals(
-    mu: float, probs: np.ndarray, gp0: float, gp1: float, deriv: np.ndarray, z_right: np.ndarray
-) -> np.ndarray:
+    mu: float, probs: np.ndarray, gp0: float, gp1: float, deriv: np.ndarray, z_right: np.ndarray,
+    floor: float = math.inf, slope_out: np.ndarray | None = None,
+) -> np.ndarray | None:
     """b(mu) from the KKT conditions: b_j = 1 where mu/a_j <= G'(0), 0 where
     mu/a_j >= G'(1), else 1 - z with G'(z) = mu/a_j.
 
@@ -258,28 +268,36 @@ def _marginals(
     G'(z) >= mu/a_j fall monotonically to the root. ``z_right`` holds such a
     start for every item: 1 - b_j at any larger multiplier, since z_j grows
     with mu. Each step evaluates G' and G'' as one power-matrix product.
+    As the iterates fall, sum(b) only grows: once it passes ``floor`` the
+    solve stops and returns None. ``slope_out``, if given, receives G'' at
+    each interior item's last evaluated iterate.
     """
     t = np.where(probs > 0.0, mu / np.where(probs > 0.0, probs, 1.0), np.inf)
     b = np.zeros(probs.size)
     b[t <= gp0] = 1.0
     mid = (t > gp0) & (t < gp1)
-    if np.any(mid):
+    if mid.any():
         t = t[mid]
         z = z_right[mid]
+        fixed = float(b.sum()) + t.size  # sum(b) is fixed - sum(z)
         deriv2 = deriv[1:] * np.arange(1, deriv.size)
         powers = np.empty((t.size, deriv.size))
         powers[:, 0] = 1.0
         for _ in range(_POLISH_MAX):
             powers[:, 1:] = z[:, None]
-            np.cumprod(powers, axis=1, out=powers)
+            powers.cumprod(axis=1, out=powers)
             resid = powers @ deriv - t
             slope = powers[:, :-1] @ deriv2
             # G' and G'' both underflow to 0 where mu bisects down into the subnormals
             step = np.divide(resid, slope, out=np.zeros(t.size), where=slope > 0.0)
             z = z - step
-            if np.max(np.abs(step)) <= _POLISH_TOL:
+            if fixed - float(z.sum()) > floor:
+                return None
+            if abs(step).max() <= _POLISH_TOL:
                 break
         b[mid] = 1.0 - z
+        if slope_out is not None:
+            slope_out[mid] = slope
     return b
 
 
@@ -295,11 +313,15 @@ def independent_caching(
     dual multiplier mu, stopped once |sum(b) - L| < 1e-9. For each mu the
     KKT condition a_j G'(1-b_j) = mu is solved for all interior items at
     once by Newton steps started from b at the bisection's upper end.
+    A midpoint whose sum(b) is surely above L + 1e-9 moves lo without a full
+    solve: b_hi + (hi - mu) / (a_j G''), one Newton step from the upper end's
+    last iterate, bounds b(mu) below; else the solve stops once its sum passes.
 
     Where G' is flat (constant, or flat to double precision), b(mu) jumps
     across the budget between adjacent doubles lo < hi. The bisection then
     stops and returns the point of the segment from b(hi) to b(lo) whose sum
     is L, with multiplier hi: only items at that multiplier change on it.
+    b(lo) is solved there, from its step's start.
 
     Returns a ``SolverResult`` holding an ``IndPolicy``; its diagnostics
     give the number of mu steps and the final |sum(b) - L|.
@@ -338,19 +360,25 @@ def independent_caching(
 
     # b(lo) overfills the budget, b(hi) does not; just above a_1 G'(1) nothing is cached
     lo, hi = 0.0, float(probs[0]) * gp1
-    b_hi = np.zeros(J)
+    b_hi, ag_hi, start_lo = np.zeros(J), np.zeros(J), np.ones(J)  # ag_hi: a_j G'' at b_hi
+    floor = L + 1e-9 + 1e-10  # a step is lo once a lower bound on sum(b) passes; 1e-10 for rounding
     iterations = 0
     while lo < (mu := 0.5 * (lo + hi)) < hi:
         iterations += 1
-        b = _marginals(mu, probs, gp0, gp1, deriv, 1.0 - b_hi)
-        total = float(b.sum())
+        start, slope = 1.0 - b_hi, np.zeros(J)
+        # a_j G'' = 0 takes no step, and a step to past b_j = 1 counts as 1 without a division
+        rise = np.divide(hi - mu, ag_hi, out=(ag_hi > 0.0).astype(float), where=ag_hi > hi - mu)
+        settled = float(np.minimum(1.0, b_hi + rise).sum()) > floor
+        b = None if settled else _marginals(mu, probs, gp0, gp1, deriv, start, floor, slope)
+        total = math.inf if b is None else float(b.sum())
         if abs(total - L) < 1e-9:
             return result(b, mu, iterations)
         if total > L:
-            lo, b_lo = mu, b
+            lo, start_lo = mu, start
         else:
-            hi, b_hi = mu, b
+            hi, b_hi, ag_hi = mu, b, probs * slope
     # lo, hi are adjacent doubles: b jumps on a flat stretch of G'; meet the budget on the jump
+    b_lo = _marginals(lo, probs, gp0, gp1, deriv, start_lo)
     theta = (L - b_hi.sum()) / (b_lo.sum() - b_hi.sum())
     return result(b_hi + theta * (b_lo - b_hi), hi, iterations)
 

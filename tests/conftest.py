@@ -7,6 +7,8 @@ import pytest
 
 from geocache import CoverageDistribution, PopularityDistribution
 
+pytest.register_assert_rewrite("solver_oracles")  # its asserts report values, as tests' do
+
 
 def random_popularity(rng, J: int) -> PopularityDistribution:
     w = rng.random(J) + 1e-3

@@ -118,6 +118,21 @@ def test_policies_share_one_sample_and_keep_their_own_estimates():
     assert reordered == [shared[i] for i in order]
 
 
+def test_cases_with_equal_cut_vectors_each_keep_their_report():
+    # equal cut vectors are scored once; every case still gets the count of its own
+    pop = zipf(10, 0.8)
+    deep = CoverageDistribution(pmf=np.array([0.1, 0.4, 0.3, 0.2]))
+    shallow = CoverageDistribution(pmf=np.array([0.3, 0.5, 0.2]))
+    coded = StructuredPolicy((1, 2, 3))
+    same_cuts = GeneralPolicy((frozenset({1}), frozenset({2, 3}), frozenset({4, 5, 6})))
+    cases = [(coded, deep), (StructuredPolicy((2, 2)), deep), (same_cuts, deep), (coded, shallow),
+             (coded, deep)]
+    policies, dists = map(list, zip(*cases))
+    shared = simulate_hits(policies, pop, dists, 40000, 8)
+    assert shared == [simulate_hits([p], pop, [d], 40000, 8)[0] for p, d in cases]
+    assert shared[0] == shared[2] == shared[4] and len({r.estimate for r in shared}) == 3
+
+
 def test_no_policies_draw_no_sample(monkeypatch):
     def no_draw(seed, block_index):
         raise AssertionError("a trial block was drawn")

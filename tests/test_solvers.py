@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from geocache import solvers
 from geocache.oracle import reference_hit
 from geocache.policy import UNCACHED, GeneralPolicy, canonical_sizes, item_thresholds
 
+import solver_oracles
 from conftest import random_coverage, random_instance, random_popularity
 
 POP4 = PopularityDistribution(np.array([0.4, 0.3, 0.2, 0.1]))
@@ -442,8 +444,10 @@ def test_ind_underflow_regime_meets_budget():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = independent_caching(pop, dist, 9)
+        oracle, _ = solver_oracles.independent_caching(pop, dist, 9)
     assert abs(float(result.policy.b.sum()) - 9) <= 1e-9
     assert abs(result.hit_prob - reference_hit(result.policy, pop, dist)) <= 1e-12
+    solver_oracles.assert_same_result(result, oracle)  # the plain bisection's, to the byte
 
 
 def test_ind_boolean_cell_pinned():
@@ -658,6 +662,86 @@ def test_ggb_scores_only_sizes_up_to_kmax():
     for pmf, per_block in [([0.2, 0.3, 0.1, 0.4], 3), ([1.0], 1), ([0.0] * 60 + [1.0], 50)]:
         result = greedy_general(pop, CoverageDistribution(pmf=np.array(pmf)), 4)
         assert result.diagnostics["candidate_evaluations"] == 4 * per_block
+
+
+# ---------------------------------------------------------------------------
+# vectorised searches and the settled bisection against their loop forms
+# ---------------------------------------------------------------------------
+
+
+def _loop_form_instance(rng, i):
+    """J from 1 to 2000 with kmax below and above it. A quarter of the catalogs
+    tie all items, and a quarter have zero-popularity items after a random rank."""
+    J, kmax = [(1, 0), (2, 5), (3, 1), (7, 3), (7, 12), (40, 11), (40, 60), (150, 4),
+               (150, 700), (600, 25), (2000, 11), (2000, 60)][i % 12]
+    kind = i // 12 % 4
+    if kind == 0:
+        w = np.ones(J)
+    elif kind == 1:
+        w = zipf(J, (0.0, 0.56, 0.9, 1.5)[i % 4]).probs.copy()
+    else:
+        w = np.sort(rng.random(J))[::-1]
+        if kind == 2:
+            w[int(rng.integers(1, J + 1)) :] = 0.0
+    pmf = rng.random(kmax + 1)
+    pmf[rng.random(kmax + 1) < 0.3] = 0.0
+    if i % 3 == 0:  # tied coverage masses
+        pmf = np.round(pmf * 4.0)
+    if pmf.sum() <= 0.0:
+        pmf[kmax] = 1.0
+    pop = PopularityDistribution(w / math.fsum(w.tolist()))
+    return pop, CoverageDistribution(pmf=pmf / math.fsum(pmf.tolist())), int(rng.integers(1, 8))
+
+
+def test_size_searches_match_their_per_size_loops():
+    # one score matrix per row block for onc and gdbnc, one row argsort per block of sizes
+    # for ggb: the same floats and tie-breaks as one pass per size
+    rng = np.random.default_rng(26)
+    for i in range(96):
+        pop, dist, L = _loop_form_instance(rng, i)
+        for solve, oracle in (
+            (solve_dp, solver_oracles.solve_dp),
+            (greedy_disjoint, solver_oracles.greedy_disjoint),
+            (greedy_general, solver_oracles.greedy_general),
+        ):
+            solver_oracles.assert_same_result(solve(pop, dist, L), oracle(pop, dist, L))
+
+
+def _ind_against_plain_bisection(instances):
+    """Assert each ind result equals the plain bisection's to the byte; return
+    the bisection's count of full solves and each result's ``_marginals`` calls."""
+    solves, calls = 0, []
+    original = solvers._marginals
+    for pop, dist, L in instances:
+        oracle, made = solver_oracles.independent_caching(pop, dist, L)
+        calls.append([])
+        with mock.patch.object(
+            solvers, "_marginals", lambda *args: calls[-1].append(args) or original(*args)
+        ):
+            result = independent_caching(pop, dist, L)
+        solver_oracles.assert_same_result(result, oracle)
+        solves += made
+    return solves, calls
+
+
+def test_ind_matches_plain_bisection_on_random_instances():
+    rng = np.random.default_rng(27)
+    instances = []
+    for i in range(72):
+        pop, dist, _ = _loop_form_instance(rng, i)
+        instances.append((pop, dist, int(rng.integers(1, min(pop.size, 20) + 1))))
+    solves, calls = _ind_against_plain_bisection(instances)
+    assert sum(map(len, calls)) < solves
+
+
+def test_ind_jump_exit_solves_the_settled_lower_end():
+    # a bound may have settled the lower end without a full solve: the exit solves b(lo) then
+    dists = [CoverageDistribution(pmf=np.array(pmf)) for pmf in FLAT_NEAR_ZERO_PMFS]
+    instances = [(zipf(J, gamma), dist, L) for dist in dists
+                 for J, gamma, L in ((20, 0.9, 5), (40, 1.2, 2), (8, 0.6, 3))]
+    _, calls = _ind_against_plain_bisection(instances)
+    # only the first solve (mu = 0) and the jump exit's pass no floor
+    assert any(len(made) > 1 and len(made[-1]) == 6 for made in calls)
 
 
 # ---------------------------------------------------------------------------
