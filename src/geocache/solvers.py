@@ -79,25 +79,29 @@ _SCORE_ENTRIES = 1 << 14  # scores a size search holds at once: 128 KiB, cache-s
 
 
 def _best_sizes(prefix: np.ndarray, tail: np.ndarray, top: int, stages: int):
-    """Best size x <= top at every stage l and state n = 0..J, and value[0]: value[l, n] =
+    """Best size x <= top at every stage l and state n = 0..J, and value[0, 0]: value[l, n] =
     max_x A([n+1, n+x]) * Pbar(x) + value[l+1, n+x], value[stages] = 0, -inf past J.
-    Each row of scores is one state; its first argmax is the smallest best size."""
+    Each row of scores is one state; its first argmax is the smallest best size. Blocks of
+    states go last first, and only the values a block reads are kept."""
     J = prefix.size - 1
     window = np.lib.stride_tricks.sliding_window_view
     reach = window(np.append(prefix, np.full(top, prefix[-1])), top + 1)
     choice = np.empty((stages, J + 1), dtype=int)
-    value = np.full((stages + 1, J + 1 + top), -np.inf)
-    value[stages, : J + 1] = 0.0
-    ahead = window(value, top + 1, axis=1)  # a view: it sees each stage as it is written
     step = max(1, _SCORE_ENTRIES // (top + 1))
+    value = np.full((stages + 1, step + top), -np.inf)  # column i: state start + i
+    ahead = window(value, top + 1, axis=1)  # a view: it sees each stage as it is written
     for start in reversed(range(0, J + 1, step)):  # last block first: its gains serve every stage
-        rows = slice(start, min(start + step, J + 1))
+        n = min(step, J + 1 - start)  # states in this block
+        rows = slice(start, start + n)
+        value[:, step:] = value[:, :top]  # the block after moves step columns on, keeping top
+        value[stages, :n] = 0.0
         gains = (reach[rows] - prefix[rows, None]) * tail[: top + 1]
         for l in reversed(range(stages)):
-            scores = gains + ahead[l + 1, rows]
+            scores = gains + ahead[l + 1, :n]
             choice[l, rows] = scores.argmax(axis=1)
-            value[l, rows] = np.take_along_axis(scores, choice[l, rows, None], axis=1)[:, 0]
-    return choice, value[0, : J + 1]
+            # the max at the argmax: a gather costs less than a second row reduction
+            value[l, :n] = np.take_along_axis(scores, choice[l, rows, None], axis=1)[:, 0]
+    return choice, value[0, 0]
 
 
 def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) -> SolverResult:
@@ -128,7 +132,7 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
         policy=policy,
         hit_prob=hit,
         diagnostics={
-            "dp_value": float(value[0]),
+            "dp_value": float(value),
             "raw_sizes": raw,
             "stage_maximizations": L * (J + 1),
         },
@@ -164,10 +168,12 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     r = np.full(J, dist.kmax + 1, dtype=int)  # "not cached anywhere": tail[kmax + 1] is 0
     r[:m1] = m1
 
+    step = max(1, _SCORE_ENTRIES // J)  # sizes scored at once
     for _ in range(2, K + 1):
         covered_tail = tails[r]
         best = None  # (gain, c, top_indices)
-        for c_rows in np.array_split(np.array(sizes), math.ceil(len(sizes) * J / _SCORE_ENTRIES)):
+        for s in range(0, len(sizes), step):
+            c_rows = np.arange(1 + s, 1 + min(s + step, len(sizes)))
             g = probs * np.maximum(tails[c_rows, None] - covered_tail, 0.0)
             order = np.argsort(-g, axis=1, kind="stable")[:, : c_rows[-1]]
             ranked = np.take_along_axis(g, order, axis=1)
@@ -257,29 +263,25 @@ def hit_probability_ind(
 
 
 def _marginals(
-    mu: float, probs: np.ndarray, gp0: float, gp1: float, deriv: np.ndarray, z_right: np.ndarray,
-    floor: float = math.inf, slope_out: np.ndarray | None = None,
-) -> np.ndarray | None:
+    mu: float, probs: np.ndarray, gp0: float, gp1: float, deriv: np.ndarray, z_right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """b(mu) from the KKT conditions: b_j = 1 where mu/a_j <= G'(0), 0 where
-    mu/a_j >= G'(1), else 1 - z with G'(z) = mu/a_j.
+    mu/a_j >= G'(1), else 1 - z with G'(z) = mu/a_j; and G'' at each such
+    item's last evaluated iterate (0 for the others).
 
     G' (coefficients ``deriv``) has nonnegative coefficients, so it is
     nondecreasing and convex on [0, 1], and Newton steps from any z with
     G'(z) >= mu/a_j fall monotonically to the root. ``z_right`` holds such a
     start for every item: 1 - b_j at any larger multiplier, since z_j grows
     with mu. Each step evaluates G' and G'' as one power-matrix product.
-    As the iterates fall, sum(b) only grows: once it passes ``floor`` the
-    solve stops and returns None. ``slope_out``, if given, receives G'' at
-    each interior item's last evaluated iterate.
     """
     t = np.where(probs > 0.0, mu / np.where(probs > 0.0, probs, 1.0), np.inf)
-    b = np.zeros(probs.size)
+    b, curvature = np.zeros(probs.size), np.zeros(probs.size)
     b[t <= gp0] = 1.0
     mid = (t > gp0) & (t < gp1)
     if mid.any():
         t = t[mid]
         z = z_right[mid]
-        fixed = float(b.sum()) + t.size  # sum(b) is fixed - sum(z)
         deriv2 = deriv[1:] * np.arange(1, deriv.size)
         powers = np.empty((t.size, deriv.size))
         powers[:, 0] = 1.0
@@ -291,14 +293,11 @@ def _marginals(
             # G' and G'' both underflow to 0 where mu bisects down into the subnormals
             step = np.divide(resid, slope, out=np.zeros(t.size), where=slope > 0.0)
             z = z - step
-            if fixed - float(z.sum()) > floor:
-                return None
             if abs(step).max() <= _POLISH_TOL:
                 break
         b[mid] = 1.0 - z
-        if slope_out is not None:
-            slope_out[mid] = slope
-    return b
+        curvature[mid] = slope
+    return b, curvature
 
 
 def independent_caching(
@@ -313,9 +312,9 @@ def independent_caching(
     dual multiplier mu, stopped once |sum(b) - L| < 1e-9. For each mu the
     KKT condition a_j G'(1-b_j) = mu is solved for all interior items at
     once by Newton steps started from b at the bisection's upper end.
-    A midpoint whose sum(b) is surely above L + 1e-9 moves lo without a full
+    A midpoint whose sum(b) is surely above L + 1e-9 moves lo without a
     solve: b_hi + (hi - mu) / (a_j G''), one Newton step from the upper end's
-    last iterate, bounds b(mu) below; else the solve stops once its sum passes.
+    last iterate, bounds b(mu) below, as G' is convex.
 
     Where G' is flat (constant, or flat to double precision), b(mu) jumps
     across the budget between adjacent doubles lo < hi. The bisection then
@@ -354,7 +353,7 @@ def independent_caching(
     if gp1 == 0.0:  # never covered: every b hits 0
         return result(b, 0.0)
 
-    b_lo = _marginals(0.0, probs, gp0, gp1, deriv, np.ones(J))
+    b_lo = _marginals(0.0, probs, gp0, gp1, deriv, np.ones(J))[0]
     if float(b_lo.sum()) <= L + 1e-12:
         return result(b_lo, 0.0)
 
@@ -365,20 +364,21 @@ def independent_caching(
     iterations = 0
     while lo < (mu := 0.5 * (lo + hi)) < hi:
         iterations += 1
-        start, slope = 1.0 - b_hi, np.zeros(J)
         # a_j G'' = 0 takes no step, and a step to past b_j = 1 counts as 1 without a division
         rise = np.divide(hi - mu, ag_hi, out=(ag_hi > 0.0).astype(float), where=ag_hi > hi - mu)
-        settled = float(np.minimum(1.0, b_hi + rise).sum()) > floor
-        b = None if settled else _marginals(mu, probs, gp0, gp1, deriv, start, floor, slope)
-        total = math.inf if b is None else float(b.sum())
+        if float(np.minimum(1.0, b_hi + rise).sum()) > floor:
+            lo, start_lo = mu, 1.0 - b_hi
+            continue
+        b, curvature = _marginals(mu, probs, gp0, gp1, deriv, 1.0 - b_hi)
+        total = float(b.sum())
         if abs(total - L) < 1e-9:
             return result(b, mu, iterations)
         if total > L:
-            lo, start_lo = mu, start
+            lo, start_lo = mu, 1.0 - b_hi
         else:
-            hi, b_hi, ag_hi = mu, b, probs * slope
+            hi, b_hi, ag_hi = mu, b, probs * curvature
     # lo, hi are adjacent doubles: b jumps on a flat stretch of G'; meet the budget on the jump
-    b_lo = _marginals(lo, probs, gp0, gp1, deriv, start_lo)
+    b_lo = _marginals(lo, probs, gp0, gp1, deriv, start_lo)[0]
     theta = (L - b_hi.sum()) / (b_lo.sum() - b_hi.sum())
     return result(b_hi + theta * (b_lo - b_hi), hi, iterations)
 

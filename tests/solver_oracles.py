@@ -39,7 +39,7 @@ def stage_sizes(prefix, tail, top, stages):
     value = np.zeros(prefix.size)
     for l in reversed(range(stages)):
         choice[l], value = best_sizes(prefix, tail, value, top)
-    return choice, value
+    return choice, value[0]
 
 
 def solve_dp(pop, dist, L):

@@ -412,10 +412,10 @@ def test_ind_newton_start_changes_only_the_speed(rng):
         for _ in range(5):
             mu, mu_right = np.sort(rng.random(2)) * float(pop.probs[0]) * gp1
             args = (pop.probs, gp0, gp1, deriv)
-            z_right = 1.0 - solvers._marginals(mu_right, *args, ones)
-            b = solvers._marginals(mu, *args, ones)
+            z_right = 1.0 - solvers._marginals(mu_right, *args, ones)[0]
+            b = solvers._marginals(mu, *args, ones)[0]
             np.testing.assert_allclose(
-                solvers._marginals(mu, *args, z_right), b, rtol=0.0, atol=1e-14
+                solvers._marginals(mu, *args, z_right)[0], b, rtol=0.0, atol=1e-14
             )
             compared += int(np.sum((b > 0.0) & (b < 1.0)))
     assert compared > 500
@@ -481,7 +481,8 @@ def test_ind_ill_conditioned_budget_meets_it_on_the_jump():
 def test_ind_all_or_nothing_step_splits_the_budget(monkeypatch):
     # b(mu) jumps from caching everything to caching nothing, so no mu meets the budget
     monkeypatch.setattr(
-        solvers, "_marginals", lambda mu, probs, *_: np.full(probs.size, float(mu < 0.1))
+        solvers, "_marginals",
+        lambda mu, probs, *_: (np.full(probs.size, float(mu < 0.1)), np.zeros(probs.size)),
     )
     result = independent_caching(POP4, DIST_HALF, 2)
     _assert_meets_budget(result, POP4, DIST_HALF, 2)
@@ -709,18 +710,20 @@ def test_size_searches_match_their_per_size_loops():
 
 def _ind_against_plain_bisection(instances):
     """Assert each ind result equals the plain bisection's to the byte; return
-    the bisection's count of full solves and each result's ``_marginals`` calls."""
+    the bisection's count of full solves, and each result's multiplier with the
+    multipliers of its ``_marginals`` calls."""
     solves, calls = 0, []
     original = solvers._marginals
     for pop, dist, L in instances:
         oracle, made = solver_oracles.independent_caching(pop, dist, L)
-        calls.append([])
+        mus = []
         with mock.patch.object(
-            solvers, "_marginals", lambda *args: calls[-1].append(args) or original(*args)
+            solvers, "_marginals", lambda mu, *args: mus.append(mu) or original(mu, *args)
         ):
             result = independent_caching(pop, dist, L)
         solver_oracles.assert_same_result(result, oracle)
         solves += made
+        calls.append((result.policy.multiplier, mus))
     return solves, calls
 
 
@@ -731,17 +734,34 @@ def test_ind_matches_plain_bisection_on_random_instances():
         pop, dist, _ = _loop_form_instance(rng, i)
         instances.append((pop, dist, int(rng.integers(1, min(pop.size, 20) + 1))))
     solves, calls = _ind_against_plain_bisection(instances)
-    assert sum(map(len, calls)) < solves
+    assert sum(len(mus) for _, mus in calls) < solves
 
 
 def test_ind_jump_exit_solves_the_settled_lower_end():
-    # a bound may have settled the lower end without a full solve: the exit solves b(lo) then
+    # a bound may have settled the lower end without a solve: the exit solves b(lo) then
     dists = [CoverageDistribution(pmf=np.array(pmf)) for pmf in FLAT_NEAR_ZERO_PMFS]
     instances = [(zipf(J, gamma), dist, L) for dist in dists
                  for J, gamma, L in ((20, 0.9, 5), (40, 1.2, 2), (8, 0.6, 3))]
     _, calls = _ind_against_plain_bisection(instances)
-    # only the first solve (mu = 0) and the jump exit's pass no floor
-    assert any(len(made) > 1 and len(made[-1]) == 6 for made in calls)
+    # a jump exit's last solve is at lo, below the returned multiplier hi, and new
+    assert any(mus[-1] < hi and mus[-1] not in mus[:-1] for hi, mus in calls)
+
+
+def test_ind_matches_plain_bisection_at_the_largest_catalog():
+    # the settling bound's rounding margin is fixed while J and L grow to the CLI's limits
+    dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (-6.0 / 10.0), beta=3.0))
+    solves, calls = _ind_against_plain_bisection([(zipf(100_000, 0.9), dist, 1000)])
+    assert len(calls[0][1]) < solves
+
+
+def test_ggb_scores_sizes_in_blocks_past_the_score_budget():
+    # J > 2^14: one size per block of scores
+    pop = zipf(20_000, 0.9)
+    for db in (-6, 12):
+        dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (db / 10.0), beta=3.0))
+        solver_oracles.assert_same_result(
+            greedy_general(pop, dist, 3), solver_oracles.greedy_general(pop, dist, 3)
+        )
 
 
 # ---------------------------------------------------------------------------
