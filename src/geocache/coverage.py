@@ -23,9 +23,10 @@ one inverse Laplace transform of a power of the upper incomplete gamma
 function. It is evaluated by fixed-Talbot inversion in mpmath, with the
 node count and the working precision growing with nmax, and the
 alternating sum runs at that precision. Each process builds the nodes of
-a (count, precision) pair once; each inversion takes Gamma(-alpha) once
-and every node's Gamma(-alpha, s p) from its 1F1 form, with guard bits
-for the cancellation between the two. A support bound nmax above
+a (count, precision) pair once. Every node's Gamma(-alpha, s p) is summed
+from its power series in Python integers, at a scale that covers the
+cancellations within the sum and against Gamma(-alpha), and the node
+products w_k Gamma^n run as integer mantissas. A support bound nmax above
 ``SINR_NMAX_MAX`` is refused when the parameters are built, as its build
 would take minutes. For tau >= 1 (nmax = 1) the one
 term S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) is taken in
@@ -65,11 +66,13 @@ __all__ = [
 
 MASS_CUTOFF = 1e-12  # the Boolean pmf ends where the tail mass Pr{N > k} drops below this
 MAX_POISSON_MEAN = 1e6  # Boolean models with a larger mean are refused: the pmf has ~mean entries
-SINR_NMAX_MAX = 320  # SINR models with a larger support bound are refused: -25 dB (nmax 317) takes ~5 s
+SINR_NMAX_MAX = 320  # SINR models with a larger support bound are refused: -25 dB (nmax 317) takes ~2.6 s
 I_REL_TOL = 1e-14  # relative tolerance of the adaptive quadrature of the noise factor
 GAUSS_NODES = 48  # Gauss-Jacobi nodes per dimension of the tensor rule for J
 J_MAX_ORDER = 5  # special_J's tensor rule covers n <= 5 (4 dimensions)
 PMF_ERR_LIMIT = 1e-6  # sinr_coverage raises above this propagated pmf error
+GAMMA_GUARD = 20  # bits above the working precision of each node's Gamma(-alpha, z) and product
+_LOG2E = 1.0 / math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +458,173 @@ def _talbot_nodes(m: int, prec: int):
     return r, tuple(nodes), tuple(weights)
 
 
-def _node_gammas(ctx, alpha, zs) -> list:
-    """[Gamma(-alpha, z) for z in zs] at the working precision of ctx, as
-        Gamma(-alpha, z) = Gamma(-alpha) + e^(-alpha log z - z) 1F1(1; 1-alpha; z) / alpha.
-    The two terms cancel by up to Re(z) log2(e) bits, so each z runs
-    int(1.45 max(0, Re z)) + 20 bits above the working precision, and
-    Gamma(-alpha), computed once, runs at the largest of these guards.
+def _complex_ints(v) -> tuple:
+    """(re, im, e) with v = (re + i im) 2^e for an mpmath real or complex v."""
+    from mpmath.libmp import to_fixed
+
+    parts = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, (0, 0, 0, 0))
+    e = min((part[2] for part in parts if part[1]), default=0)  # of the nonzero parts
+    return to_fixed(parts[0], -e), to_fixed(parts[1], -e), e
+
+
+@functools.lru_cache(maxsize=16)
+def _gamma_int(alpha: tuple, scale: int) -> int:
+    """Gamma(-alpha) 2^scale, rounded down, for the raw mpf alpha in (0, 1)."""
+    from mpmath.libmp import mpf_gamma, mpf_neg, to_fixed, to_float
+
+    a = to_float(alpha)
+    magnitude = max(0, math.ceil(math.log2(math.gamma(1.0 - a) / a)))  # of Gamma(-alpha)
+    return to_fixed(mpf_gamma(mpf_neg(alpha), scale + magnitude + 8), scale)
+
+
+@functools.lru_cache(maxsize=32)
+def _reciprocals(alpha: tuple, scale: int, length: int) -> tuple:
+    """(2^scale / (j - alpha) for j < length), rounded down, for the raw mpf alpha."""
+    _, man, exp, _ = alpha  # j - alpha = (j 2^-exp - man) 2^exp
+    num = 1 << (scale - exp)
+    return tuple(num // ((j << -exp) - man) for j in range(length))
+
+
+@functools.lru_cache(maxsize=32)
+def _power_slots(m: int, prec: int, alpha: tuple) -> list:
+    """Per node of the m-node Talbot rule at prec bits, (bits, p_k^(-alpha)): the raw
+    power to bits of relative precision, filled and refined by ``_node_gammas``."""
+    return [(0, None)] * m
+
+
+def _node_gammas(ctx, alpha, s, nodes) -> list:
+    """[Gamma(-alpha, z_k) for z_k = s p_k] at the working precision of ctx, for the
+    nodes p_k of ``_talbot_nodes(m, ctx.prec)``; z_k is s p_k rounded to that
+    precision, as ``_pd_sn`` forms it. From the power series
+        Gamma(-alpha, z) = Gamma(-alpha) - z^(-alpha) T(z),
+        T(z) = sum_j (-z)^j / (j! (j - alpha)),
+    with T summed by ``_series_sum`` at a scale 2^F.
+
+    T carries an error under 7 C e^|z| units 2^-F, C = max(1/alpha, 1/(1-alpha)).
+    Against |Gamma(-alpha, z)|, estimated by ``_log2_gamma_estimate``, that
+    covers both cancellations, among the terms (up to e^|z|) and against
+    Gamma(-alpha) (up to e^(Re z)): a node runs at
+        F = prec + GAMMA_GUARD + log2(7 C e^|z| |z^(-alpha)| / |Gamma(-alpha, z)|),
+    rounded up to a multiple of 16, and checks F again with |Gamma| from its
+    result. A node whose result is smaller than the estimate, so that F fell
+    short, runs again at the bits it lacked plus GAMMA_GUARD.
+
+    z^(-alpha) is s^(-alpha) p^(-alpha) (1 - alpha eps), eps = z / (s p) - 1 ~
+    2^-prec: the power of the rounded z, whose series T runs. Each p_k^(-alpha)
+    is kept per (node count, precision, alpha), at 32 bits more than F + 14
+    asked, and computed again when a later F asks for more.
     """
-    top = max(float(ctx.re(z)) for z in zs)
-    with ctx.extraprec(int(1.45 * max(0.0, top)) + 20):
-        gamma_alpha = ctx.gamma(-alpha)
+    from mpmath.libmp import from_man_exp, mpc_pow_mpf, mpf_neg, mpf_pow, round_nearest, to_fixed
+
+    prec = ctx.prec
+    at = alpha._mpf_
+    neg_alpha = mpf_neg(at)
+    a = float(alpha)
+    c_max = max(1.0 / a, 1.0 / (1.0 - a))
+    least = prec + GAMMA_GUARD + math.log2(7.0 * c_max)
+    sm, se = s._mpf_[1], s._mpf_[2]
+    powers = _power_slots(len(nodes), prec, at)
+    s_bits, s_power = 0, None
     out = []
-    for z in zs:
-        with ctx.extraprec(int(1.45 * max(0.0, float(ctx.re(z)))) + 20):
-            g = ctx.exp(-alpha * ctx.log(z) - z) * ctx.hyp1f1(1, 1 - alpha, z) / alpha
-            g += gamma_alpha
-        out.append(+g)  # rounded to the working precision
+    for k, node in enumerate(nodes):
+        p = ctx.convert(node)
+        z = s * p
+        zc = complex(z)
+        size = abs(zc)
+        xr, xi, ez = _complex_ints(z)
+        # alpha eps = alpha (z - s p) / z, as (qr + i qi) / den 2^qshift
+        pr, pi, ep = _complex_ints(p)
+        e0 = min(ez, se + ep)
+        dr = (xr << (ez - e0)) - ((sm * pr) << (se + ep - e0))
+        di = (xi << (ez - e0)) - ((sm * pi) << (se + ep - e0))
+        qr, qi = (dr * xr + di * xi) * at[1], (di * xr - dr * xi) * at[1]
+        den, qshift = xr * xr + xi * xi, e0 - ez + at[2]
+        above = least + _LOG2E * size - a * math.log2(size)  # F is this less log2 |Gamma|
+        scale = 16 * math.ceil((above + 3 - _log2_gamma_estimate(zc, a)) / 16)
+        while True:
+            hr, hi = _series_sum(at, xr, xi, ez, _series_terms(size, scale, c_max), scale)
+            # z^(-alpha) 2^wscale from s^(-alpha) and p^(-alpha) to rel bits
+            rel = scale + 14
+            if s_bits < rel:
+                s_bits, s_power = rel + 32, mpf_pow(s._mpf_, neg_alpha, rel + 32)
+            bits, p_power = powers[k]
+            if bits < rel:
+                p_power = mpc_pow_mpf(ctx.mpc(p)._mpc_, neg_alpha, rel + 32)
+                powers[k] = rel + 32, p_power
+            wscale = scale + 8 + max(0, math.ceil(a * math.log2(size)))
+            pscale = rel + max(0, math.ceil(a * math.log2(abs(complex(p)))))
+            factor, drop = to_fixed(s_power, rel), rel + pscale - wscale  # s^(-alpha) >= 1
+            vr = (factor * to_fixed(p_power[0], pscale)) >> drop
+            vi = (factor * to_fixed(p_power[1], pscale)) >> drop
+            qscale = wscale + 8
+            if qshift + qscale >= 0:
+                er, ei = (qr << (qshift + qscale)) // den, (qi << (qshift + qscale)) // den
+            else:
+                er, ei = (qr >> -(qshift + qscale)) // den, (qi >> -(qshift + qscale)) // den
+            wr = vr - ((vr * er - vi * ei) >> qscale)
+            wi = vi - ((vr * ei + vi * er) >> qscale)
+            gr = _gamma_int(at, scale) - ((wr * hr - wi * hi) >> wscale)
+            gi = -((wr * hi + wi * hr) >> wscale)
+            # F again, with the result's |Gamma| in place of the estimate
+            low = max(gr.bit_length(), gi.bit_length()) - 1 - scale  # <= log2 |Gamma|
+            lacking = above - low + 1 - scale
+            if lacking <= 0:
+                break
+            scale = 16 * math.ceil((scale + lacking + GAMMA_GUARD) / 16)
+        out.append(ctx.make_mpc(tuple(from_man_exp(v, -scale, prec, round_nearest) for v in (gr, gi))))
     return out
+
+
+def _log2_gamma_estimate(z: complex, a: float) -> float:
+    """log2 |z^(-a) e^(-z) / (z + 1 + a)|, from the first convergent of the
+    continued fraction of Gamma(-a, z): its size for large |z|, within a bit of
+    it on the Talbot contours of the SIR builds, and below it for real z > 0."""
+    return -a * math.log2(abs(z)) - _LOG2E * z.real - math.log2(abs(z + 1.0 + a))
+
+
+def _series_terms(size: float, scale: int, c_max: float) -> int:
+    """Last index j of the series T of Gamma(-alpha, z), |z| = size, at scale 2^scale:
+    the first j >= 2|z| with |z|^j / j! <= e^|z| 2^-scale / (8 C). Past 2|z| each
+    term at most halves, so the terms left sum to under e^|z| / 4 units."""
+    log_size = math.log(size)
+    target = size - (scale + 3) * math.log(2.0) - math.log(c_max)
+
+    def excess(x):  # log(|z|^x / x!) - target: concave and falling for x >= |z|
+        return x * log_size - math.lgamma(x + 1.0) - target
+
+    # Newton steps, with log(x + 1/2) > digamma(x + 1) in the slope: up to past the
+    # root, then down towards it, each step too short to cross it
+    x = max(1.0, 2.0 * size)
+    if excess(x) <= 0.0:
+        return math.ceil(x)
+    while excess(x) > 0.0:
+        x += excess(x) / (math.log(x + 0.5) - log_size)
+    while (step := -excess(x) / (math.log(x + 0.5) - log_size)) >= 0.5:
+        x -= step
+    return math.ceil(x)
+
+
+def _series_sum(alpha: tuple, xr: int, xi: int, ez: int, count: int, scale: int) -> tuple:
+    """(Re T, Im T) times 2^scale as integers, for the raw mpf alpha, z = (xr + i xi)
+    2^ez and T = sum_{j <= count} (-z)^j / (j! (j - alpha)).
+
+    Horner's rule, H_count = 1/(count - alpha) and H_(j-1) = 1/(j-1-alpha) - z H_j / j,
+    T = H_0, in fixed point with three products per complex step. The at most three
+    units a step rounds off reach T times |z|^j / j!, so T is off by under
+    3 sqrt(2) e^|z| units, and by C e^|z| more for z's own units.
+    """
+    recips = _reciprocals(alpha, scale, 1 << count.bit_length())  # > count, one of a few lengths
+    shift = ez + scale
+    zr, zi = (xr << shift, xi << shift) if shift >= 0 else (xr >> -shift, xi >> -shift)
+    zsum, zdiff = zr + zi, zi - zr
+    hr, hi = recips[count], 0
+    for j in range(count, 0, -1):
+        both = zr * (hr + hi)
+        hr, hi = (
+            recips[j - 1] - ((both - hi * zsum) >> scale) // j,
+            ((both + hr * zdiff) >> scale) // -j,
+        )
+    return hr, hi
 
 
 def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> list:
@@ -482,18 +635,40 @@ def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> list:
     (Abate & Valko 2004) with the nodes p_k and the weights of
     ``_talbot_nodes`` gives
         f(1) = r/m [e^r F(r)/2 + sum_{k=1}^{m-1} Re(e^(p_k) F(p_k) (1 + i sigma_k))].
-    Every n reuses the m values Gamma(-alpha, s p_k) of ``_node_gammas``;
-    the largest cancellation among them is at p_0 = r.
+    Every n reuses the m values Gamma(-alpha, s p_k) of ``_node_gammas``. Each
+    node's running product w_k Gamma_k^n is an integer mantissa pair with an
+    exponent, cut back to prec + GAMMA_GUARD bits after every step; the real
+    parts are summed exactly at one scale, prec + GAMMA_GUARD + 8 bits below the
+    largest term, and rounded once to the working precision.
     """
+    from mpmath.libmp import from_man_exp, round_nearest
+
     r, nodes, weights = _talbot_nodes(m, ctx.prec)
-    gammas = _node_gammas(ctx, alpha, [s * ctx.convert(p) for p in nodes])
-    terms = [ctx.convert(w) for w in weights]
+    gammas = []
+    for g in _node_gammas(ctx, alpha, s, nodes):
+        gr, gi, ge = _complex_ints(g)
+        gammas.append((gr, gi + gr, gi - gr, ge))  # three products per complex step
+    terms = [_complex_ints(ctx.convert(w)) for w in weights]
+    keep = ctx.prec + GAMMA_GUARD
     front = ctx.convert(r) / m / alpha
     base = alpha / ctx.gamma(1 - alpha)
     out = []
     for n in range(1, nmax + 1):
-        terms = [t * g for t, g in zip(terms, gammas)]
-        out.append(front * base**n / n * ctx.re(ctx.fsum(terms)))
+        top = -math.inf
+        step = []
+        for (tr, ti, te), (gr, gsum, gdiff, ge) in zip(terms, gammas):
+            both = gr * (tr + ti)
+            re, im, e = both - ti * gsum, both + tr * gdiff, te + ge
+            size = max(re.bit_length(), im.bit_length())
+            top = max(top, e + size)
+            if size > keep:
+                re, im, e = re >> (size - keep), im >> (size - keep), e + size - keep
+            step.append((re, im, e))
+        terms = step
+        low = top - keep - 8
+        total = sum(re << (e - low) if e >= low else re >> (low - e) for re, _, e in terms)
+        real = ctx.make_mpf(from_man_exp(total, low, ctx.prec, round_nearest))
+        out.append(front * base**n / n * real)
     return out
 
 

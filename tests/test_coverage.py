@@ -21,6 +21,7 @@ from geocache import (
 from geocache import coverage
 from geocache.errors import NumericalCancellationError
 
+import coverage_oracles
 from conftest import closed_form_I_at_zero
 
 
@@ -468,25 +469,65 @@ def test_sn_error_estimate_bounds_the_inversion_error(beta, db):
         assert abs(ref_ctx.mpf(value) - exact) <= err, (db, n)
 
 
-@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.0])
-def test_node_gammas_match_mpmath_gammainc(beta):
-    # the one check of Gamma(-alpha, z) that does not go through _pd_sn: mpmath's own
-    # incomplete gamma at 30 more digits, at every node of both inversions of a build
+def assert_node_gammas(params, reference):
+    """Each node value of both inversions of the build of params that reference(k, m)
+    names lies within 2^(8 - prec) relative of that reference at 30 more digits:
+    mpmath's incomplete gamma ("gammainc") or the earlier 1F1 form ("1f1")."""
     import mpmath
 
-    for db in (-1, -3, -6, -14, -20):
-        params = sir_params(10 ** (db / 10), beta)
-        ctx = coverage._sn_with_errors(params)[0]  # the build's digits; it runs dps nodes
-        ref = mpmath.MPContext()
-        ref.dps = ctx.dps + 30
-        alpha = ctx.mpf(2) / beta
-        s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
-        for m in (ctx.dps, ctx.dps - 16):
-            zs = [s * ctx.convert(p) for p in coverage._talbot_nodes(m, ctx.prec)[1]]
-            for k, (z, value) in enumerate(zip(zs, coverage._node_gammas(ctx, alpha, zs))):
-                exact = ref.gammainc(-ref.convert(alpha), ref.convert(z))
+    ctx = mpmath.MPContext()
+    ctx.dps = max(48, 24 + params.nmax)  # a build's digits, and its two node counts
+    ref = mpmath.MPContext()
+    ref.dps = ctx.dps + 30
+    alpha = ctx.mpf(2) / params.beta
+    s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
+    for m in (ctx.dps, ctx.dps - 16):
+        nodes = coverage._talbot_nodes(m, ctx.prec)[1]
+        zs = [ref.convert(s * ctx.convert(p)) for p in nodes]
+        kinds = [reference(k, m) for k in range(m)]
+        if "1f1" in kinds:
+            oracle = coverage_oracles.node_gammas_1f1(ref, ref.convert(alpha), zs)
+        values = coverage._node_gammas(ctx, alpha, s, nodes)
+        for k, (kind, z, value) in enumerate(zip(kinds, zs, values)):
+            if kind is not None:
+                exact = ref.gammainc(-ref.convert(alpha), z) if kind == "gammainc" else oracle[k]
                 bound = abs(exact) * ref.ldexp(1, 8 - ctx.prec)
-                assert abs(ref.convert(value) - exact) <= bound, (db, m, k)
+                assert abs(ref.convert(value) - exact) <= bound, (params.tau, m, k, kind)
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.0])
+def test_node_gammas_match_mpmath_gammainc(beta):
+    # the one check of Gamma(-alpha, z) that does not go through _pd_sn, at every node
+    # of both inversions of a build: mpmath's own incomplete gamma at 30 more digits at
+    # the first and the last node, and the 1F1 form, which shares no code with the
+    # series, at the same digits in between
+    for db in (-1, -3, -6, -14, -20):
+        assert_node_gammas(
+            sir_params(10 ** (db / 10), beta),
+            lambda k, m: "gammainc" if k in (0, m - 1) else "1f1",
+        )
+
+
+@pytest.mark.parametrize("beta, db", [(2.5, -0.01), (6.0, -0.01), (3.0, -25)])
+def test_node_gammas_match_mpmath_gammainc_where_the_guards_peak(beta, db):
+    # just below 0 dB node 0 has the largest Re z (~9.6) of any build, the largest
+    # cancellation against Gamma(-alpha), and the last node the largest |z| (~460);
+    # -25 dB runs 341 nodes at 341 digits, the most terms per node
+    assert_node_gammas(
+        sir_params(10 ** (db / 10), beta),
+        lambda k, m: "gammainc" if k % 16 == 0 or k == m - 1 else None,
+    )
+
+
+def test_node_gammas_rerun_a_node_whose_scale_fell_short(monkeypatch):
+    # an estimate of |Gamma(-alpha, z)| 2^64 too large sets every scale 64 bits short;
+    # each node must find that from its result and rerun, or miss the reference by 2^64
+    real = coverage._log2_gamma_estimate
+    monkeypatch.setattr(coverage, "_log2_gamma_estimate", lambda z, a: real(z, a) + 64.0)
+    assert_node_gammas(
+        sir_params(10 ** (-1 / 10), 3.0),
+        lambda k, m: "gammainc" if k in (0, m - 1) else "1f1",
+    )
 
 
 def test_talbot_nodes_are_cached_per_precision():
@@ -600,6 +641,37 @@ def test_sir_values_are_pinned(db):
     # a change to the node count or the digits that moves a value fails here
     dist = sinr_coverage(sir_params(10 ** (db / 10)))
     sn, pmf = PINNED_SIR[db]
+    assert [v.hex() for v in dist.meta["sn"]] == sn.split()
+    assert [float(v).hex() for v in dist.pmf] == pmf.split()
+
+
+# S_n and pmf of SIR builds at other beta and with noise, as PINNED_SIR, keyed by
+# (beta, dB, W): just below 0 dB node 0 has the largest Re z (~9.6) of any build and
+# the last node the largest |z| (~460); beta = 2.5 has the largest 1/(1 - alpha)
+PINNED_SIR_CELLS = {
+    (6.0, -0.01, 0.0): (
+        "0x1.a7bee670dc50fp-1 0x1.478528977aa81p-18",
+        "0x1.6106f546dfeb2p-3 0x1.a7bd9eebb3b98p-1 0x1.478528977aa81p-18",
+    ),
+    (2.5, -3, 0.0): (
+        "0x1.a02d7c45736c9p-2 0x1.c48d77b4cda4fp-8",
+        "0x1.33725cccafe50p-1 0x1.92091087ccff7p-2 0x1.c48d77b4cda4fp-8",
+    ),
+    (3.0, -10, 0.01): (
+        "0x1.eb119d439bc25p+0 0x1.45130493c415cp+0 0x1.997a3001a7ca6p-2 0x1.f45a664e5300ap-5 "
+        "0x1.186e9ada0c55ep-8 0x1.f990654d40bcep-14 0x1.1e5a731af069dp-20 0x1.fbe5b8330ff0fp-30 "
+        "0x1.ee9371bd8dc36p-43 0x1.4e1a12cd123d2p-64",
+        "0x1.1a8a259a24749p-7 0x1.6b1caf61877d1p-2 0x1.9524224f90a64p-2 0x1.9160266817e37p-3 "
+        "0x1.5396f92eefcfap-5 0x1.d4fe578e9c080p-9 0x1.da7608c431410p-14 0x1.1a6332c3f87d8p-20 "
+        "0x1.fb5a9ec9c1466p-30 0x1.ee93095567e35p-43 0x1.4e1a12cd123d2p-64",
+    ),
+}
+
+
+@pytest.mark.parametrize("beta, db, noise_W", sorted(PINNED_SIR_CELLS))
+def test_sir_cells_are_pinned(beta, db, noise_W):
+    dist = sinr_coverage(sir_params(10 ** (db / 10), beta, noise_W=noise_W))
+    sn, pmf = PINNED_SIR_CELLS[beta, db, noise_W]
     assert [v.hex() for v in dist.meta["sn"]] == sn.split()
     assert [float(v).hex() for v in dist.pmf] == pmf.split()
 
