@@ -33,10 +33,13 @@ term S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) is taken in
 closed form instead. Noise W multiplies S_n by ``noise_factor``,
 I_{n,beta}(x) / I_{n,beta}(0), where x = W a^(-beta/2) and
 a = lam * pi * E[(P S)^(2/beta)] / K^2. Each S_n carries an error
-estimate (its change under an inversion with 16 fewer nodes, plus the
-error of the noise factor). The form S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n),
-tau_n = tau / (1 - (n-1) tau), is the independent check: ``special_J``
-evaluates J by tensor quadrature for n <= 5.
+estimate: its change under the rule on every second node, which costs no
+Gamma(-alpha, z), where that is tight enough, and elsewhere its change
+under a second inversion with 16 fewer nodes; plus the error of the
+noise factor. The builds at one digit count share one mpmath context.
+The form S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n), tau_n = tau / (1 -
+(n-1) tau), is the independent check: ``special_J`` evaluates J by
+tensor quadrature for n <= 5.
 
 scipy is imported inside the two functions that use it, ``noise_factor``
 (noisy SINR builds only) and the Gauss-Jacobi nodes of J (reached only
@@ -66,12 +69,13 @@ __all__ = [
 
 MASS_CUTOFF = 1e-12  # the Boolean pmf ends where the tail mass Pr{N > k} drops below this
 MAX_POISSON_MEAN = 1e6  # Boolean models with a larger mean are refused: the pmf has ~mean entries
-SINR_NMAX_MAX = 320  # SINR models with a larger support bound are refused: -25 dB (nmax 317) takes ~2.6 s
+SINR_NMAX_MAX = 320  # SINR models with a larger support bound are refused: -25 dB (nmax 317) takes ~1.2 s
 I_REL_TOL = 1e-14  # relative tolerance of the adaptive quadrature of the noise factor
 GAUSS_NODES = 48  # Gauss-Jacobi nodes per dimension of the tensor rule for J
 J_MAX_ORDER = 5  # special_J's tensor rule covers n <= 5 (4 dimensions)
 PMF_ERR_LIMIT = 1e-6  # sinr_coverage raises above this propagated pmf error
 GAMMA_GUARD = 20  # bits above the working precision of each node's Gamma(-alpha, z) and product
+HALF_RULE_LIMIT = 1e-13  # largest pmf-level error estimate taken from the even-node subrule
 _LOG2E = 1.0 / math.log(2.0)
 
 
@@ -435,6 +439,17 @@ def special_J(n: int, beta: float, x: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _context(dps: int):
+    """The mpmath context of the SIR builds at dps digits, one per digit count;
+    nothing sets its precision again."""
+    import mpmath  # here, not at the top: the Boolean path never loads it
+
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    return ctx
+
+
 @functools.lru_cache(maxsize=16)
 def _talbot_nodes(m: int, prec: int):
     """(r, nodes, weights) of fixed Talbot with m nodes at prec bits: r = 2m/5,
@@ -442,27 +457,31 @@ def _talbot_nodes(m: int, prec: int):
     weights e^r/2 and e^(p_k)(1 + i sigma_k), sigma_k = theta_k +
     (theta_k cot theta_k - 1) cot theta_k. They depend on neither tau nor
     beta; the key holds the precision, so no value is reused at another.
+
+    r is a raw mpf. Each node is (raw mpc, ``_complex_ints``, |p| as a float),
+    each weight its ``_complex_ints``: what every build reads of them.
     """
     import mpmath  # here, not at the top: the Boolean path never loads it
+    from mpmath.libmp import fzero, mpc_to_complex, round_nearest
 
     ctx = mpmath.MPContext()
     ctx.prec = prec
     r = ctx.mpf(2 * m) / 5
-    nodes, weights = [r], [ctx.exp(r) / 2]
+    nodes, weights = [(r._mpf_, fzero)], [((ctx.exp(r) / 2)._mpf_, fzero)]
     for k in range(1, m):
         theta = ctx.pi * k / m
         cot = ctx.cot(theta)
         p = r * theta * ctx.mpc(cot, 1)
-        nodes.append(p)
-        weights.append(ctx.exp(p) * ctx.mpc(1, theta + (theta * cot - 1) * cot))
-    return r, tuple(nodes), tuple(weights)
+        nodes.append(p._mpc_)
+        weights.append((ctx.exp(p) * ctx.mpc(1, theta + (theta * cot - 1) * cot))._mpc_)
+    nodes = tuple((p, _complex_ints(p), abs(mpc_to_complex(p, rnd=round_nearest))) for p in nodes)
+    return r._mpf_, nodes, tuple(_complex_ints(w) for w in weights)
 
 
-def _complex_ints(v) -> tuple:
-    """(re, im, e) with v = (re + i im) 2^e for an mpmath real or complex v."""
+def _complex_ints(parts) -> tuple:
+    """(re, im, e) with v = (re + i im) 2^e for the raw mpc v = parts."""
     from mpmath.libmp import to_fixed
 
-    parts = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, (0, 0, 0, 0))
     e = min((part[2] for part in parts if part[1]), default=0)  # of the nonzero parts
     return to_fixed(parts[0], -e), to_fixed(parts[1], -e), e
 
@@ -493,9 +512,9 @@ def _power_slots(m: int, prec: int, alpha: tuple) -> list:
 
 
 def _node_gammas(ctx, alpha, s, nodes) -> list:
-    """[Gamma(-alpha, z_k) for z_k = s p_k] at the working precision of ctx, for the
-    nodes p_k of ``_talbot_nodes(m, ctx.prec)``; z_k is s p_k rounded to that
-    precision, as ``_pd_sn`` forms it. From the power series
+    """[Gamma(-alpha, z_k) for z_k = s p_k] at the working precision of ctx, as raw
+    mpc, for the nodes p_k of ``_talbot_nodes(m, ctx.prec)``; z_k is s p_k rounded
+    to that precision, as mpmath's product forms it. From the power series
         Gamma(-alpha, z) = Gamma(-alpha) - z^(-alpha) T(z),
         T(z) = sum_j (-z)^j / (j! (j - alpha)),
     with T summed by ``_series_sum`` at a scale 2^F.
@@ -514,7 +533,9 @@ def _node_gammas(ctx, alpha, s, nodes) -> list:
     is kept per (node count, precision, alpha), at 32 bits more than F + 14
     asked, and computed again when a later F asks for more.
     """
-    from mpmath.libmp import from_man_exp, mpc_pow_mpf, mpf_neg, mpf_pow, round_nearest, to_fixed
+    from mpmath.libmp import (
+        from_man_exp, mpc_mul_mpf, mpc_pow_mpf, mpc_to_complex, mpf_neg, mpf_pow, round_nearest, to_fixed,
+    )
 
     prec = ctx.prec
     at = alpha._mpf_
@@ -526,14 +547,12 @@ def _node_gammas(ctx, alpha, s, nodes) -> list:
     powers = _power_slots(len(nodes), prec, at)
     s_bits, s_power = 0, None
     out = []
-    for k, node in enumerate(nodes):
-        p = ctx.convert(node)
-        z = s * p
-        zc = complex(z)
+    for k, (p, (pr, pi, ep), p_size) in enumerate(nodes):
+        z = mpc_mul_mpf(p, s._mpf_, prec, round_nearest)
+        zc = mpc_to_complex(z, rnd=round_nearest)
         size = abs(zc)
         xr, xi, ez = _complex_ints(z)
         # alpha eps = alpha (z - s p) / z, as (qr + i qi) / den 2^qshift
-        pr, pi, ep = _complex_ints(p)
         e0 = min(ez, se + ep)
         dr = (xr << (ez - e0)) - ((sm * pr) << (se + ep - e0))
         di = (xi << (ez - e0)) - ((sm * pi) << (se + ep - e0))
@@ -549,10 +568,10 @@ def _node_gammas(ctx, alpha, s, nodes) -> list:
                 s_bits, s_power = rel + 32, mpf_pow(s._mpf_, neg_alpha, rel + 32)
             bits, p_power = powers[k]
             if bits < rel:
-                p_power = mpc_pow_mpf(ctx.mpc(p)._mpc_, neg_alpha, rel + 32)
+                p_power = mpc_pow_mpf(p, neg_alpha, rel + 32)
                 powers[k] = rel + 32, p_power
             wscale = scale + 8 + max(0, math.ceil(a * math.log2(size)))
-            pscale = rel + max(0, math.ceil(a * math.log2(abs(complex(p)))))
+            pscale = rel + max(0, math.ceil(a * math.log2(p_size)))
             factor, drop = to_fixed(s_power, rel), rel + pscale - wscale  # s^(-alpha) >= 1
             vr = (factor * to_fixed(p_power[0], pscale)) >> drop
             vi = (factor * to_fixed(p_power[1], pscale)) >> drop
@@ -571,7 +590,7 @@ def _node_gammas(ctx, alpha, s, nodes) -> list:
             if lacking <= 0:
                 break
             scale = 16 * math.ceil((scale + lacking + GAMMA_GUARD) / 16)
-        out.append(ctx.make_mpc(tuple(from_man_exp(v, -scale, prec, round_nearest) for v in (gr, gi))))
+        out.append(tuple(from_man_exp(v, -scale, prec, round_nearest) for v in (gr, gi)))
     return out
 
 
@@ -627,8 +646,9 @@ def _series_sum(alpha: tuple, xr: int, xi: int, ez: int, count: int, scale: int)
     return hr, hi
 
 
-def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> list:
-    """[S_n^PD for n = 1..nmax] by fixed Talbot inversion with m nodes.
+def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> tuple:
+    """([S_n^PD for n = 1..nmax] by fixed Talbot inversion with m nodes, the same
+    by its rule on the even-indexed nodes).
 
     S_n^PD = alpha^(n-1) / (n Gamma(1-alpha)^n) * f_n(1), where f_n is the
     inverse Laplace transform of Gamma(-alpha, s p)^n. Fixed Talbot
@@ -640,19 +660,23 @@ def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> list:
     exponent, cut back to prec + GAMMA_GUARD bits after every step; the real
     parts are summed exactly at one scale, prec + GAMMA_GUARD + 8 bits below the
     largest term, and rounded once to the working precision.
+
+    Fixed Talbot is the trapezoid rule on its contour in theta (Trefethen,
+    Weideman & Schmelzer 2006), so the nodes k = 0, 2, 4, ... with the same r
+    and twice the weight are that rule at twice the step, about m/2 nodes: the
+    second list costs a second sum of the same real parts, and no Gamma(-alpha, z).
     """
     from mpmath.libmp import from_man_exp, round_nearest
 
-    r, nodes, weights = _talbot_nodes(m, ctx.prec)
+    r, nodes, terms = _talbot_nodes(m, ctx.prec)
     gammas = []
     for g in _node_gammas(ctx, alpha, s, nodes):
         gr, gi, ge = _complex_ints(g)
         gammas.append((gr, gi + gr, gi - gr, ge))  # three products per complex step
-    terms = [_complex_ints(ctx.convert(w)) for w in weights]
     keep = ctx.prec + GAMMA_GUARD
-    front = ctx.convert(r) / m / alpha
+    front = ctx.make_mpf(r) / m / alpha
     base = alpha / ctx.gamma(1 - alpha)
-    out = []
+    out, half = [], []
     for n in range(1, nmax + 1):
         top = -math.inf
         step = []
@@ -666,10 +690,11 @@ def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> list:
             step.append((re, im, e))
         terms = step
         low = top - keep - 8
-        total = sum(re << (e - low) if e >= low else re >> (low - e) for re, _, e in terms)
-        real = ctx.make_mpf(from_man_exp(total, low, ctx.prec, round_nearest))
-        out.append(front * base**n / n * real)
-    return out
+        parts = [re << (e - low) if e >= low else re >> (low - e) for re, _, e in terms]
+        factor = front * base**n / n
+        out.append(factor * ctx.make_mpf(from_man_exp(sum(parts), low, ctx.prec, round_nearest)))
+        half.append(factor * ctx.make_mpf(from_man_exp(sum(parts[::2]), low + 1, ctx.prec, round_nearest)))
+    return out, half
 
 
 def _sn_with_errors(params: SinrModelParams):
@@ -680,33 +705,39 @@ def _sn_with_errors(params: SinrModelParams):
     network form a PD(2/beta, 0) process, and N counts its atoms above
     s = tau/(1+tau) (Keeler & Blaszczyszyn 2014). Noise enters only
     through I: S_n = S_n^PD I_n(x) / I_n(0) with x = W a^(-beta/2),
-    because J does not depend on W. The error of S_n is its change when
-    the inversion uses 16 fewer nodes at the same digits, plus the
-    propagated error of the noise factor. The change bounds the error
-    where the inversion converges fast; within
-    about 0.01 dB below 0 dB it converges slowly and can fall short.
+    because J does not depend on W.
+
+    The error estimate of S_n is the change of the inversion under one of
+    two coarser rules, plus the propagated error of the noise factor. The
+    first is the rule on the even-indexed nodes, which ``_pd_sn`` sums for
+    free. Its change is the estimate where nmax >= 3 and its pmf-level
+    value max_k sum_n C(n, k) err_n is at most ``HALF_RULE_LIMIT``. Past
+    that it reads far above the true error (5e-11 at -14 dB, beta = 3), and
+    at nmax = 2 near 0 dB it reads below it. There a second inversion with
+    16 fewer nodes at the same digits runs, and its change is the estimate.
+    Either change bounds the error where the inversion converges fast;
+    within about 0.01 dB below 0 dB it converges slowly and can fall short.
 
     With nmax = 1 (tau >= 1) the only term is S_1^PD = E[N] =
     tau^(-alpha) sin(pi alpha) / (pi alpha), taken in closed form: there
     the inversion is not needed, and it converges slowly as s -> 1 (it
     fails its error limit from about 30 dB).
     """
-    import mpmath  # here, not at the top: the Boolean path never loads it
-
     nmax = params.nmax
     # nodes, and digits: the alternating sum multiplies S_n by up to C(nmax, nmax/2)
     m = max(48, 24 + nmax)
-    ctx = mpmath.MPContext()
-    ctx.dps = m
+    ctx = _context(m)
     alpha = ctx.mpf(2) / params.beta
     if nmax == 1:
         sn = [ctx.mpf(params.tau) ** -alpha * ctx.sinpi(alpha) / (ctx.pi * alpha)]
         errs = [0.0]
     else:
         s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
-        sn = _pd_sn(ctx, alpha, s, nmax, m)
-        coarser = _pd_sn(ctx, alpha, s, nmax, m - 16)
+        sn, coarser = _pd_sn(ctx, alpha, s, nmax, m)
         errs = [float(abs(a - b)) for a, b in zip(sn, coarser)]
+        if nmax < 3 or max(_pmf_errors(errs)) > HALF_RULE_LIMIT:
+            coarser = _pd_sn(ctx, alpha, s, nmax, m - 16)[0]
+            errs = [float(abs(a - b)) for a, b in zip(sn, coarser)]
     x = params.noise_argument
     if x > 0.0:
         for n in range(1, nmax + 1):
@@ -714,6 +745,18 @@ def _sn_with_errors(params: SinrModelParams):
             errs[n - 1] = errs[n - 1] * factor + abs(float(sn[n - 1])) * err_f
             sn[n - 1] *= factor
     return ctx, sn, errs
+
+
+def _pmf_errors(errs) -> list:
+    """[sum_n C(n, k) errs[n-1] for k = 0..nmax]: the error estimates of p_k,
+    with C(n, k) from Pascal's rule in integers and each sum exact."""
+    terms = [[] for _ in range(len(errs) + 1)]  # terms[k]: C(n, k) errs[n-1] for n >= k
+    row = [1]
+    for err in errs:
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        for k, c in enumerate(row):
+            terms[k].append(c * err)
+    return [math.fsum(t) for t in terms]
 
 
 def sinr_coverage(params: SinrModelParams) -> CoverageDistribution:
@@ -732,10 +775,7 @@ def sinr_coverage(params: SinrModelParams) -> CoverageDistribution:
         for k in range(1, nmax + 1)
     ]
     pk.insert(0, 1 - ctx.fsum(pk))
-    pmf_errs = [
-        math.fsum(math.comb(n, k) * errs[n - 1] for n in range(1, nmax + 1))
-        for k in range(nmax + 1)
-    ]
+    pmf_errs = _pmf_errors(errs)
     worst = max(range(nmax + 1), key=pmf_errs.__getitem__)
     if pmf_errs[worst] > PMF_ERR_LIMIT:
         raise NumericalCancellationError(

@@ -1,9 +1,12 @@
-"""The node gammas' earlier 1F1 form, kept as an oracle for the power series.
+"""Earlier forms of two SIR build steps, kept as oracles for the current ones.
 
-``coverage._node_gammas`` sums Gamma(-alpha, z) from its power series in
-fixed-point integers. This is the form it replaced: mpmath's confluent
-hypergeometric function, which shares no code with the series.
+``node_gammas_1f1`` is the 1F1 form that ``coverage._node_gammas``'s power
+series replaced; it shares no code with the series. ``sn_with_errors_two_inversions``
+is ``coverage._sn_with_errors`` as it was before the even-node subrule: it always
+runs a second inversion with 16 fewer nodes for the error estimate.
 """
+
+from geocache import coverage
 
 
 def node_gammas_1f1(ctx, alpha, zs) -> list:
@@ -23,3 +26,30 @@ def node_gammas_1f1(ctx, alpha, zs) -> list:
             g += gamma_alpha
         out.append(+g)  # rounded to the working precision
     return out
+
+
+def sn_with_errors_two_inversions(params):
+    """(ctx, sn, errs) of ``coverage._sn_with_errors``, every estimate from the change
+    under a second inversion with 16 fewer nodes, in a context of its own."""
+    import mpmath
+
+    nmax = params.nmax
+    m = max(48, 24 + nmax)
+    ctx = mpmath.MPContext()
+    ctx.dps = m
+    alpha = ctx.mpf(2) / params.beta
+    if nmax == 1:
+        sn = [ctx.mpf(params.tau) ** -alpha * ctx.sinpi(alpha) / (ctx.pi * alpha)]
+        errs = [0.0]
+    else:
+        s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
+        sn = coverage._pd_sn(ctx, alpha, s, nmax, m)[0]
+        coarser = coverage._pd_sn(ctx, alpha, s, nmax, m - 16)[0]
+        errs = [float(abs(a - b)) for a, b in zip(sn, coarser)]
+    x = params.noise_argument
+    if x > 0.0:
+        for n in range(1, nmax + 1):
+            factor, err_f = coverage.noise_factor(n, params.beta, x)
+            errs[n - 1] = errs[n - 1] * factor + abs(float(sn[n - 1])) * err_f
+            sn[n - 1] *= factor
+    return ctx, sn, errs

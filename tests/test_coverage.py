@@ -445,28 +445,63 @@ SLOW_NEAR_0_DB = (
 )
 
 
+# cells whose estimate is the change under the even-node subrule, with no second inversion
+HALF_RULE_CELLS = {(3.0, -20), (3.0, -17), (3.0, -6), (3.0, -5), (6.0, -20), (6.0, -17), (6.0, -9), (6.0, -5)}
+
+
 @pytest.mark.parametrize(
     "beta, db",
     [(3.0, -14), (3.0, -6), (3.0, -1), (3.0, -0.1), (3.0, -0.003)]
+    + [(3.0, -20), (3.0, -17), (3.0, -5), (6.0, -20), (6.0, -17), (6.0, -9), (6.0, -5)]
     + [
         pytest.param(beta, db, marks=pytest.mark.xfail(strict=True, reason=SLOW_NEAR_0_DB))
         for beta, db in ((3.0, -0.007), (5.0, -0.01))
     ],
 )
-def test_sn_error_estimate_bounds_the_inversion_error(beta, db):
+def test_sn_error_estimate_bounds_the_inversion_error(beta, db, monkeypatch):
     # the reference runs 40 more nodes at 40 more digits; compared in mpmath,
     # as float rounding of S_n (~1e-16) would swamp errors of ~1e-30
     import mpmath
 
     params = sir_params(10 ** (db / 10), beta)
+    real, counts = coverage._pd_sn, []
+    monkeypatch.setattr(coverage, "_pd_sn", lambda *args: counts.append(args[-1]) or real(*args))
     ctx, sn, errs = coverage._sn_with_errors(params)
+    monkeypatch.undo()
+    assert len(counts) == (1 if (beta, db) in HALF_RULE_CELLS else 2), counts
     ref_ctx = mpmath.MPContext()
     ref_ctx.dps = ctx.dps + 40
     alpha = ref_ctx.mpf(2) / params.beta
     s = ref_ctx.mpf(params.tau) / (1 + ref_ctx.mpf(params.tau))
-    ref = coverage._pd_sn(ref_ctx, alpha, s, params.nmax, ref_ctx.dps)
+    ref = coverage._pd_sn(ref_ctx, alpha, s, params.nmax, ref_ctx.dps)[0]
     for n, (value, err, exact) in enumerate(zip(sn, errs, ref), start=1):
         assert abs(ref_ctx.mpf(value) - exact) <= err, (db, n)
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.0])
+def test_sinr_builds_match_the_two_inversion_oracle(beta, monkeypatch):
+    # pmf and S_n bytes never depend on the estimate's route; where the second
+    # inversion runs, the estimate is the oracle's, and elsewhere the subrule's
+    # pmf-level estimate is within its limit
+    real, counts = coverage._pd_sn, []
+    for db in range(-20, 13):
+        params = sir_params(10 ** (db / 10), beta)
+        counts.clear()
+        monkeypatch.setattr(coverage, "_pd_sn", lambda *args: counts.append(args[-1]) or real(*args))
+        dist = sinr_coverage(params)
+        monkeypatch.setattr(coverage, "_sn_with_errors", coverage_oracles.sn_with_errors_two_inversions)
+        monkeypatch.setattr(coverage, "_pd_sn", real)
+        oracle = sinr_coverage(params)
+        monkeypatch.undo()
+        assert dist.pmf.tobytes() == oracle.pmf.tobytes(), db
+        assert dist.meta["sn"] == oracle.meta["sn"], db
+        errs = dist.meta["sn_error_estimates"]
+        if len(counts) == 1:  # the subrule's estimate
+            assert params.nmax >= 3, db
+            assert dist.meta["pmf_error_estimate"] <= coverage.HALF_RULE_LIMIT, db
+        else:  # the closed form (no inversion) or the second inversion
+            assert len(counts) == (0 if params.nmax == 1 else 2), (db, counts)
+            assert errs == oracle.meta["sn_error_estimates"], db
 
 
 def assert_node_gammas(params, reference):
@@ -483,7 +518,7 @@ def assert_node_gammas(params, reference):
     s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
     for m in (ctx.dps, ctx.dps - 16):
         nodes = coverage._talbot_nodes(m, ctx.prec)[1]
-        zs = [ref.convert(s * ctx.convert(p)) for p in nodes]
+        zs = [ref.convert(s * ctx.make_mpc(p)) for p, _, _ in nodes]
         kinds = [reference(k, m) for k in range(m)]
         if "1f1" in kinds:
             oracle = coverage_oracles.node_gammas_1f1(ref, ref.convert(alpha), zs)
@@ -492,7 +527,7 @@ def assert_node_gammas(params, reference):
             if kind is not None:
                 exact = ref.gammainc(-ref.convert(alpha), z) if kind == "gammainc" else oracle[k]
                 bound = abs(exact) * ref.ldexp(1, 8 - ctx.prec)
-                assert abs(ref.convert(value) - exact) <= bound, (params.tau, m, k, kind)
+                assert abs(ref.make_mpc(value) - exact) <= bound, (params.tau, m, k, kind)
 
 
 @pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.0])
@@ -550,6 +585,37 @@ def test_talbot_nodes_are_cached_per_precision():
     for dps in (48, 88, 48, 88):
         assert sn(dps) == cold[dps], dps  # mpf equality is exact
     assert coverage._talbot_nodes.cache_info().hits == 2
+
+
+def test_pmf_errors_match_the_binomial_sums():
+    # Pascal's rule gives C(n, k) exactly, and each sum is exact, so every estimate
+    # equals the fsum of math.comb products bit for bit
+    rng = np.random.default_rng(28)
+    for nmax in (1, 2, 7, 100, 317):
+        errs = (10.0 ** rng.uniform(-300, 0, nmax)).tolist()
+        expected = [
+            math.fsum(math.comb(n, k) * errs[n - 1] for n in range(1, nmax + 1)) for k in range(nmax + 1)
+        ]
+        assert coverage._pmf_errors(errs) == expected, nmax
+
+
+def test_cached_contexts_keep_their_precision():
+    # every build at a digit count shares one mpmath context; a noisy build (48
+    # digits), then W = 0 builds at 48 and 50 digits (nmax 26) must leave each at its
+    # precision, and rebuilding them in reverse must give the same bytes
+    import mpmath
+
+    builds = [sir_params(10 ** (-6 / 10), noise_W=0.01), sir_params(10 ** (-6 / 10)), sir_params(1 / 25.5)]
+    first = [sinr_coverage(params) for params in builds]
+    for dps in (48, 50):
+        fresh = mpmath.MPContext()
+        fresh.dps = dps
+        assert (coverage._context(dps).dps, coverage._context(dps).prec) == (dps, fresh.prec)
+    assert coverage._sn_with_errors(builds[2])[0] is coverage._context(50)
+    again = [sinr_coverage(params) for params in reversed(builds)][::-1]
+    for a, b in zip(first, again):
+        assert a.pmf.tobytes() == b.pmf.tobytes()
+        assert a.meta == b.meta
 
 
 # S_n and pmf of SIR builds (beta = 3), as float.hex strings: -1 dB has the largest
