@@ -11,7 +11,6 @@ from .coverage import (
     special_J,
 )
 from .errors import (
-    EnumerationBudgetError,
     GeocacheError,
     IntegrationError,
     NumericalCancellationError,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BooleanModelParams",
     "CoverageDistribution",
-    "EnumerationBudgetError",
     "GeneralPolicy",
     "GeocacheError",
     "IndPolicy",

@@ -33,7 +33,7 @@ from .popularity import PopularityDistribution, load_popularity, zipf
 ALL_POLICIES = ("onc", "ggb", "gdbnc", "mp", "ind")
 GRID_POINTS_MAX = 100_000  # the figure sweeps use at most 33
 BLOCKS_MAX = 1000  # -L and --greedy-blocks; `bound` at J = 2000, -12 dB: ~2.2 s on a 2-vCPU Xeon
-CATALOG_MAX = 100_000  # -J; a default sweep at J = 10^5, -12 dB: ~1.2 s and 258 MiB peak, same host
+CATALOG_MAX = 100_000  # -J; a default sweep at J = 10^5, -12 dB: ~0.45 s and 46 MiB peak, same host
 MC_PASS_ENTRIES = 1 << 20  # per-item cut values one Monte Carlo pass of a sweep holds: 8 MiB
 CSV_FIELDS = (
     "tau_db",

@@ -22,7 +22,3 @@ class NumericalCancellationError(GeocacheError, ArithmeticError):
     ``sinr_coverage`` raises it when the error estimate of some p_k,
     sum_n C(n,k) err(S_n), exceeds the fixed ``coverage.PMF_ERR_LIMIT``.
     """
-
-
-class EnumerationBudgetError(GeocacheError, RuntimeError):
-    """A brute-force search would exceed its hard enumeration budget."""

@@ -35,6 +35,7 @@ from .popularity import PopularityDistribution
 __all__ = ["SimReport", "simulate_hits", "simulate_boolean_ppp", "poisson_gof_pvalue"]
 
 _TRIAL_BLOCK = 1 << 14
+_PPP_RUN_POINTS = 1 << 20  # points the PPP check draws at once: 16 MiB of offsets
 _GOF_MAX_BIN = 8
 
 
@@ -173,7 +174,10 @@ def simulate_boolean_ppp(
     square is sampled: Poisson(lam * (2r)^2) points per trial, uniform in
     it. The count is exactly Poisson(lam * pi * radius^2), with no edge
     effect, and does not depend on ``window_side``. A per-trial mean over
-    ``coverage.MAX_POISSON_MEAN`` is refused before any draw.
+    ``coverage.MAX_POISSON_MEAN`` is refused before any draw. Each trial
+    block's points are drawn in runs of consecutive trials of at most
+    ``_PPP_RUN_POINTS`` points (a trial with more is a run alone); the runs
+    continue one stream, so the counts do not depend on the run size.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -197,14 +201,20 @@ def simulate_boolean_ppp(
         )
 
     r2 = radius * radius
-    covered = []  # the coverage count of every trial, block by block
+    covered = []  # the coverage count of every trial, run by run
     for block, count in _trial_blocks(trials):
         rng = _block_rng(seed, block)
         n_points = rng.poisson(mu_square, size=count)
-        d = (rng.random((int(n_points.sum()), 2)) - 0.5) * side  # offsets from the center
-        inside = (d * d).sum(axis=1) <= r2
-        trial_ids = np.repeat(np.arange(count), n_points)
-        covered.append(np.bincount(trial_ids[inside], minlength=count))
+        ends = np.cumsum(n_points)
+        lo = 0
+        while lo < count:  # trials lo..hi-1: at most _PPP_RUN_POINTS points, or one trial
+            start = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, start + _PPP_RUN_POINTS, side="right")))
+            d = (rng.random((int(ends[hi - 1]) - start, 2)) - 0.5) * side  # offsets from the center
+            inside = (d * d).sum(axis=1) <= r2
+            trial_ids = np.repeat(np.arange(hi - lo), n_points[lo:hi])
+            covered.append(np.bincount(trial_ids[inside], minlength=hi - lo))
+            lo = hi
 
     histogram = np.bincount(np.concatenate(covered))  # ends at the largest count seen
     return CoverageDistribution(

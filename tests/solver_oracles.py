@@ -1,24 +1,137 @@
-"""The solvers' earlier loop forms, kept as oracles for the vectorised ones.
+"""Oracles for the solvers: exhaustive searches and earlier loop forms.
 
-Each returns what its library counterpart must return to the bit: the
-per-size search that one score matrix replaced, the greedy that sorted
-the gains once per candidate size, and the bisection on the multiplier
-that solved every step in full.
+``brute_structured`` and ``brute_general`` search every nondecreasing
+block-size tuple and every tuple of item subsets, so they give the true
+optimum of small instances, the value ``onc`` must reach. A search that
+would enumerate more than ``ENUMERATION_BUDGET`` candidates raises
+``EnumerationBudgetError`` instead of running.
+
+The loop forms return what their library counterparts must return to the
+bit: the per-size search that one score matrix replaced, the greedy that
+sorted the gains once per candidate size, and the bisection on the
+multiplier that solved every step in full.
 """
 
+import math
+from itertools import product
 from unittest import mock
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from geocache import (
+    CoverageDistribution,
     GeneralPolicy,
+    GeocacheError,
     IndPolicy,
+    ParameterError,
+    PopularityDistribution,
     SolverResult,
+    StructuredPolicy,
     hit_probability_general,
     hit_probability_ind,
+    hit_probability_structured,
     solvers,
 )
+
+ENUMERATION_BUDGET = 10**7
+
+
+class EnumerationBudgetError(GeocacheError, RuntimeError):
+    """A brute-force search would exceed its hard enumeration budget."""
+
+
+def _nondecreasing_size_tuples(L, J):
+    """All (m_1 <= ... <= m_L), m_i >= 0, sum <= J, lexicographic order."""
+
+    def rec(depth, lo, budget, acc):
+        if depth == L:
+            yield tuple(acc)
+            return
+        for m in range(lo, budget + 1):
+            acc.append(m)
+            yield from rec(depth + 1, m, budget - m, acc)
+            acc.pop()
+
+    yield from rec(0, 0, J, [])
+
+
+def brute_structured(
+    pop: PopularityDistribution, dist: CoverageDistribution, L: int
+) -> SolverResult:
+    """Exhaustive maximum over nondecreasing block-size tuples."""
+    if L < 1:
+        raise ParameterError(f"block count must be >= 1, got {L}")
+    J = pop.size
+    if math.comb(J + L, L) > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"C({J + L},{L}) size tuples exceed the {ENUMERATION_BUDGET} budget"
+        )
+    prefix = pop.prefix
+
+    best_value = -1.0
+    best_sizes = None
+    for sizes in _nondecreasing_size_tuples(L, J):
+        value = 0.0
+        n = 0
+        for m in sizes:
+            if m:
+                value += (prefix[n + m] - prefix[n]) * dist.tail_at(m)
+                n += m
+        if value > best_value:
+            best_value = value
+            best_sizes = sizes
+
+    policy = StructuredPolicy(best_sizes)
+    return SolverResult(
+        policy=policy,
+        hit_prob=hit_probability_structured(policy, pop, dist),
+    )
+
+
+def brute_general(
+    pop: PopularityDistribution, dist: CoverageDistribution, L: int
+) -> SolverResult:
+    """Exhaustive maximum over all L-tuples of nonempty subsets (overlap allowed)."""
+    if L < 1:
+        raise ParameterError(f"block count must be >= 1, got {L}")
+    J = pop.size
+    n_subsets = (1 << J) - 1
+    if n_subsets**L > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"({n_subsets})^{L} block tuples exceed the {ENUMERATION_BUDGET} budget"
+        )
+    probs = pop.probs.tolist()
+
+    masks = []
+    for mask in range(1, n_subsets + 1):
+        items = [j for j in range(J) if mask >> j & 1]
+        masks.append((len(items), items))
+
+    best_value = -1.0
+    best_tuple = None
+    for combo in product(range(n_subsets), repeat=L):
+        r = [None] * J
+        for idx in combo:
+            card, items = masks[idx]
+            for j in items:
+                if r[j] is None or card < r[j]:
+                    r[j] = card
+        value = math.fsum(
+            probs[j] * dist.tail_at(r[j]) for j in range(J) if r[j] is not None
+        )
+        if value > best_value:
+            best_value = value
+            best_tuple = combo
+
+    blocks = tuple(
+        frozenset(j + 1 for j in masks[idx][1]) for idx in best_tuple
+    )
+    policy = GeneralPolicy(blocks)
+    return SolverResult(
+        policy=policy,
+        hit_prob=hit_probability_general(policy, pop, dist),
+    )
 
 
 def best_sizes(prefix, tail, after, top):

@@ -31,10 +31,10 @@ from geocache import (
     zipf,
 )
 from geocache.cli import ExperimentConfig, main, run_sweep
-from geocache.oracle import brute_general, brute_structured
 from geocache.simulate import poisson_gof_pvalue
 
 from conftest import closed_form_I_at_zero, random_coverage, random_popularity
+from solver_oracles import brute_general, brute_structured
 
 
 def _criterion(num, label, ok, detail=""):

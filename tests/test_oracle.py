@@ -1,19 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from geocache import (
+    BooleanModelParams,
     CoverageDistribution,
-    EnumerationBudgetError,
     GeneralPolicy,
+    IndPolicy,
     PopularityDistribution,
     StructuredPolicy,
+    boolean_coverage,
+    hit_probability_ind,
     solve_dp,
+    zipf,
 )
 from geocache.cli import ALL_POLICIES, _run_policy
 from geocache.errors import ParameterError
-from geocache.oracle import brute_general, brute_structured, reference_hit
+from geocache.oracle import reference_hit
 
 from conftest import random_coverage, random_popularity
+from solver_oracles import EnumerationBudgetError, brute_general, brute_structured
 
 POP4 = PopularityDistribution(np.array([0.4, 0.3, 0.2, 0.1]))
 DIST_HALF = CoverageDistribution(pmf=np.array([0.0, 0.5, 0.5]))
@@ -94,3 +101,19 @@ def test_reference_hit_hand_values():
     assert reference_hit(StructuredPolicy((0, 0)), POP4, DIST_HALF) == 0.0
     with pytest.raises(ParameterError):
         reference_hit(GeneralPolicy((frozenset({5}),)), POP4, DIST_HALF)
+
+
+def test_reference_hit_of_ind_holds_one_row_of_terms_at_a_time():
+    # Boolean -20 dB: kmax 133, so all kmax * J terms of the sum at once take ~86 MB
+    J = 20_000
+    pop = zipf(J, 0.9)
+    dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=0.01, beta=3.0))
+    policy = IndPolicy(b=np.random.default_rng(3).random(J), multiplier=0.0)
+    tracemalloc.start()
+    try:
+        value = reference_hit(policy, pop, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.kmax == 133 and peak < 4e6, peak
+    assert abs(value - hit_probability_ind(policy, pop, dist)) <= 1e-14

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,26 @@ def test_ppp_mean_matches_poisson():
     mean = math.fsum(k * p for k, p in enumerate(emp.pmf.tolist()))
     sigma = 1.0 / math.sqrt(10**5)  # Poisson(1) has unit variance
     assert abs(mean - 1.0) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("run_points", [1, 7, 1000])
+def test_ppp_counts_do_not_depend_on_the_run_size(monkeypatch, run_points):
+    # 3000 trials of ~4 points: at run size 1 every trial with a point is drawn alone
+    expected = simulate_boolean_ppp(lam=1.0, radius=1.0, window_side=10.0, trials=3000, seed=6)
+    monkeypatch.setattr(simulate, "_PPP_RUN_POINTS", run_points)
+    emp = simulate_boolean_ppp(lam=1.0, radius=1.0, window_side=10.0, trials=3000, seed=6)
+    assert emp.meta["counts"] == expected.meta["counts"]
+
+
+def test_ppp_memory_stays_bounded_at_a_large_radius():
+    # 400 points per trial: one 16384-trial block holds 6.5e6 points, ~250 MB drawn at once
+    tracemalloc.start()
+    try:
+        emp = simulate_boolean_ppp(lam=1.0, radius=10.0, window_side=100.0, trials=16384, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(emp.meta["counts"]) == 16384 and peak < 100e6, peak
 
 
 def test_ppp_reproducible():

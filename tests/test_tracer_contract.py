@@ -33,3 +33,13 @@ def test_tracer_counts_the_work_of_a_sinr_and_a_boolean_sweep():
     assert m["solvers.ind_calls"] == 4
     assert m["solvers.onc_stage_max"] > 0
     assert m["policy.hit_eval_calls"] > 0
+
+
+def test_tracer_counts_the_trials_of_a_monte_carlo_sweep():
+    # cli passes trials positionally, the only form the tracer's attribute reader takes
+    config = cli.ExperimentConfig(tau_db_grid=(0.0,), J=8, L=2, trials=1000)
+    trace = tracer.Tracer()
+    with trace.installed():
+        rows, ok = cli.run_sweep(config)
+    assert ok and sum(row["sim_estimate"] is not None for row in rows) == 4  # ind is not simulated
+    assert tracer.layer_metrics(trace.spans)["simulate.hits_trials"] == 1000
