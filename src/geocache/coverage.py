@@ -20,10 +20,11 @@ power to the total form a Poisson-Dirichlet PD(alpha, 0) process with
 alpha = 2/beta, and N counts its atoms above s = tau/(1+tau), so
     S_n = alpha^(n-1) / (n Gamma(1-alpha)^n) * L^-1[Gamma(-alpha, s p)^n](1),
 one inverse Laplace transform of a power of the upper incomplete gamma
-function. It is evaluated by fixed-Talbot inversion in mpmath, with the
-node count and the working precision growing with nmax, and the
-alternating sum runs at that precision. Each process builds the nodes of
-a (count, precision) pair once. Every node's Gamma(-alpha, s p) is summed
+function. It is evaluated by fixed-Talbot inversion in mpmath, with m
+nodes at m digits, m the first of 32, 48, 64, ... at or above
+24 + 0.6 nmax (48 for nmax <= 2), and the alternating sum runs at that
+precision. Each process builds the nodes of a (count, precision) pair
+once. Every node's Gamma(-alpha, s p) is summed
 from its power series in Python integers, at a scale that covers the
 cancellations within the sum and against Gamma(-alpha), and the node
 products w_k Gamma^n run as integer mantissas. A support bound nmax above
@@ -33,10 +34,9 @@ term S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) is taken in
 closed form instead. Noise W multiplies S_n by ``noise_factor``,
 I_{n,beta}(x) / I_{n,beta}(0), where x = W a^(-beta/2) and
 a = lam * pi * E[(P S)^(2/beta)] / K^2. Each S_n carries an error
-estimate: its change under the rule on every second node, which costs no
-Gamma(-alpha, z), where that is tight enough, and elsewhere its change
-under a second inversion with 16 fewer nodes; plus the error of the
-noise factor. The builds at one digit count share one mpmath context.
+estimate: its change under a second inversion with the next smaller node
+count of that ladder (24 below 32) at the same digits, plus the error of
+the noise factor. The builds at one digit count share one mpmath context.
 The form S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n), tau_n = tau / (1 -
 (n-1) tau), is the independent check: ``special_J`` evaluates J by
 tensor quadrature for n <= 5.
@@ -69,13 +69,12 @@ __all__ = [
 
 MASS_CUTOFF = 1e-12  # the Boolean pmf ends where the tail mass Pr{N > k} drops below this
 MAX_POISSON_MEAN = 1e6  # Boolean models with a larger mean are refused: the pmf has ~mean entries
-SINR_NMAX_MAX = 320  # SINR models with a larger support bound are refused: -25 dB (nmax 317) takes ~1.2 s
+SINR_NMAX_MAX = 320  # SINR models with a larger support bound are refused: -25 dB (nmax 317) takes ~0.7 s
 I_REL_TOL = 1e-14  # relative tolerance of the adaptive quadrature of the noise factor
 GAUSS_NODES = 48  # Gauss-Jacobi nodes per dimension of the tensor rule for J
 J_MAX_ORDER = 5  # special_J's tensor rule covers n <= 5 (4 dimensions)
 PMF_ERR_LIMIT = 1e-6  # sinr_coverage raises above this propagated pmf error
 GAMMA_GUARD = 20  # bits above the working precision of each node's Gamma(-alpha, z) and product
-HALF_RULE_LIMIT = 1e-13  # largest pmf-level error estimate taken from the even-node subrule
 _LOG2E = 1.0 / math.log(2.0)
 
 
@@ -646,9 +645,8 @@ def _series_sum(alpha: tuple, xr: int, xi: int, ez: int, count: int, scale: int)
     return hr, hi
 
 
-def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> tuple:
-    """([S_n^PD for n = 1..nmax] by fixed Talbot inversion with m nodes, the same
-    by its rule on the even-indexed nodes).
+def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> list:
+    """[S_n^PD for n = 1..nmax] by fixed Talbot inversion with m nodes.
 
     S_n^PD = alpha^(n-1) / (n Gamma(1-alpha)^n) * f_n(1), where f_n is the
     inverse Laplace transform of Gamma(-alpha, s p)^n. Fixed Talbot
@@ -660,11 +658,6 @@ def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> tuple:
     exponent, cut back to prec + GAMMA_GUARD bits after every step; the real
     parts are summed exactly at one scale, prec + GAMMA_GUARD + 8 bits below the
     largest term, and rounded once to the working precision.
-
-    Fixed Talbot is the trapezoid rule on its contour in theta (Trefethen,
-    Weideman & Schmelzer 2006), so the nodes k = 0, 2, 4, ... with the same r
-    and twice the weight are that rule at twice the step, about m/2 nodes: the
-    second list costs a second sum of the same real parts, and no Gamma(-alpha, z).
     """
     from mpmath.libmp import from_man_exp, round_nearest
 
@@ -676,7 +669,7 @@ def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> tuple:
     keep = ctx.prec + GAMMA_GUARD
     front = ctx.make_mpf(r) / m / alpha
     base = alpha / ctx.gamma(1 - alpha)
-    out, half = [], []
+    out = []
     for n in range(1, nmax + 1):
         top = -math.inf
         step = []
@@ -693,8 +686,25 @@ def _pd_sn(ctx, alpha, s, nmax: int, m: int) -> tuple:
         parts = [re << (e - low) if e >= low else re >> (low - e) for re, _, e in terms]
         factor = front * base**n / n
         out.append(factor * ctx.make_mpf(from_man_exp(sum(parts), low, ctx.prec, round_nearest)))
-        half.append(factor * ctx.make_mpf(from_man_exp(sum(parts[::2]), low + 1, ctx.prec, round_nearest)))
-    return out, half
+    return out
+
+
+def _inversion_sizes(nmax: int) -> tuple:
+    """(m, coarse) of the SIR build with support bound nmax: the inversion runs m
+    nodes at m digits, and the one for its error estimate coarse nodes at the same
+    digits.
+
+    m is the first rung of 32, 48, 64, ... at or above 24 + ceil(0.6 nmax): the
+    alternating sum multiplies S_n by up to C(nmax, nmax/2), and the inversion's
+    error falls by about 0.6 digits per node. nmax <= 2 takes 48: at 32 the
+    estimate reads below the error just below 0 dB. coarse is the rung below m
+    (24 below 32), so one rung's two node sets serve every build on it.
+    """
+    if nmax <= 2:
+        return 48, 32
+    need = 24 + -(-3 * nmax // 5)  # 24 + ceil(0.6 nmax), in integers
+    m = max(32, -(-need // 16) * 16)
+    return m, max(24, m - 16)
 
 
 def _sn_with_errors(params: SinrModelParams):
@@ -707,16 +717,15 @@ def _sn_with_errors(params: SinrModelParams):
     through I: S_n = S_n^PD I_n(x) / I_n(0) with x = W a^(-beta/2),
     because J does not depend on W.
 
-    The error estimate of S_n is the change of the inversion under one of
-    two coarser rules, plus the propagated error of the noise factor. The
-    first is the rule on the even-indexed nodes, which ``_pd_sn`` sums for
-    free. Its change is the estimate where nmax >= 3 and its pmf-level
-    value max_k sum_n C(n, k) err_n is at most ``HALF_RULE_LIMIT``. Past
-    that it reads far above the true error (5e-11 at -14 dB, beta = 3), and
-    at nmax = 2 near 0 dB it reads below it. There a second inversion with
-    16 fewer nodes at the same digits runs, and its change is the estimate.
-    Either change bounds the error where the inversion converges fast;
-    within about 0.01 dB below 0 dB it converges slowly and can fall short.
+    The inversion runs m nodes at m digits, ``_inversion_sizes(nmax)``. The
+    error estimate of S_n is its change under a second inversion with the
+    coarser node count at the same digits, plus the propagated error of the
+    noise factor. The change bounds the error where the inversion converges
+    fast; within about 0.01 dB below 0 dB it converges slowly and can fall
+    short. The rule on the even-indexed nodes alone would cost no
+    Gamma(-alpha, z), but at these node counts it shares the full rule's
+    unresolved error in the top S_n: at beta = 2.5, -24 dB its change is
+    0.19 times the error of S_252.
 
     With nmax = 1 (tau >= 1) the only term is S_1^PD = E[N] =
     tau^(-alpha) sin(pi alpha) / (pi alpha), taken in closed form: there
@@ -724,8 +733,7 @@ def _sn_with_errors(params: SinrModelParams):
     fails its error limit from about 30 dB).
     """
     nmax = params.nmax
-    # nodes, and digits: the alternating sum multiplies S_n by up to C(nmax, nmax/2)
-    m = max(48, 24 + nmax)
+    m, coarse = _inversion_sizes(nmax)
     ctx = _context(m)
     alpha = ctx.mpf(2) / params.beta
     if nmax == 1:
@@ -733,11 +741,9 @@ def _sn_with_errors(params: SinrModelParams):
         errs = [0.0]
     else:
         s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
-        sn, coarser = _pd_sn(ctx, alpha, s, nmax, m)
+        sn = _pd_sn(ctx, alpha, s, nmax, m)
+        coarser = _pd_sn(ctx, alpha, s, nmax, coarse)
         errs = [float(abs(a - b)) for a, b in zip(sn, coarser)]
-        if nmax < 3 or max(_pmf_errors(errs)) > HALF_RULE_LIMIT:
-            coarser = _pd_sn(ctx, alpha, s, nmax, m - 16)[0]
-            errs = [float(abs(a - b)) for a, b in zip(sn, coarser)]
     x = params.noise_argument
     if x > 0.0:
         for n in range(1, nmax + 1):

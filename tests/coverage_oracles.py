@@ -2,8 +2,8 @@
 
 ``node_gammas_1f1`` is the 1F1 form that ``coverage._node_gammas``'s power
 series replaced; it shares no code with the series. ``sn_with_errors_two_inversions``
-is ``coverage._sn_with_errors`` as it was before the even-node subrule: it always
-runs a second inversion with 16 fewer nodes for the error estimate.
+is ``coverage._sn_with_errors`` in an mpmath context of its own, with the sizes of
+``coverage._inversion_sizes``: both inversions in every build.
 """
 
 from geocache import coverage
@@ -30,11 +30,11 @@ def node_gammas_1f1(ctx, alpha, zs) -> list:
 
 def sn_with_errors_two_inversions(params):
     """(ctx, sn, errs) of ``coverage._sn_with_errors``, every estimate from the change
-    under a second inversion with 16 fewer nodes, in a context of its own."""
+    under the coarser inversion, in a context of its own."""
     import mpmath
 
     nmax = params.nmax
-    m = max(48, 24 + nmax)
+    m, coarse = coverage._inversion_sizes(nmax)
     ctx = mpmath.MPContext()
     ctx.dps = m
     alpha = ctx.mpf(2) / params.beta
@@ -43,8 +43,8 @@ def sn_with_errors_two_inversions(params):
         errs = [0.0]
     else:
         s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
-        sn = coverage._pd_sn(ctx, alpha, s, nmax, m)[0]
-        coarser = coverage._pd_sn(ctx, alpha, s, nmax, m - 16)[0]
+        sn = coverage._pd_sn(ctx, alpha, s, nmax, m)
+        coarser = coverage._pd_sn(ctx, alpha, s, nmax, coarse)
         errs = [float(abs(a - b)) for a, b in zip(sn, coarser)]
     x = params.noise_argument
     if x > 0.0:

@@ -445,14 +445,44 @@ SLOW_NEAR_0_DB = (
 )
 
 
-# cells whose estimate is the change under the even-node subrule, with no second inversion
-HALF_RULE_CELLS = {(3.0, -20), (3.0, -17), (3.0, -6), (3.0, -5), (6.0, -20), (6.0, -17), (6.0, -9), (6.0, -5)}
+# (nmax, m, coarse): the first and last support bound of each rung of the node rule
+INVERSION_SIZES = [
+    (2, 48, 32), (3, 32, 24), (13, 32, 24), (14, 48, 32), (40, 48, 32), (41, 64, 48), (66, 64, 48),
+    (67, 80, 64), (100, 96, 80), (120, 96, 80), (121, 112, 96), (126, 112, 96), (159, 128, 112),
+    (200, 144, 128), (226, 160, 144), (252, 176, 160), (253, 176, 160), (254, 192, 176),
+    (280, 192, 176), (306, 208, 192), (307, 224, 208), (317, 224, 208), (320, 224, 208),
+]
+
+
+@pytest.mark.parametrize("nmax, m, coarse", [(1, 48, 32)] + INVERSION_SIZES)
+def test_inversion_sizes_follow_the_node_rule(nmax, m, coarse, monkeypatch):
+    # m is the first rung of 32, 48, 64, ... at or above 24 + ceil(0.6 nmax), 48 for
+    # nmax <= 2; each build runs m nodes, then coarse nodes, at m digits, and a
+    # build with nmax = 1 takes S_1 in closed form at m digits
+    assert coverage._inversion_sizes(nmax) == (m, coarse)
+    calls = []
+
+    def record(ctx, alpha, s, n, nodes):
+        calls.append((nodes, ctx.dps))
+        return [ctx.zero] * n
+
+    monkeypatch.setattr(coverage, "_pd_sn", record)
+    params = sir_params(1.0 / (nmax - 0.5))
+    assert params.nmax == nmax
+    ctx = coverage._sn_with_errors(params)[0]
+    assert ctx.dps == m
+    assert calls == ([] if nmax == 1 else [(m, m), (coarse, m)])
 
 
 @pytest.mark.parametrize(
     "beta, db",
     [(3.0, -14), (3.0, -6), (3.0, -1), (3.0, -0.1), (3.0, -0.003)]
     + [(3.0, -20), (3.0, -17), (3.0, -5), (6.0, -20), (6.0, -17), (6.0, -9), (6.0, -5)]
+    # one cell per rung from 80 nodes (nmax 80, 126, 159, 200, 224, 252, 270, 282, 317),
+    # and the extreme alpha of the p_0 precision limit
+    + [(3.0, -19), (4.0, -21), (6.0, -22), (3.0, -23), (4.0, -23.5), (2.5, -24), (2.5, -24.3)]
+    + [(6.0, -24.5), (3.0, -25)]
+    + [(2.05, -14), (2.05, -3), (20.0, -14), (20.0, -3)]
     + [
         pytest.param(beta, db, marks=pytest.mark.xfail(strict=True, reason=SLOW_NEAR_0_DB))
         for beta, db in ((3.0, -0.007), (5.0, -0.01))
@@ -468,21 +498,20 @@ def test_sn_error_estimate_bounds_the_inversion_error(beta, db, monkeypatch):
     monkeypatch.setattr(coverage, "_pd_sn", lambda *args: counts.append(args[-1]) or real(*args))
     ctx, sn, errs = coverage._sn_with_errors(params)
     monkeypatch.undo()
-    assert len(counts) == (1 if (beta, db) in HALF_RULE_CELLS else 2), counts
+    assert counts == list(coverage._inversion_sizes(params.nmax)), counts
     ref_ctx = mpmath.MPContext()
     ref_ctx.dps = ctx.dps + 40
     alpha = ref_ctx.mpf(2) / params.beta
     s = ref_ctx.mpf(params.tau) / (1 + ref_ctx.mpf(params.tau))
-    ref = coverage._pd_sn(ref_ctx, alpha, s, params.nmax, ref_ctx.dps)[0]
+    ref = coverage._pd_sn(ref_ctx, alpha, s, params.nmax, ref_ctx.dps)
     for n, (value, err, exact) in enumerate(zip(sn, errs, ref), start=1):
         assert abs(ref_ctx.mpf(value) - exact) <= err, (db, n)
 
 
 @pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.0])
 def test_sinr_builds_match_the_two_inversion_oracle(beta, monkeypatch):
-    # pmf and S_n bytes never depend on the estimate's route; where the second
-    # inversion runs, the estimate is the oracle's, and elsewhere the subrule's
-    # pmf-level estimate is within its limit
+    # a build in the shared context of its digits gives the bytes, S_n and estimates
+    # of the same two inversions in a context of its own
     real, counts = coverage._pd_sn, []
     for db in range(-20, 13):
         params = sir_params(10 ** (db / 10), beta)
@@ -495,13 +524,8 @@ def test_sinr_builds_match_the_two_inversion_oracle(beta, monkeypatch):
         monkeypatch.undo()
         assert dist.pmf.tobytes() == oracle.pmf.tobytes(), db
         assert dist.meta["sn"] == oracle.meta["sn"], db
-        errs = dist.meta["sn_error_estimates"]
-        if len(counts) == 1:  # the subrule's estimate
-            assert params.nmax >= 3, db
-            assert dist.meta["pmf_error_estimate"] <= coverage.HALF_RULE_LIMIT, db
-        else:  # the closed form (no inversion) or the second inversion
-            assert len(counts) == (0 if params.nmax == 1 else 2), (db, counts)
-            assert errs == oracle.meta["sn_error_estimates"], db
+        assert dist.meta["sn_error_estimates"] == oracle.meta["sn_error_estimates"], db
+        assert len(counts) == (0 if params.nmax == 1 else 2), (db, counts)
 
 
 def assert_node_gammas(params, reference):
@@ -510,13 +534,14 @@ def assert_node_gammas(params, reference):
     mpmath's incomplete gamma ("gammainc") or the earlier 1F1 form ("1f1")."""
     import mpmath
 
+    digits, coarse = coverage._inversion_sizes(params.nmax)  # a build's digits, its two node counts
     ctx = mpmath.MPContext()
-    ctx.dps = max(48, 24 + params.nmax)  # a build's digits, and its two node counts
+    ctx.dps = digits
     ref = mpmath.MPContext()
     ref.dps = ctx.dps + 30
     alpha = ctx.mpf(2) / params.beta
     s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
-    for m in (ctx.dps, ctx.dps - 16):
+    for m in (digits, coarse):
         nodes = coverage._talbot_nodes(m, ctx.prec)[1]
         zs = [ref.convert(s * ctx.make_mpc(p)) for p, _, _ in nodes]
         kinds = [reference(k, m) for k in range(m)]
@@ -547,7 +572,7 @@ def test_node_gammas_match_mpmath_gammainc(beta):
 def test_node_gammas_match_mpmath_gammainc_where_the_guards_peak(beta, db):
     # just below 0 dB node 0 has the largest Re z (~9.6) of any build, the largest
     # cancellation against Gamma(-alpha), and the last node the largest |z| (~460);
-    # -25 dB runs 341 nodes at 341 digits, the most terms per node
+    # -25 dB runs 224 nodes at 224 digits, the most terms per node
     assert_node_gammas(
         sir_params(10 ** (db / 10), beta),
         lambda k, m: "gammainc" if k % 16 == 0 or k == m - 1 else None,
@@ -600,26 +625,44 @@ def test_pmf_errors_match_the_binomial_sums():
 
 
 def test_cached_contexts_keep_their_precision():
-    # every build at a digit count shares one mpmath context; a noisy build (48
-    # digits), then W = 0 builds at 48 and 50 digits (nmax 26) must leave each at its
+    # every build at a digit count shares one mpmath context; a noisy build (32
+    # digits), then W = 0 builds at 32 and 48 digits (nmax 26) must leave each at its
     # precision, and rebuilding them in reverse must give the same bytes
     import mpmath
 
     builds = [sir_params(10 ** (-6 / 10), noise_W=0.01), sir_params(10 ** (-6 / 10)), sir_params(1 / 25.5)]
     first = [sinr_coverage(params) for params in builds]
-    for dps in (48, 50):
+    for dps in (32, 48):
         fresh = mpmath.MPContext()
         fresh.dps = dps
         assert (coverage._context(dps).dps, coverage._context(dps).prec) == (dps, fresh.prec)
-    assert coverage._sn_with_errors(builds[2])[0] is coverage._context(50)
+    assert coverage._sn_with_errors(builds[2])[0] is coverage._context(48)
     again = [sinr_coverage(params) for params in reversed(builds)][::-1]
     for a, b in zip(first, again):
         assert a.pmf.tobytes() == b.pmf.tobytes()
         assert a.meta == b.meta
 
 
+def test_a_second_pass_over_the_sinr_sweep_grid_misses_no_cache():
+    # the benchmark's SIR grid (beta = 3, -14..12 dB) runs at two digit counts with four
+    # (count, precision) node sets, as many as under the earlier max(48, 24 + nmax)
+    # nodes; from empty caches one pass fills them, and a second, shuffled, misses none
+    caches = [coverage._context, coverage._talbot_nodes, coverage._power_slots]
+    caches += [coverage._gamma_int, coverage._reciprocals]
+    for cache in caches:
+        cache.cache_clear()
+    grid = list(range(-14, 13))
+    for db in grid:
+        sinr_coverage(sir_params(10 ** (db / 10)))
+    assert [cache.cache_info().currsize for cache in caches[:3]] == [2, 4, 4]
+    misses = [cache.cache_info().misses for cache in caches]
+    for db in np.random.default_rng(30).permutation(grid).tolist():
+        sinr_coverage(sir_params(10 ** (db / 10)))
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
 # S_n and pmf of SIR builds (beta = 3), as float.hex strings: -1 dB has the largest
-# node |z| (~400) and guard of the figure grid, -20 dB runs 124 nodes at 124 digits
+# node |z| (~400) and guard of the figure grid, -20 dB runs 96 nodes at 96 digits
 PINNED_SIR = {
     -1: (
         "0x1.edac130b77282p-2 0x1.4ca0a4af5ca06p-10",
@@ -635,16 +678,16 @@ PINNED_SIR = {
         "0x1.2643e143506eep+1 0x1.ae28de3e01f2fp-1 0x1.c9f4800c3c8cfp-3 0x1.63cb7190b4e1bp-5 "
         "0x1.91bf17522130bp-8 0x1.466aa5ee886a5p-11 0x1.77d2af76b0eabp-15 0x1.2c117df966878p-19 "
         "0x1.42f2fa53dffe0p-24 0x1.c3786da554a99p-30 0x1.86b0deb15a9d6p-36 0x1.893704bfd2667p-43 "
-        "0x1.a7d0c5bffee55p-51 0x1.b5ab008a75f04p-60 0x1.7310a02f90089p-70 0x1.9d587cb0fffa8p-82 "
-        "0x1.af0bb1c97f5a9p-96 0x1.e38f1bcc4be2ap-113 0x1.b405b44072e28p-129 -0x1.49f797fe69aedp-130 "
-        "-0x1.3952f95497759p-129 0x1.1612cc242c326p-128",
+        "0x1.a7d0c5bffee55p-51 0x1.b5ab008a75f04p-60 0x1.7310a02f90089p-70 0x1.9d587cb0ffc03p-82 "
+        "0x1.af0bb1cc9ef96p-96 0x1.e3a8a5dce7594p-113 -0x1.329505f6faf2dp-124 0x1.4709d6861c623p-125 "
+        "0x1.1c69ae9940033p-125 -0x1.542a423b9559dp-124",
         "0x1.d8ace145e4d8ep-18 0x1.106ba1c6339a1p-3 0x1.5d16032af866ap-3 0x1.9ea43b9d070c0p-3 "
         "0x1.9eac0ab6e43dfp-3 0x1.3fdb93868324cp-3 0x1.688ffe665c9f2p-4 0x1.20e9848eb8d34p-5 "
         "0x1.4462ca1d4ac3dp-7 0x1.f92c54eb1b5bbp-10 0x1.0de7b4ee62180p-12 0x1.8668636af1218p-16 "
         "0x1.773ba76a744bep-20 0x1.d395ddebab0a5p-25 0x1.6d86ab2d616b2p-30 0x1.5746de556d75cp-36 "
-        "0x1.6d9441e397a7ap-43 0x1.988cafde5f89fp-51 0x1.aecd3c2451371p-60 0x1.710c49f82a127p-70 "
-        "0x1.9ccb1054489b9p-82 0x1.aef5b8add0ae6p-96 0x1.3649986227e71p-112 0x0.0p+0 "
-        "0x1.6fffec708de6dp-120 0x0.0p+0 0x1.1612cc242c326p-128",
+        "0x1.6d9441e397a7ap-43 0x1.988cafde5f8a1p-51 0x1.aecd3c2451138p-60 0x1.710c49f8661b9p-70 "
+        "0x1.9ccb0f04a3039p-82 0x1.af0d93e81564ep-96 0x0.0p+0 0x1.c29d823cd6015p-113 "
+        "0x0.0p+0 0x1.18d3fc8ace590p-119 0x0.0p+0",
     ),
     -20: (
         "0x1.1d128f96de418p+3 0x1.76e06335f29fdp+5 0x1.64d9587b1d126p+7 0x1.08eab28d54cd0p+9 "
@@ -663,15 +706,15 @@ PINNED_SIR = {
         "0x1.5577d271ba997p-104 0x1.8939880350089p-110 0x1.8faba1036f57fp-116 0x1.653119875a0ffp-122 "
         "0x1.1791f1a7bf18cp-128 0x1.7d9d5fbb5fdcbp-135 0x1.c4213ffd8167cp-142 0x1.cea419749ad9dp-149 "
         "0x1.96abffbf34f1dp-156 0x1.3152f35b9ee1dp-163 0x1.85288ee336743p-171 0x1.a236462fb55c4p-179 "
-        "0x1.78333339219dbp-187 0x1.190bb4055ca01p-195 0x1.59c5f075f0598p-204 0x1.5b0d6f4902906p-213 "
-        "0x1.194f7a0381976p-222 0x1.6c3bd8504a609p-232 0x1.741c4d5e852fap-242 0x1.27fab099a367dp-252 "
-        "0x1.693ab02d1082dp-263 0x1.4cc2c96a9d88ep-274 0x1.c672fb63385fcp-286 0x1.c2e0cc30e19a2p-298 "
-        "0x1.3dbb514fe1e1dp-310 0x1.31e99ee7341dap-323 -0x1.40eb5c37d11c7p-331 0x1.50122548f79ffp-329 "
-        "-0x1.cbd9f2d5d1bdcp-329 0x1.c88c71ebc920bp-329 -0x1.6612bfaae0dd8p-329 0x1.a4a9fcb9c978ap-330 "
-        "-0x1.d5e8db924a361p-332 -0x1.f40d6650ffe7fp-332 0x1.0f1f6e323069bp-330 -0x1.3d4b430c146dfp-330 "
-        "0x1.1bbac2237cb2cp-330 -0x1.9524fe7007812p-331 0x1.aaa0c711c930fp-332 -0x1.58a7abb97778cp-334 "
-        "-0x1.3147d6e4b3a65p-333 0x1.123bc7c43f030p-332 -0x1.26e5000c8046ap-332 0x1.ef57b5794b13ap-333 "
-        "-0x1.511892c52b340p-333 0x1.5baeb7ca9d859p-334 -0x1.53bb7a77152fep-336 -0x1.50b5078611fcep-336",
+        "0x1.78333339219dbp-187 0x1.190bb4055ca01p-195 0x1.59c5f075f0590p-204 0x1.5b0d6f4903bc0p-213 "
+        "0x1.194f7a00d416dp-222 0x1.6c3be39f7d7e1p-232 0x1.73ef46cd229d6p-242 0x1.d2d22281e1750p-252 "
+        "-0x1.365f21f9c1529p-253 0x1.0faafc3abf200p-253 -0x1.c8f1a648b0d47p-254 0x1.70fd179326245p-254 "
+        "-0x1.1cbedbd8c2196p-254 0x1.9ffda04448b74p-255 -0x1.1a36f4b8cc587p-255 0x1.54e13ac39017bp-256 "
+        "-0x1.43d0889670e35p-257 0x1.9202a8504be8cp-260 0x1.27528523bfd59p-258 -0x1.18e1573a8d20ep-257 "
+        "0x1.692d38902d8bbp-257 -0x1.90125e14dc013p-257 0x1.981d0a7a8feccp-257 -0x1.8a7337ae0fb03p-257 "
+        "0x1.6ea55d989bf6ap-257 -0x1.4aad63d09a4a7p-257 0x1.230cd017e8219p-257 -0x1.f5fa94a5e29fap-258 "
+        "0x1.a9526a5a1d72ep-258 -0x1.62c9c172e9755p-258 0x1.23c6d4b6094dep-258 -0x1.d992029bbc625p-259 "
+        "0x1.7b679a78a6e97p-259 -0x1.2c12e481e9400p-259 0x1.d45998ee29968p-260 -0x1.6840759ef844cp-260",
         "0x1.19edbec039f41p-68 0x1.86f35f7ef0dc1p-5 0x1.a8e5ac1b80c71p-5 0x1.cad7f8b810b02p-5 "
         "0x1.ebb2bbb4fab9cp-5 0x1.05099b6f38116p-4 0x1.1225bbb64508ap-4 0x1.1c35f1f580969p-4 "
         "0x1.222d564d4f813p-4 0x1.22feb962a5304p-4 0x1.1dbc0c721362ep-4 0x1.11bff6fc6a000p-4 "
@@ -685,18 +728,18 @@ PINNED_SIR = {
         "0x1.7f49e643373f0p-48 0x1.138fe39513e4dp-51 0x1.64dd6a6833644p-55 0x1.9fad9d8f962c6p-59 "
         "0x1.b2dad6524e434p-63 0x1.97ed66ec961e9p-67 0x1.56900b0b70938p-71 0x1.010e7e6f1ae4bp-75 "
         "0x1.580f3ce229929p-80 0x1.99d782520854bp-85 0x1.b1832c8643e9bp-90 0x1.9633a165c3906p-95 "
-        "0x1.5049c89d1fb6ap-100 0x1.ea9b0a14152c6p-106 0x1.3a5f84f394bafp-111 0x1.60c9c60c14cf3p-117 "
-        "0x1.5977958cf047ap-123 0x1.261bc835f1afap-129 0x1.b19e06612859fp-136 0x1.1397d40c93ec8p-142 "
-        "0x1.2ca0d28c1e646p-149 0x1.1803000f2eb97p-156 0x1.baf8afc3ebadcp-164 0x1.27cf117c69af2p-171 "
-        "0x1.4b69e01d0bc9dp-179 0x1.3552c9965ca3dp-187 0x1.dd69b75ecbb79p-196 0x1.2e1ff5cb0b73ep-204 "
-        "0x1.36c7ba3520649p-213 0x1.0146fa60c53b7p-222 0x1.5324ec1df3959p-232 0x1.5fc410e6eb782p-242 "
-        "0x1.0dc6f7a66e76bp-252 0x1.dddb529ad03f5p-258 0x0.0p+0 0x1.687a83a443e03p-260 "
-        "0x0.0p+0 0x1.81abe37044ae5p-263 0x0.0p+0 0x1.3181757fc6accp-266 "
-        "0x0.0p+0 0x1.6c747593b5ef5p-270 0x0.0p+0 0x1.46b461bc148bap-274 "
-        "0x0.0p+0 0x1.b2531311d6ba6p-279 0x0.0p+0 0x1.a279076dc04c8p-284 "
-        "0x0.0p+0 0x1.1a8c55b7cd0dbp-289 0x0.0p+0 0x1.fd78b9c521271p-296 "
-        "0x0.0p+0 0x1.1d7f42161ec48p-302 0x0.0p+0 0x1.63572da249880p-310 "
-        "0x0.0p+0 0x1.91c0a9d252a47p-319 0x0.0p+0 0x1.0465f6ebcfe33p-329 "
+        "0x1.5049c89d1fb6ap-100 0x1.ea9b0a14152c6p-106 0x1.3a5f84f394badp-111 0x1.60c9c60c14d43p-117 "
+        "0x1.5977958cef4b9p-123 0x1.261bc83621068p-129 0x1.b19e065010b61p-136 0x1.1397d703855b7p-142 "
+        "0x1.2c9fd5ae0ab78p-149 0x1.1853e4df0eb2ap-156 0x1.894bc67724706p-164 0x1.f93ab5be58bc1p-168 "
+        "0x0.0p+0 0x1.1e7d7a595f037p-169 0x0.0p+0 0x1.272c3269e1705p-171 "
+        "0x0.0p+0 0x1.fd8d75cfaf1a2p-174 0x0.0p+0 0x1.6e4021cf8ed76p-176 "
+        "0x0.0p+0 0x1.b3527a6e4bc0ep-179 0x0.0p+0 0x1.a8367bd97fc2cp-182 "
+        "0x0.0p+0 0x1.4f8513d27d1e8p-185 0x0.0p+0 0x1.a99634200ae12p-189 "
+        "0x0.0p+0 0x1.aa931cc4a7e8dp-193 0x0.0p+0 0x1.4bd62a3c52671p-197 "
+        "0x0.0p+0 0x1.87cabe4b93e8cp-202 0x0.0p+0 0x1.552304bffa305p-207 "
+        "0x0.0p+0 0x1.a5f5767198a4ap-213 0x0.0p+0 0x1.603cd36a759c1p-219 "
+        "0x0.0p+0 0x1.70c0078e35c9bp-226 0x0.0p+0 0x1.afd7825980eeep-234 "
+        "0x0.0p+0 0x1.ce389f24a0973p-243 0x0.0p+0 0x1.1d1b0f160e48ep-253 "
         "0x0.0p+0",
     ),
 }
@@ -725,11 +768,11 @@ PINNED_SIR_CELLS = {
     ),
     (3.0, -10, 0.01): (
         "0x1.eb119d439bc25p+0 0x1.45130493c415cp+0 0x1.997a3001a7ca6p-2 0x1.f45a664e5300ap-5 "
-        "0x1.186e9ada0c55ep-8 0x1.f990654d40bcep-14 0x1.1e5a731af069dp-20 0x1.fbe5b8330ff0fp-30 "
-        "0x1.ee9371bd8dc36p-43 0x1.4e1a12cd123d2p-64",
+        "0x1.186e9ada0c55ep-8 0x1.f990654d40bcep-14 0x1.1e5a731af069dp-20 0x1.fbe5b8330ff12p-30 "
+        "0x1.ee9371bd7b2e0p-43 0x1.4e1bdea1f0fc3p-64",
         "0x1.1a8a259a24749p-7 0x1.6b1caf61877d1p-2 0x1.9524224f90a64p-2 0x1.9160266817e37p-3 "
-        "0x1.5396f92eefcfap-5 0x1.d4fe578e9c080p-9 0x1.da7608c431410p-14 0x1.1a6332c3f87d8p-20 "
-        "0x1.fb5a9ec9c1466p-30 0x1.ee93095567e35p-43 0x1.4e1a12cd123d2p-64",
+        "0x1.5396f92eefcfap-5 0x1.d4fe578e9c080p-9 0x1.da7608c431410p-14 0x1.1a6332c3f87d7p-20 "
+        "0x1.fb5a9ec9c1600p-30 0x1.ee930954c59b6p-43 0x1.4e1bdea1f0fc3p-64",
     ),
 }
 
