@@ -21,25 +21,25 @@ alpha = 2/beta, and N counts its atoms above s = tau/(1+tau), so
     S_n = alpha^(n-1) / (n Gamma(1-alpha)^n) * L^-1[Gamma(-alpha, s p)^n](1),
 one inverse Laplace transform of a power of the upper incomplete gamma
 function. It is evaluated by fixed-Talbot inversion in mpmath, with m
-nodes at m digits, m the first of 32, 48, 64, ... at or above
-24 + 0.6 nmax (48 for nmax <= 2), and the alternating sum runs at that
-precision. Each process builds the nodes of a (count, precision) pair
-once. Every node's Gamma(-alpha, s p) is summed
-from its power series in Python integers, at a scale that covers the
-cancellations within the sum and against Gamma(-alpha), and the node
-products w_k Gamma^n run as integer mantissas. A support bound nmax above
-``SINR_NMAX_MAX`` is refused when the parameters are built, as its build
-would take minutes. For tau >= 1 (nmax = 1) the one
-term S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) is taken in
-closed form instead. Noise W multiplies S_n by ``noise_factor``,
-I_{n,beta}(x) / I_{n,beta}(0), where x = W a^(-beta/2) and
-a = lam * pi * E[(P S)^(2/beta)] / K^2. Each S_n carries an error
-estimate: its change under a second inversion with the next smaller node
-count of that ladder (24 below 32) at the same digits, plus the error of
-the noise factor. The builds at one digit count share one mpmath context.
-The form S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n), tau_n = tau / (1 -
-(n-1) tau), is the independent check: ``special_J`` evaluates J by
-tensor quadrature for n <= 5.
+nodes at m digits, m the first of 32, 48, 64, ... at or above 24 + 0.6
+nmax, and the alternating sum runs at that precision. Each process
+builds the nodes of a (count, precision) pair once. Every node's
+Gamma(-alpha, s p) is summed from its power series in Python integers,
+at a scale that covers the cancellations within the sum and against
+Gamma(-alpha), and the node products w_k Gamma^n run as integer
+mantissas. A support bound nmax above ``SINR_NMAX_MAX`` is refused when
+the parameters are built, as its build would take minutes. For tau > 1/2
+(nmax <= 2) S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) and
+S_2, through 2F1, are taken in closed form at 32 digits instead. Noise W
+multiplies S_n by ``noise_factor``, I_{n,beta}(x) / I_{n,beta}(0), where
+x = W a^(-beta/2) and a = lam * pi * E[(P S)^(2/beta)] / K^2. Each S_n
+carries an error estimate: its change under a second inversion with the
+next smaller node count of that ladder (24 below 32) at the same digits,
+or that of the closed form at 48 digits, plus the error of the noise
+factor. The builds at one digit count share one mpmath context. The form
+S_n = tau_n^(-2n/beta) I_n(x) J_n(tau_n), tau_n = tau / (1 - (n-1) tau),
+is the independent check: ``special_J`` evaluates J by tensor quadrature
+for n <= 5.
 
 scipy is imported inside the two functions that use it, ``noise_factor``
 (noisy SINR builds only) and the Gauss-Jacobi nodes of J (reached only
@@ -696,15 +696,35 @@ def _inversion_sizes(nmax: int) -> tuple:
 
     m is the first rung of 32, 48, 64, ... at or above 24 + ceil(0.6 nmax): the
     alternating sum multiplies S_n by up to C(nmax, nmax/2), and the inversion's
-    error falls by about 0.6 digits per node. nmax <= 2 takes 48: at 32 the
-    estimate reads below the error just below 0 dB. coarse is the rung below m
-    (24 below 32), so one rung's two node sets serve every build on it.
+    error falls by about 0.6 digits per node. coarse is the rung below m (24
+    below 32), so one rung's two node sets serve every build on it. Builds with
+    nmax <= 2 run no inversion and take only the digits, 32.
     """
-    if nmax <= 2:
-        return 48, 32
     need = 24 + -(-3 * nmax // 5)  # 24 + ceil(0.6 nmax), in integers
     m = max(32, -(-need // 16) * 16)
     return m, max(24, m - 16)
+
+
+def _closed_form_sn(ctx, params: SinrModelParams) -> list:
+    """[S_1^PD, ..., S_nmax^PD] for nmax <= 2 in closed form, at the working
+    precision of ctx. With alpha = 2/beta and tau_2 = tau / (1 - tau),
+        S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha),
+        S_2 = tau_2^(-2 alpha) I_2(0) J_2(tau_2),
+        I_2(0) = 2 / (beta Gamma(1 - alpha)^2 Gamma(1 + alpha)^2),
+        J_2(x) = B(1 + alpha, 1 + alpha) / x 2F1(1, 1 + alpha; 2 + 2 alpha; -1/x).
+    J_2 is the n = 2 integral of ``special_J``: partial fractions split its
+    integrand into two halves, equal under v <-> 1 - v, and each is Euler's
+    integral of 2F1 (Abramowitz & Stegun 15.3.1).
+    """
+    alpha = ctx.mpf(2) / params.beta
+    tau = ctx.mpf(params.tau)
+    sn = [tau**-alpha * ctx.sinpi(alpha) / (ctx.pi * alpha)]
+    if params.nmax == 2:
+        x = tau / (1 - tau)
+        i_0 = 2 / (params.beta * (ctx.gamma(1 - alpha) * ctx.gamma(1 + alpha)) ** 2)
+        j = ctx.beta(1 + alpha, 1 + alpha) / x * ctx.hyp2f1(1, 1 + alpha, 2 + 2 * alpha, -1 / x)
+        sn.append(x ** (-2 * alpha) * i_0 * j)
+    return sn
 
 
 def _sn_with_errors(params: SinrModelParams):
@@ -720,26 +740,32 @@ def _sn_with_errors(params: SinrModelParams):
     The inversion runs m nodes at m digits, ``_inversion_sizes(nmax)``. The
     error estimate of S_n is its change under a second inversion with the
     coarser node count at the same digits, plus the propagated error of the
-    noise factor. The change bounds the error where the inversion converges
-    fast; within about 0.01 dB below 0 dB it converges slowly and can fall
-    short. The rule on the even-indexed nodes alone would cost no
+    noise factor. The rule on the even-indexed nodes alone would cost no
     Gamma(-alpha, z), but at these node counts it shares the full rule's
     unresolved error in the top S_n: at beta = 2.5, -24 dB its change is
     0.19 times the error of S_252.
 
-    With nmax = 1 (tau >= 1) the only term is S_1^PD = E[N] =
-    tau^(-alpha) sin(pi alpha) / (pi alpha), taken in closed form: there
-    the inversion is not needed, and it converges slowly as s -> 1 (it
-    fails its error limit from about 30 dB).
+    With nmax <= 2 (tau > 1/2) S_1^PD and S_2^PD are taken in closed form
+    (``_closed_form_sn``) at 32 digits, and the estimate is their change at
+    48 digits, the context of the next rung, plus one unit of the working
+    precision. The inversion converges slowly
+    as s -> 1/2, where the kink of the 2-fold density at t = 2s nears t = 1,
+    and as s -> 1: within about 0.01 dB below 0 dB its change under fewer
+    nodes fell short of its error, and from about 30 dB it failed its error
+    limit.
     """
     nmax = params.nmax
     m, coarse = _inversion_sizes(nmax)
     ctx = _context(m)
-    alpha = ctx.mpf(2) / params.beta
-    if nmax == 1:
-        sn = [ctx.mpf(params.tau) ** -alpha * ctx.sinpi(alpha) / (ctx.pi * alpha)]
-        errs = [0.0]
+    if nmax <= 2:
+        sn = _closed_form_sn(ctx, params)
+        finer = _context(m + 16)
+        again = _closed_form_sn(finer, params)
+        # the change, plus one unit of the working precision: the change alone can
+        # fall short of the error by the rounding of the finer value or of the float
+        errs = [float(abs(finer.convert(a) - b) + abs(b) * ctx.eps) for a, b in zip(sn, again)]
     else:
+        alpha = ctx.mpf(2) / params.beta
         s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
         sn = _pd_sn(ctx, alpha, s, nmax, m)
         coarser = _pd_sn(ctx, alpha, s, nmax, coarse)

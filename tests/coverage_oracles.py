@@ -1,12 +1,9 @@
-"""Earlier forms of two SIR build steps, kept as oracles for the current ones.
+"""Oracles of the SIR build that share no code with it.
 
 ``node_gammas_1f1`` is the 1F1 form that ``coverage._node_gammas``'s power
-series replaced; it shares no code with the series. ``sn_with_errors_two_inversions``
-is ``coverage._sn_with_errors`` in an mpmath context of its own, with the sizes of
-``coverage._inversion_sizes``: both inversions in every build.
+series replaced. ``closed_form_s1_s2`` gives S_1 and S_2 in closed form at any
+threshold below 0 dB, the reference of the inversion's first two S_n.
 """
-
-from geocache import coverage
 
 
 def node_gammas_1f1(ctx, alpha, zs) -> list:
@@ -28,28 +25,20 @@ def node_gammas_1f1(ctx, alpha, zs) -> list:
     return out
 
 
-def sn_with_errors_two_inversions(params):
-    """(ctx, sn, errs) of ``coverage._sn_with_errors``, every estimate from the change
-    under the coarser inversion, in a context of its own."""
-    import mpmath
-
-    nmax = params.nmax
-    m, coarse = coverage._inversion_sizes(nmax)
-    ctx = mpmath.MPContext()
-    ctx.dps = m
-    alpha = ctx.mpf(2) / params.beta
-    if nmax == 1:
-        sn = [ctx.mpf(params.tau) ** -alpha * ctx.sinpi(alpha) / (ctx.pi * alpha)]
-        errs = [0.0]
-    else:
-        s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
-        sn = coverage._pd_sn(ctx, alpha, s, nmax, m)
-        coarser = coverage._pd_sn(ctx, alpha, s, nmax, coarse)
-        errs = [float(abs(a - b)) for a, b in zip(sn, coarser)]
-    x = params.noise_argument
-    if x > 0.0:
-        for n in range(1, nmax + 1):
-            factor, err_f = coverage.noise_factor(n, params.beta, x)
-            errs[n - 1] = errs[n - 1] * factor + abs(float(sn[n - 1])) * err_f
-            sn[n - 1] *= factor
-    return ctx, sn, errs
+def closed_form_s1_s2(ctx, beta, tau) -> list:
+    """[S_1, S_2] of the SIR model without noise, for tau < 1, at the working
+    precision of ctx, with alpha = 2/beta:
+        S_1 = tau^(-alpha) sin(pi alpha) / (pi alpha),
+        S_2 = ((1 - tau) / tau)^(2 alpha) (2/beta) (sin(pi alpha) / (pi alpha))^2
+              B(1 + alpha, 1 + alpha) (1 - tau) 2F1(1, 1 + alpha; 2 + 2 alpha; 1 - tau).
+    S_2 is tau_2^(-2 alpha) I_2(0) J_2(tau_2), tau_2 = tau / (1 - tau), with
+    Gamma(1 - alpha) Gamma(1 + alpha) = pi alpha / sin(pi alpha) in I_2(0) and
+    J_2's 2F1 at -1/tau_2 taken to 1 - tau by Pfaff's transformation: a route
+    apart from the inversion and from ``coverage._closed_form_sn``.
+    """
+    alpha = ctx.mpf(2) / beta
+    tau = ctx.mpf(tau)
+    c = ctx.sinpi(alpha) / (ctx.pi * alpha)
+    b = ctx.gamma(1 + alpha) ** 2 / ctx.gamma(2 + 2 * alpha)
+    f = ctx.hyp2f1(1, 1 + alpha, 2 + 2 * alpha, 1 - tau)
+    return [tau**-alpha * c, ((1 - tau) / tau) ** (2 * alpha) * 2 / beta * c**2 * b * (1 - tau) * f]

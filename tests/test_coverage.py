@@ -439,26 +439,20 @@ def test_sinr_mean_matches_closed_form_down_to_minus_20_db(beta):
             assert max(dist.meta["sn_error_estimates"]) <= 1e-12, db
 
 
-SLOW_NEAR_0_DB = (
-    "just below 0 dB the kink of the 2-fold density at 2s lies next to t = 1, the "
-    "inversion converges slowly and its change under 16 fewer nodes falls short of the error"
-)
-
-
 # (nmax, m, coarse): the first and last support bound of each rung of the node rule
 INVERSION_SIZES = [
-    (2, 48, 32), (3, 32, 24), (13, 32, 24), (14, 48, 32), (40, 48, 32), (41, 64, 48), (66, 64, 48),
+    (3, 32, 24), (13, 32, 24), (14, 48, 32), (40, 48, 32), (41, 64, 48), (66, 64, 48),
     (67, 80, 64), (100, 96, 80), (120, 96, 80), (121, 112, 96), (126, 112, 96), (159, 128, 112),
     (200, 144, 128), (226, 160, 144), (252, 176, 160), (253, 176, 160), (254, 192, 176),
     (280, 192, 176), (306, 208, 192), (307, 224, 208), (317, 224, 208), (320, 224, 208),
 ]
 
 
-@pytest.mark.parametrize("nmax, m, coarse", [(1, 48, 32)] + INVERSION_SIZES)
+@pytest.mark.parametrize("nmax, m, coarse", [(1, 32, 24), (2, 32, 24)] + INVERSION_SIZES)
 def test_inversion_sizes_follow_the_node_rule(nmax, m, coarse, monkeypatch):
-    # m is the first rung of 32, 48, 64, ... at or above 24 + ceil(0.6 nmax), 48 for
-    # nmax <= 2; each build runs m nodes, then coarse nodes, at m digits, and a
-    # build with nmax = 1 takes S_1 in closed form at m digits
+    # m is the first rung of 32, 48, 64, ... at or above 24 + ceil(0.6 nmax); each
+    # build runs m nodes, then coarse nodes, at m digits, and a build with nmax <= 2
+    # takes S_1 and S_2 in closed form at m digits, with no inversion
     assert coverage._inversion_sizes(nmax) == (m, coarse)
     calls = []
 
@@ -471,7 +465,7 @@ def test_inversion_sizes_follow_the_node_rule(nmax, m, coarse, monkeypatch):
     assert params.nmax == nmax
     ctx = coverage._sn_with_errors(params)[0]
     assert ctx.dps == m
-    assert calls == ([] if nmax == 1 else [(m, m), (coarse, m)])
+    assert calls == ([] if nmax <= 2 else [(m, m), (coarse, m)])
 
 
 @pytest.mark.parametrize(
@@ -483,14 +477,14 @@ def test_inversion_sizes_follow_the_node_rule(nmax, m, coarse, monkeypatch):
     + [(3.0, -19), (4.0, -21), (6.0, -22), (3.0, -23), (4.0, -23.5), (2.5, -24), (2.5, -24.3)]
     + [(6.0, -24.5), (3.0, -25)]
     + [(2.05, -14), (2.05, -3), (20.0, -14), (20.0, -3)]
-    + [
-        pytest.param(beta, db, marks=pytest.mark.xfail(strict=True, reason=SLOW_NEAR_0_DB))
-        for beta, db in ((3.0, -0.007), (5.0, -0.01))
-    ],
+    # nmax 2 just below 0 dB, where an inversion converges slowest and beta >= 6
+    # needs the closed form to build at all
+    + [(3.0, -0.007), (5.0, -0.01), (2.5, -0.003), (6.0, -0.01), (8.0, -0.001)],
 )
 def test_sn_error_estimate_bounds_the_inversion_error(beta, db, monkeypatch):
-    # the reference runs 40 more nodes at 40 more digits; compared in mpmath,
-    # as float rounding of S_n (~1e-16) would swamp errors of ~1e-30
+    # the reference runs 40 more nodes at 40 more digits, or for nmax <= 2 the
+    # closed forms of the oracle at 40 more digits; compared in mpmath, as float
+    # rounding of S_n (~1e-16) would swamp errors of ~1e-30
     import mpmath
 
     params = sir_params(10 ** (db / 10), beta)
@@ -498,40 +492,44 @@ def test_sn_error_estimate_bounds_the_inversion_error(beta, db, monkeypatch):
     monkeypatch.setattr(coverage, "_pd_sn", lambda *args: counts.append(args[-1]) or real(*args))
     ctx, sn, errs = coverage._sn_with_errors(params)
     monkeypatch.undo()
-    assert counts == list(coverage._inversion_sizes(params.nmax)), counts
     ref_ctx = mpmath.MPContext()
     ref_ctx.dps = ctx.dps + 40
-    alpha = ref_ctx.mpf(2) / params.beta
-    s = ref_ctx.mpf(params.tau) / (1 + ref_ctx.mpf(params.tau))
-    ref = coverage._pd_sn(ref_ctx, alpha, s, params.nmax, ref_ctx.dps)
+    if params.nmax <= 2:
+        assert counts == [], counts
+        ref = coverage_oracles.closed_form_s1_s2(ref_ctx, params.beta, params.tau)
+    else:
+        assert counts == list(coverage._inversion_sizes(params.nmax)), counts
+        alpha = ref_ctx.mpf(2) / params.beta
+        s = ref_ctx.mpf(params.tau) / (1 + ref_ctx.mpf(params.tau))
+        ref = coverage._pd_sn(ref_ctx, alpha, s, params.nmax, ref_ctx.dps)
     for n, (value, err, exact) in enumerate(zip(sn, errs, ref), start=1):
         assert abs(ref_ctx.mpf(value) - exact) <= err, (db, n)
 
 
-@pytest.mark.parametrize("beta", [2.5, 3.0, 4.0, 6.0])
-def test_sinr_builds_match_the_two_inversion_oracle(beta, monkeypatch):
-    # a build in the shared context of its digits gives the bytes, S_n and estimates
-    # of the same two inversions in a context of its own
-    real, counts = coverage._pd_sn, []
-    for db in range(-20, 13):
-        params = sir_params(10 ** (db / 10), beta)
-        counts.clear()
-        monkeypatch.setattr(coverage, "_pd_sn", lambda *args: counts.append(args[-1]) or real(*args))
-        dist = sinr_coverage(params)
-        monkeypatch.setattr(coverage, "_sn_with_errors", coverage_oracles.sn_with_errors_two_inversions)
-        monkeypatch.setattr(coverage, "_pd_sn", real)
-        oracle = sinr_coverage(params)
-        monkeypatch.undo()
-        assert dist.pmf.tobytes() == oracle.pmf.tobytes(), db
-        assert dist.meta["sn"] == oracle.meta["sn"], db
-        assert dist.meta["sn_error_estimates"] == oracle.meta["sn_error_estimates"], db
-        assert len(counts) == (0 if params.nmax == 1 else 2), (db, counts)
+@pytest.mark.parametrize(
+    "beta, db", [(beta, db) for beta in (2.5, 3.0, 6.0) for db in (-4, -10, -20)] + [(3.0, -25)]
+)
+def test_inverted_s1_and_s2_match_their_closed_forms(beta, db):
+    # the inversion's first two S_n against the oracle's closed forms at 40 more
+    # digits, each within the build's own estimate: a route that shares no code
+    # with the inversion, down to the deepest threshold the model accepts
+    import mpmath
+
+    params = sir_params(10 ** (db / 10), beta)
+    assert params.nmax >= 3
+    ctx, sn, errs = coverage._sn_with_errors(params)
+    ref_ctx = mpmath.MPContext()
+    ref_ctx.dps = ctx.dps + 40
+    exact = coverage_oracles.closed_form_s1_s2(ref_ctx, params.beta, params.tau)
+    for n in (1, 2):
+        assert abs(ref_ctx.mpf(sn[n - 1]) - exact[n - 1]) <= errs[n - 1], n
 
 
 def assert_node_gammas(params, reference):
     """Each node value of both inversions of the build of params that reference(k, m)
     names lies within 2^(8 - prec) relative of that reference at 30 more digits:
-    mpmath's incomplete gamma ("gammainc") or the earlier 1F1 form ("1f1")."""
+    mpmath's incomplete gamma ("gammainc") or the earlier 1F1 form ("1f1"). For
+    nmax <= 2, whose builds invert nothing, the two node sets of the first rung."""
     import mpmath
 
     digits, coarse = coverage._inversion_sizes(params.nmax)  # a build's digits, its two node counts
@@ -568,11 +566,13 @@ def test_node_gammas_match_mpmath_gammainc(beta):
         )
 
 
-@pytest.mark.parametrize("beta, db", [(2.5, -0.01), (6.0, -0.01), (3.0, -25)])
+@pytest.mark.parametrize("beta, db", [(2.5, -0.01), (6.0, -0.01), (2.5, -3.02), (3.0, -25)])
 def test_node_gammas_match_mpmath_gammainc_where_the_guards_peak(beta, db):
-    # just below 0 dB node 0 has the largest Re z (~9.6) of any build, the largest
-    # cancellation against Gamma(-alpha), and the last node the largest |z| (~460);
-    # -25 dB runs 224 nodes at 224 digits, the most terms per node
+    # -3.02 dB (nmax 3, 32 nodes) has the largest Re z (~4.3) at node 0 of any build,
+    # the largest cancellation against Gamma(-alpha), and the largest |z| (~130) at
+    # the last node; just below 0 dB, where no build inverts since S_2 is taken in
+    # closed form, the first rung's nodes reach further (~6.4 and ~200); -25 dB runs
+    # 224 nodes at 224 digits, the most terms per node
     assert_node_gammas(
         sir_params(10 ** (db / 10), beta),
         lambda k, m: "gammainc" if k % 16 == 0 or k == m - 1 else None,
@@ -661,8 +661,8 @@ def test_a_second_pass_over_the_sinr_sweep_grid_misses_no_cache():
     assert [cache.cache_info().misses for cache in caches] == misses
 
 
-# S_n and pmf of SIR builds (beta = 3), as float.hex strings: -1 dB has the largest
-# node |z| (~400) and guard of the figure grid, -20 dB runs 96 nodes at 96 digits
+# S_n and pmf of SIR builds (beta = 3), as float.hex strings: -1 dB takes S_1 and S_2
+# in closed form, -20 dB runs 96 nodes at 96 digits
 PINNED_SIR = {
     -1: (
         "0x1.edac130b77282p-2 0x1.4ca0a4af5ca06p-10",
@@ -755,12 +755,12 @@ def test_sir_values_are_pinned(db):
 
 
 # S_n and pmf of SIR builds at other beta and with noise, as PINNED_SIR, keyed by
-# (beta, dB, W): just below 0 dB node 0 has the largest Re z (~9.6) of any build and
-# the last node the largest |z| (~460); beta = 2.5 has the largest 1/(1 - alpha)
+# (beta, dB, W): just below 0 dB, where an inversion converges slowest, S_2 is taken
+# in closed form; beta = 2.5 has the largest 1/(1 - alpha)
 PINNED_SIR_CELLS = {
     (6.0, -0.01, 0.0): (
-        "0x1.a7bee670dc50fp-1 0x1.478528977aa81p-18",
-        "0x1.6106f546dfeb2p-3 0x1.a7bd9eebb3b98p-1 0x1.478528977aa81p-18",
+        "0x1.a7bee670dc50fp-1 0x1.45ce19573f921p-18",
+        "0x1.6106f1d8c16abp-3 0x1.a7bda0a2c2f9cp-1 0x1.45ce19573f922p-18",
     ),
     (2.5, -3, 0.0): (
         "0x1.a02d7c45736c9p-2 0x1.c48d77b4cda4fp-8",
