@@ -210,10 +210,14 @@ def simulate_boolean_ppp(
         while lo < count:  # trials lo..hi-1: at most _PPP_RUN_POINTS points, or one trial
             start = int(ends[lo - 1]) if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, start + _PPP_RUN_POINTS, side="right")))
-            d = (rng.random((int(ends[hi - 1]) - start, 2)) - 0.5) * side  # offsets from the center
-            inside = (d * d).sum(axis=1) <= r2
-            trial_ids = np.repeat(np.arange(hi - lo), n_points[lo:hi])
-            covered.append(np.bincount(trial_ids[inside], minlength=hi - lo))
+            d = rng.random((int(ends[hi - 1]) - start, 2))
+            d -= 0.5
+            d *= side  # offsets from the center
+            x, y = d.T
+            # inside[:i].sum() for every i: a trial's count is the rise over its points
+            seen = np.zeros(d.shape[0] + 1, dtype=np.intp)
+            np.cumsum(x * x + y * y <= r2, out=seen[1:])
+            covered.append(np.diff(seen[ends[lo:hi] - start], prepend=0))
             lo = hi
 
     histogram = np.bincount(np.concatenate(covered))  # ends at the largest count seen

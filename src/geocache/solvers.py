@@ -111,14 +111,18 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
     A([n+1, n+x]) * Pbar(x) plus the best continuation; the argmax chain is
     unrolled into sizes and reported in canonical nondecreasing order
     (reordering stage optima never changes the value). A size past kmax is
-    never decoded and never beats x = 0, so x <= kmax: O(L * J * min(J, kmax))
-    flops; the gains of a block of states serve every stage.
+    never decoded and never beats x = 0, so x <= kmax, and the states that
+    stage l reaches hold at most l * kmax items: only n <= L * kmax are
+    searched, O(L * min(J, L * kmax) * min(J, kmax)) flops; the gains of a
+    block of states serve every stage.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
+    top = min(J, dist.kmax)
+    prefix = pop.prefix[: min(J, L * max(1, top)) + 1]  # no state past L blocks is reached
 
-    choice, value = _best_sizes(pop.prefix, dist.tail, min(J, dist.kmax), L)
+    choice, value = _best_sizes(prefix, dist.tail, top, L)
 
     raw = []
     n = 0
@@ -134,7 +138,7 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
         diagnostics={
             "dp_value": float(value),
             "raw_sizes": raw,
-            "stage_maximizations": L * (J + 1),
+            "stage_maximizations": L * prefix.size,
         },
     )
 
@@ -153,7 +157,10 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     r_j is the smallest block already covering j; the best (c, set) pair
     wins (a larger c gains 0). Ties prefer smaller cardinality, then the
     lexicographically smallest item set. A block of sizes shares one gain
-    matrix and one stable row argsort.
+    matrix and one stable row argsort, over the items up to the
+    max(1, min(J, kmax))-th uncached one only: an item past it gains at most
+    a_j * Pbar(c), which that many uncached items of smaller index (a_i >= a_j)
+    reach, so the stable sort never ranks it among the top c.
     """
     if K < 1:
         raise ParameterError(f"block count must be >= 1, got {K}")
@@ -168,13 +175,17 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     r = np.full(J, dist.kmax + 1, dtype=int)  # "not cached anywhere": tail[kmax + 1] is 0
     r[:m1] = m1
 
-    step = max(1, _SCORE_ENTRIES // J)  # sizes scored at once
+    # the prefix cut needs a_i >= a_j for i < j; a popularity may rise by up to 1e-15
+    rises = bool(np.any(probs[1:] > probs[:-1]))
     for _ in range(2, K + 1):
-        covered_tail = tails[r]
+        uncached = np.flatnonzero(r > dist.kmax)
+        P = J if rises or uncached.size < len(sizes) else int(uncached[len(sizes) - 1]) + 1
+        covered_tail = tails[r[:P]]
+        step = max(1, _SCORE_ENTRIES // P)  # sizes scored at once
         best = None  # (gain, c, top_indices)
         for s in range(0, len(sizes), step):
             c_rows = np.arange(1 + s, 1 + min(s + step, len(sizes)))
-            g = probs * np.maximum(tails[c_rows, None] - covered_tail, 0.0)
+            g = probs[:P] * np.maximum(tails[c_rows, None] - covered_tail, 0.0)
             order = np.argsort(-g, axis=1, kind="stable")[:, : c_rows[-1]]
             ranked = np.take_along_axis(g, order, axis=1)
             for i, c in enumerate(c_rows.tolist()):
@@ -206,13 +217,15 @@ def greedy_disjoint(
 
     Each block takes the size maximizing A([used+1, used+m]) * Pbar(m), up
     to kmax (a larger one gains 0, as m = 0 does; the first block has m >= 1),
-    read from one search over every used = 0..J (``_best_sizes``, one stage).
-    The result is reported in canonical order.
+    read from one search over every used = 0..min(J, L * max(1, kmax))
+    (``_best_sizes``, one stage). The result is reported in canonical order.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
-    size = _best_sizes(pop.prefix, dist.tail, min(J, dist.kmax), 1)[0][0]
+    top = min(J, dist.kmax)
+    # the forced first block has 1 item where kmax = 0; no state past L blocks is reached
+    size = _best_sizes(pop.prefix[: min(J, L * max(1, top)) + 1], dist.tail, top, 1)[0][0]
 
     raw = [max(1, int(size[0]))]
     used = raw[0]

@@ -7,14 +7,14 @@ would enumerate more than ``ENUMERATION_BUDGET`` candidates raises
 ``EnumerationBudgetError`` instead of running.
 
 The loop forms return what their library counterparts must return to the
-bit: the per-size search that one score matrix replaced, the greedy that
-sorted the gains once per candidate size, and the bisection on the
-multiplier that solved every step in full.
+bit: the per-size search that one score matrix replaced, over every state
+0..J where the library searches only the states its blocks can reach; the
+greedy that sorted all J gains once per candidate size; and the bisection
+on the multiplier that solved every step in full.
 """
 
 import math
 from itertools import product
-from unittest import mock
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -31,8 +31,8 @@ from geocache import (
     hit_probability_general,
     hit_probability_ind,
     hit_probability_structured,
-    solvers,
 )
+from geocache.policy import canonical_sizes
 
 ENUMERATION_BUDGET = 10**7
 
@@ -156,15 +156,42 @@ def stage_sizes(prefix, tail, top, stages):
 
 
 def solve_dp(pop, dist, L):
-    """``solvers.solve_dp`` on the per-size search."""
-    with mock.patch.object(solvers, "_best_sizes", stage_sizes):
-        return solvers.solve_dp(pop, dist, L)
+    """``solvers.solve_dp`` on the per-size search over every state 0..J.
+
+    Its ``stage_maximizations`` is the count the library must report: the
+    states L blocks of at most max(1, min(J, kmax)) items reach, per stage.
+    """
+    J = pop.size
+    top = min(J, dist.kmax)
+    choice, value = stage_sizes(pop.prefix, dist.tail, top, L)
+    raw, n = [], 0
+    for row in choice:
+        raw.append(int(row[n]))
+        n += raw[-1]
+    policy = StructuredPolicy(canonical_sizes(raw))
+    return SolverResult(
+        policy=policy,
+        hit_prob=hit_probability_structured(policy, pop, dist),
+        diagnostics={
+            "dp_value": float(value),
+            "raw_sizes": raw,
+            "stage_maximizations": L * (min(J, L * max(1, top)) + 1),
+        },
+    )
 
 
 def greedy_disjoint(pop, dist, L):
-    """``solvers.greedy_disjoint`` on the per-size search."""
-    with mock.patch.object(solvers, "_best_sizes", stage_sizes):
-        return solvers.greedy_disjoint(pop, dist, L)
+    """``solvers.greedy_disjoint`` on the per-size search over every state 0..J."""
+    size = stage_sizes(pop.prefix, dist.tail, min(pop.size, dist.kmax), 1)[0][0]
+    raw = [max(1, int(size[0]))]
+    for _ in range(2, L + 1):
+        raw.append(int(size[sum(raw)]))
+    policy = StructuredPolicy(canonical_sizes(raw))
+    return SolverResult(
+        policy=policy,
+        hit_prob=hit_probability_structured(policy, pop, dist),
+        diagnostics={"raw_sizes": raw},
+    )
 
 
 def greedy_general(pop, dist, K):

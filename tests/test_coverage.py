@@ -558,8 +558,9 @@ def test_node_gammas_match_mpmath_gammainc(beta):
     # the one check of Gamma(-alpha, z) that does not go through _pd_sn, at every node
     # of both inversions of a build: mpmath's own incomplete gamma at 30 more digits at
     # the first and the last node, and the 1F1 form, which shares no code with the
-    # series, at the same digits in between
-    for db in (-1, -3, -6, -14, -20):
+    # series, at the same digits in between; -3.02 and -3.5 dB are the shallowest
+    # builds that invert (nmax 3)
+    for db in (-3.02, -3.5, -6, -14, -20):
         assert_node_gammas(
             sir_params(10 ** (db / 10), beta),
             lambda k, m: "gammainc" if k in (0, m - 1) else "1f1",

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -117,3 +118,28 @@ def test_reference_hit_of_ind_holds_one_row_of_terms_at_a_time():
         tracemalloc.stop()
     assert dist.kmax == 133 and peak < 4e6, peak
     assert abs(value - hit_probability_ind(policy, pop, dist)) <= 1e-14
+
+
+def test_reference_hit_of_ind_skips_only_exact_zero_terms():
+    # an item with b_j = 0 adds a_j * 0 * ... = +0.0 at every k, so summing only the
+    # others must give the fsum over all J items to the bit; subnormal b are kept
+    rng = np.random.default_rng(33)
+    J = 3000
+    pop = zipf(J, 0.9)
+    dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (-6 / 10.0), beta=3.0))
+    b = rng.random(J)
+    kind = rng.integers(0, 4, J)
+    b[kind == 0] = 0.0
+    b[kind == 1] = rng.random(int((kind == 1).sum())) * 5e-324 * 2**40  # subnormal
+    b[kind == 2] = 1.0
+    assert 0.0 < b[kind == 1].max() < np.finfo(float).tiny
+
+    def terms():  # every item's terms, each formed as reference_hit forms it
+        for a, bj in zip(pop.probs.tolist(), b.tolist()):
+            term = a * bj
+            for k in range(1, dist.kmax + 1):
+                yield dist.tail_at(k) * term
+                term *= 1.0 - bj
+
+    full = math.fsum(terms())
+    assert reference_hit(IndPolicy(b=b, multiplier=0.0), pop, dist).hex() == full.hex()

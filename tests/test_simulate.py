@@ -321,6 +321,48 @@ def test_ppp_counts_do_not_depend_on_the_run_size(monkeypatch, run_points):
     assert emp.meta["counts"] == expected.meta["counts"]
 
 
+def _ppp_counts_by_bincount(lam, radius, trials, seed):
+    """The per-trial coverage counts of ``simulate_boolean_ppp``, from the same draws,
+    counted the earlier way: a trial index per point, and a bincount of the inside ones."""
+    side = 2.0 * radius
+    covered = []
+    for block, count in simulate._trial_blocks(trials):
+        rng = simulate._block_rng(seed, block)
+        n_points = rng.poisson(lam * side * side, size=count)
+        ends = np.cumsum(n_points)
+        lo = 0
+        while lo < count:
+            start = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, start + simulate._PPP_RUN_POINTS, side="right")))
+            d = (rng.random((int(ends[hi - 1]) - start, 2)) - 0.5) * side
+            inside = (d * d).sum(axis=1) <= radius * radius
+            trial_ids = np.repeat(np.arange(hi - lo), n_points[lo:hi])
+            covered.append(np.bincount(trial_ids[inside], minlength=hi - lo))
+            lo = hi
+    return np.concatenate(covered)
+
+
+PPP_ORACLE_CASES = {  # (lam, radius, trials, _PPP_RUN_POINTS)
+    "catalog-mc": (1.0, 1.0, 200_000, None),
+    "side-1.4": (1.0, 0.7, 50_000, None),
+    "runs-of-1000-points": (3.0, 1.0, 40_000, 1000),
+    "runs-of-one-trial": (2.0, 0.5, 5000, 1),
+    "zero-radius": (1.0, 0.0, 1000, None),
+    "mostly-empty-trials": (0.05, 1.0, 40_000, 7),
+}
+
+
+@pytest.mark.parametrize("lam, radius, trials, run_points", PPP_ORACLE_CASES.values(), ids=PPP_ORACLE_CASES)
+def test_ppp_counts_match_the_bincount_oracle(monkeypatch, lam, radius, trials, run_points):
+    if run_points is not None:
+        monkeypatch.setattr(simulate, "_PPP_RUN_POINTS", run_points)
+    counts = _ppp_counts_by_bincount(lam, radius, trials, 5)
+    assert counts.size == trials
+    emp = simulate_boolean_ppp(lam=lam, radius=radius, window_side=10.0, trials=trials, seed=5)
+    assert emp.meta["counts"] == np.bincount(counts).tolist()
+    assert emp.pmf.tobytes() == (np.bincount(counts) / trials).tobytes()
+
+
 def test_ppp_memory_stays_bounded_at_a_large_radius():
     # 400 points per trial: one 16384-trial block holds 6.5e6 points, ~250 MB drawn at once
     tracemalloc.start()

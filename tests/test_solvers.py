@@ -12,6 +12,7 @@ from geocache import (
     CoverageDistribution,
     ParameterError,
     PopularityDistribution,
+    SinrModelParams,
     StructuredPolicy,
     boolean_coverage,
     greedy_bound_check,
@@ -22,6 +23,7 @@ from geocache import (
     hit_probability_structured,
     independent_caching,
     most_popular,
+    sinr_coverage,
     solve_dp,
     zipf,
 )
@@ -755,13 +757,60 @@ def test_ind_matches_plain_bisection_at_the_largest_catalog():
 
 
 def test_ggb_scores_sizes_in_blocks_past_the_score_budget():
-    # J > 2^14: one size per block of scores
+    # J > 2^14, though the ranked prefix is shorter; a rise in popularity ranks all J,
+    # one size per block of scores (test_ggb_ranks_every_item_where_popularity_rises...)
     pop = zipf(20_000, 0.9)
     for db in (-6, 12):
         dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (db / 10.0), beta=3.0))
         solver_oracles.assert_same_result(
             greedy_general(pop, dist, 3), solver_oracles.greedy_general(pop, dist, 3)
         )
+
+
+def _large_catalog_coverages():
+    """Boolean -12/0/12 dB (kmax 58, 22, 11), SIR -10 dB and a kmax = 0 pmf."""
+    dists = [boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (db / 10.0), beta=3.0))
+             for db in (-12, 0, 12)]
+    dists.append(sinr_coverage(SinrModelParams(lam=1.0, tau=0.1, beta=3.0)))
+    dists.append(CoverageDistribution(pmf=np.array([1.0])))
+    return dists
+
+
+def test_block_searches_past_the_reachable_states_match_the_full_catalog_oracles():
+    # onc and gdbnc search only the states L blocks of at most kmax items reach; the
+    # oracles search every state 0..J and must give the same policy, hit and diagnostics
+    dists = _large_catalog_coverages()
+    for J, gamma, L in itertools.product((2000, 20_000), (0.0, 0.9), (1, 5, 12)):
+        pop = zipf(J, gamma)
+        for dist in dists:
+            for solve, oracle in (
+                (solve_dp, solver_oracles.solve_dp),
+                (greedy_disjoint, solver_oracles.greedy_disjoint),
+            ):
+                solver_oracles.assert_same_result(solve(pop, dist, L), oracle(pop, dist, L))
+
+
+def test_ggb_ranking_a_prefix_matches_the_full_ranking_where_every_gain_ties():
+    # uniform popularity ties every uncached gain: the stable sort's index order alone
+    # keeps the items past the prefix out of each top-c set; where N = 4 surely, the
+    # best c is kmax, whose set needs the prefix's last uncached item
+    pop = zipf(20_000, 0.0)
+    for dist in _large_catalog_coverages() + [CoverageDistribution(pmf=np.array([0, 0, 0, 0, 1.0]))]:
+        solver_oracles.assert_same_result(
+            greedy_general(pop, dist, 5), solver_oracles.greedy_general(pop, dist, 5)
+        )
+
+
+def test_ggb_ranks_every_item_where_popularity_rises_within_rounding():
+    # a popularity may rise by up to 1e-15: the last item then gains the most, and a
+    # ranking cut before it would miss it; every size is scored alone (J > 2^14)
+    probs = np.full(20_000, 1.0 / 20_000)
+    probs[-1] += 1e-16
+    pop = PopularityDistribution(probs)
+    dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (-6 / 10.0), beta=3.0))
+    result = greedy_general(pop, dist, 3)
+    assert 20_000 in result.policy.blocks[1]
+    solver_oracles.assert_same_result(result, solver_oracles.greedy_general(pop, dist, 3))
 
 
 # ---------------------------------------------------------------------------
