@@ -93,35 +93,35 @@ class ExperimentConfig:
             raise ParameterError(f"trials must be >= 0, got {self.trials}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        zipf(1, self.gamma)  # zipf's check of the exponent, whichever popularity runs
         for tau_db in self.tau_db_grid:
-            _model_params(self, tau_db)  # both models check their own settings
+            _model_params(self, tau_db)  # both models' settings, the running one's cost limit
 
 
 def _build_popularity(config: ExperimentConfig) -> PopularityDistribution:
-    if config.pop_file:
-        return load_popularity(config.pop_file)
-    return zipf(config.J, config.gamma)
+    if not config.pop_file:
+        return zipf(config.J, config.gamma)
+    pop = load_popularity(config.pop_file)
+    if pop.size > CATALOG_MAX:
+        raise ParameterError(
+            f"{config.pop_file}: catalog size must be in 1..{CATALOG_MAX}, got {pop.size} items"
+        )
+    return pop
 
 
 def _model_params(config: ExperimentConfig, tau_db: float):
-    """The coverage-model parameters of ``config`` at threshold ``tau_db``; both
-    models' parameters are built, so each checks its settings whichever one runs.
-    Of the SINR checks, only the support limit reads tau beyond the checks both
-    share; it bounds the cost of a SINR build, so a Boolean run builds its SINR
-    parameters at tau = 1."""
+    """The coverage-model parameters of ``config`` at threshold ``tau_db``; the
+    settings only the other model reads are checked too, but not that model's
+    cost limit. Of the SINR checks, only the support limit reads tau beyond the
+    checks both share, so a Boolean run builds its SINR parameters at tau = 1.
+    The Boolean Poisson mean reads every setting, so a SINR run checks only
+    the Boolean P/W."""
     try:
         tau = db_to_linear(tau_db)
     except OverflowError:
         tau = math.inf
     if not 0.0 < tau < math.inf:
         raise ParameterError(f"threshold {tau_db} dB is {tau} in linear units, out of range")
-    boolean = cov.BooleanModelParams(
-        lam=config.lam,
-        tau=tau,
-        beta=config.beta,
-        K=config.K,
-        power_ratio=config.power_ratio,
-    )
     sinr = cov.SinrModelParams(
         lam=config.lam,
         tau=tau if config.model == "sinr" else 1.0,
@@ -130,7 +130,16 @@ def _model_params(config: ExperimentConfig, tau_db: float):
         noise_W=config.noise_w,
         moment_PS=config.moment_ps,
     )
-    return boolean if config.model == "boolean" else sinr
+    if config.model == "sinr":
+        cov.check_power_ratio(config.power_ratio)
+        return sinr
+    return cov.BooleanModelParams(
+        lam=config.lam,
+        tau=tau,
+        beta=config.beta,
+        K=config.K,
+        power_ratio=config.power_ratio,
+    )
 
 
 def _build_coverage(params) -> cov.CoverageDistribution:

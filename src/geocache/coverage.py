@@ -179,6 +179,14 @@ class _ModelParams:
             raise ParameterError(f"path-loss constant must be positive, got {self.K}")
 
 
+def check_power_ratio(power_ratio: float) -> None:
+    """The Boolean model's rule for P/W: positive and finite."""
+    if not (power_ratio > 0.0 and math.isfinite(power_ratio)):
+        raise ParameterError(
+            f"P/W must be positive and finite for the Boolean model; got {power_ratio}"
+        )
+
+
 @dataclass(frozen=True)
 class BooleanModelParams(_ModelParams):
     """Noise-limited Boolean model parameters (all linear units)."""
@@ -187,11 +195,7 @@ class BooleanModelParams(_ModelParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (self.power_ratio > 0.0 and math.isfinite(self.power_ratio)):
-            raise ParameterError(
-                "P/W must be positive and finite for the Boolean model; "
-                f"got {self.power_ratio}"
-            )
+        check_power_ratio(self.power_ratio)
         try:
             mu = self.poisson_parameter
         except ArithmeticError as exc:  # K**2 or tau**(-2/beta) beyond the float range

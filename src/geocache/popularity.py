@@ -23,7 +23,12 @@ _SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PopularityDistribution:
-    """Nonincreasing probability vector a_1 >= ... >= a_J with prefix sums."""
+    """Nonincreasing probability vector a_1 >= ... >= a_J with prefix sums.
+
+    The order is exact: any rise between ranks is refused, so every solver may
+    rely on a_i >= a_j for i < j. A raw vector goes through ``from_probs``,
+    which sorts it.
+    """
 
     probs: np.ndarray
     prefix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -34,7 +39,7 @@ class PopularityDistribution:
             raise ParameterError("popularity requires a nonempty 1-D probability vector")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
             raise ParameterError("popularity probabilities must be finite and nonnegative")
-        if np.any(np.diff(probs) > 1e-15):
+        if np.any(np.diff(probs) > 0.0):
             raise ParameterError("popularity probabilities must be nonincreasing")
         total = math.fsum(probs.tolist())
         if abs(total - 1.0) > 1e-12:

@@ -86,7 +86,7 @@ def _best_sizes(prefix: np.ndarray, tail: np.ndarray, top: int, stages: int):
     J = prefix.size - 1
     window = np.lib.stride_tricks.sliding_window_view
     reach = window(np.append(prefix, np.full(top, prefix[-1])), top + 1)
-    choice = np.empty((stages, J + 1), dtype=int)
+    choice = np.empty((stages, J + 1), dtype=np.min_scalar_type(top))  # each one is <= top
     step = max(1, _SCORE_ENTRIES // (top + 1))
     value = np.full((stages + 1, step + top), -np.inf)  # column i: state start + i
     ahead = window(value, top + 1, axis=1)  # a view: it sees each stage as it is written
@@ -159,8 +159,9 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     lexicographically smallest item set. A block of sizes shares one gain
     matrix and one stable row argsort, over the items up to the
     max(1, min(J, kmax))-th uncached one only: an item past it gains at most
-    a_j * Pbar(c), which that many uncached items of smaller index (a_i >= a_j)
-    reach, so the stable sort never ranks it among the top c.
+    a_j * Pbar(c), which that many uncached items of smaller index reach
+    (a_i >= a_j holds exactly, by the popularity's type), so the stable sort
+    never ranks it among the top c.
     """
     if K < 1:
         raise ParameterError(f"block count must be >= 1, got {K}")
@@ -175,11 +176,9 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     r = np.full(J, dist.kmax + 1, dtype=int)  # "not cached anywhere": tail[kmax + 1] is 0
     r[:m1] = m1
 
-    # the prefix cut needs a_i >= a_j for i < j; a popularity may rise by up to 1e-15
-    rises = bool(np.any(probs[1:] > probs[:-1]))
     for _ in range(2, K + 1):
         uncached = np.flatnonzero(r > dist.kmax)
-        P = J if rises or uncached.size < len(sizes) else int(uncached[len(sizes) - 1]) + 1
+        P = J if uncached.size < len(sizes) else int(uncached[len(sizes) - 1]) + 1
         covered_tail = tails[r[:P]]
         step = max(1, _SCORE_ENTRIES // P)  # sizes scored at once
         best = None  # (gain, c, top_indices)
@@ -370,7 +369,8 @@ def independent_caching(
     if float(b_lo.sum()) <= L + 1e-12:
         return result(b_lo, 0.0)
 
-    # b(lo) overfills the budget, b(hi) does not; just above a_1 G'(1) nothing is cached
+    # b(lo) overfills the budget, b(hi) does not: just above a_1 G'(1) nothing is cached,
+    # as mu / a_j >= mu / a_1 for every j (a_1 >= a_j holds exactly, by the popularity's type)
     lo, hi = 0.0, float(probs[0]) * gp1
     b_hi, ag_hi, start_lo = np.zeros(J), np.zeros(J), np.ones(J)  # ag_hi: a_j G'' at b_hi
     floor = L + 1e-9 + 1e-10  # a step is lo once a lower bound on sum(b) passes; 1e-10 for rounding

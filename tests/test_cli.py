@@ -124,6 +124,8 @@ def test_config_validation():
         {"noise_w": -1.0},
         {"moment_ps": 0.0},
         {"model": "sinr", "power_ratio": -1.0},
+        # and so is the Zipf exponent where a file replaces Zipf
+        {"pop_file": "pop.json", "gamma": -1.0},
         # derived values beyond the float range: K**2 underflows, the Poisson
         # parameter overflows, a**(-beta/2) overflows
         {"K": 1e-200},
@@ -148,6 +150,12 @@ def test_config_accepts_boundary_values():
     assert ExperimentConfig(J=2000).J == 2000  # the benchmark's catalog
     # a^(-beta/2) overflows here, but without noise it is never read
     assert run_sweep(ExperimentConfig(model="sinr", lam=1e-320, J=4, L=1, tau_db_grid=(0.0,)))[1]
+    # the Boolean Poisson mean limit holds for Boolean runs only; without noise the SIR
+    # pmf does not depend on lambda
+    dense = ExperimentConfig(model="sinr", lam=1e7)
+    sparse = replace(dense, lam=1.0)
+    pmfs = [cli._build_coverage(cli._model_params(c, 0.0)).pmf for c in (dense, sparse)]
+    assert pmfs[0].tobytes() == pmfs[1].tobytes()
 
 
 def _sweep_config(argv):
@@ -297,6 +305,8 @@ def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_sweep", no_sweep)
     output = tmp_path / "rows.csv"
+    big = tmp_path / "big.json"  # normalized, so that no warning line precedes the error
+    big.write_text(json.dumps({"probs": [1.0 / (CATALOG_MAX + 1)] * (CATALOG_MAX + 1)}))
     for argv, reason in [
         (["-J", "0", "-o", str(output)], "catalog size"),
         (["-L", "100000000", "-o", str(output)], f"block count L must be in 1..{BLOCKS_MAX}"),
@@ -309,6 +319,8 @@ def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
         (["--gamma", "-1", "-o", str(output)], "Zipf exponent must be finite and >= 0"),
         (["--pop-file", str(tmp_path / "missing.json"), "-o", str(output)],
          "cannot read popularity file"),
+        (["--pop-file", str(big), "-o", str(output)],
+         f"big.json: catalog size must be in 1..{CATALOG_MAX}, got {CATALOG_MAX + 1} items"),
     ]:
         assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "2", *argv]) == 1
         out, err = capsys.readouterr()

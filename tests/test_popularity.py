@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from geocache import ParameterError, PopularityDistribution, from_probs, load_popularity, zipf
+from geocache.cli import CATALOG_MAX
 
 
 def test_zipf_uniform_when_flat():
@@ -62,8 +63,21 @@ def test_from_probs_rejects_negative():
 
 
 def test_distribution_rejects_increasing():
-    with pytest.raises(ParameterError):
-        PopularityDistribution(np.array([0.3, 0.7]))
+    risen = np.full(20_000, 1.0 / 20_000)
+    risen[-1] += 1e-16  # any rise is refused, however small
+    for probs in (np.array([0.3, 0.7]), risen):
+        with pytest.raises(ParameterError):
+            PopularityDistribution(probs)
+
+
+@pytest.mark.parametrize("J", [40, 2000, CATALOG_MAX])
+def test_zipf_and_from_probs_order_is_exact(J):
+    # the solvers rely on a_i >= a_j for i < j with no rounding slack
+    for gamma in (0.0, 1e-300, 1e-100, 1e-30, 1e-16, 1e-15, 1e-12, 1e-6, 0.1, 0.9, 1.5, 5.0):
+        assert np.all(np.diff(zipf(J, gamma).probs) <= 0.0), gamma
+    rng = np.random.default_rng(J)
+    raw = rng.permutation(np.repeat(rng.random(J // 4 + 1), 4))  # every value tied four times
+    assert np.all(np.diff(from_probs(raw / math.fsum(raw.tolist())).probs) <= 0.0)
 
 
 def test_distribution_rejects_unnormalized():

@@ -757,8 +757,8 @@ def test_ind_matches_plain_bisection_at_the_largest_catalog():
 
 
 def test_ggb_scores_sizes_in_blocks_past_the_score_budget():
-    # J > 2^14, though the ranked prefix is shorter; a rise in popularity ranks all J,
-    # one size per block of scores (test_ggb_ranks_every_item_where_popularity_rises...)
+    # J > 2^14, though the ranked prefix is shorter and a block of scores holds several
+    # sizes; one size per block is test_ggb_scores_one_size_per_block_past_a_small_score_budget
     pop = zipf(20_000, 0.9)
     for db in (-6, 12):
         dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (db / 10.0), beta=3.0))
@@ -801,16 +801,16 @@ def test_ggb_ranking_a_prefix_matches_the_full_ranking_where_every_gain_ties():
         )
 
 
-def test_ggb_ranks_every_item_where_popularity_rises_within_rounding():
-    # a popularity may rise by up to 1e-15: the last item then gains the most, and a
-    # ranking cut before it would miss it; every size is scored alone (J > 2^14)
-    probs = np.full(20_000, 1.0 / 20_000)
-    probs[-1] += 1e-16
-    pop = PopularityDistribution(probs)
-    dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (-6 / 10.0), beta=3.0))
-    result = greedy_general(pop, dist, 3)
-    assert 20_000 in result.policy.blocks[1]
-    solver_oracles.assert_same_result(result, solver_oracles.greedy_general(pop, dist, 3))
+def test_ggb_scores_one_size_per_block_past_a_small_score_budget(monkeypatch):
+    # a budget of 16 scores holds less than two rows of every ranked prefix here (P >= 35),
+    # so each size is scored alone; the onc search of the first block runs in small blocks too
+    monkeypatch.setattr(solvers, "_SCORE_ENTRIES", 16)
+    pop = zipf(40, 0.9)
+    for db in (-12, -6):
+        dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (db / 10.0), beta=3.0))
+        solver_oracles.assert_same_result(
+            greedy_general(pop, dist, 5), solver_oracles.greedy_general(pop, dist, 5)
+        )
 
 
 # ---------------------------------------------------------------------------
