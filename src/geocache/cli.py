@@ -17,6 +17,7 @@ import math
 import sys
 import time
 import typing
+import warnings
 from dataclasses import asdict, dataclass
 
 from . import coverage as cov
@@ -78,6 +79,9 @@ class ExperimentConfig:
             raise ParameterError("threshold grid must be nonempty")
         if not all(math.isfinite(t) for t in self.tau_db_grid):
             raise ParameterError(f"threshold grid values must be finite, got {self.tau_db_grid}")
+        if len(set(self.tau_db_grid)) != len(self.tau_db_grid):  # 0 and -0 are one threshold
+            raise ParameterError(f"each threshold may be named once, got {len(self.tau_db_grid)} "
+                                 f"values with {len(set(self.tau_db_grid))} distinct")
         if not self.policies:
             raise ParameterError("policy list must be nonempty")
         unknown = set(self.policies) - set(ALL_POLICIES)
@@ -101,7 +105,11 @@ class ExperimentConfig:
 def _build_popularity(config: ExperimentConfig) -> PopularityDistribution:
     if not config.pop_file:
         return zipf(config.J, config.gamma)
-    pop = load_popularity(config.pop_file)
+    with warnings.catch_warnings(record=True) as caught:  # one stderr line each, naming the file
+        warnings.simplefilter("always")
+        pop = load_popularity(config.pop_file)
+    for warning in caught:
+        print(f"warning: {config.pop_file}: {warning.message}", file=sys.stderr)
     if pop.size > CATALOG_MAX:
         raise ParameterError(
             f"{config.pop_file}: catalog size must be in 1..{CATALOG_MAX}, got {pop.size} items"
@@ -307,17 +315,12 @@ def parse_grid(text: str) -> tuple:
             raise ParameterError(f"grid range parts must be finite, got {text!r}")
         if step <= 0:
             raise ParameterError("grid step must be positive")
-        if (stop - start) / step >= GRID_POINTS_MAX:  # the range has floor(ratio) + 1 points
+        # floor(ratio) + 1 points, the last at most min(1e-9, step / 1000) past stop;
+        # max(-1, .) gives a stop far below start (a ratio of -inf) no point
+        ratio = max(-1.0, (stop - start + min(1e-9, step / 1000)) / step)
+        if ratio >= GRID_POINTS_MAX:
             raise ParameterError(f"grid range has more than {GRID_POINTS_MAX} points, got {text!r}")
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-9:
-                break
-            values.append(round(v, 12))
-            k += 1
-        return tuple(values)
+        return tuple(round(start + k * step, 12) for k in range(math.floor(ratio) + 1))
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 

@@ -25,9 +25,9 @@ nodes at m digits, m the first of 32, 48, 64, ... at or above 24 + 0.6
 nmax, and the alternating sum runs at that precision. Each process
 builds the nodes of a (count, precision) pair once. Every node's
 Gamma(-alpha, s p) is summed from its power series in Python integers,
-at a scale that covers the cancellations within the sum and against
-Gamma(-alpha), and the node products w_k Gamma^n run as integer
-mantissas. A support bound nmax above ``SINR_NMAX_MAX`` is refused when
+at the exact product s p and at a scale that covers the cancellations
+within the sum and against Gamma(-alpha), and the node products
+w_k Gamma^n run as integer mantissas. A support bound nmax above ``SINR_NMAX_MAX`` is refused when
 the parameters are built, as its build would take minutes. For tau > 1/2
 (nmax <= 2) S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) and
 S_2, through 2F1, are taken in closed form at 32 digits instead. Noise W
@@ -461,8 +461,8 @@ def _talbot_nodes(m: int, prec: int):
     (theta_k cot theta_k - 1) cot theta_k. They depend on neither tau nor
     beta; the key holds the precision, so no value is reused at another.
 
-    r is a raw mpf. Each node is (raw mpc, ``_complex_ints``, |p| as a float),
-    each weight its ``_complex_ints``: what every build reads of them.
+    r is a raw mpf. Each node is (raw mpc, ``_complex_ints``, p as a complex
+    float), each weight its ``_complex_ints``: what every build reads of them.
     """
     import mpmath  # here, not at the top: the Boolean path never loads it
     from mpmath.libmp import fzero, mpc_to_complex, round_nearest
@@ -477,7 +477,7 @@ def _talbot_nodes(m: int, prec: int):
         p = r * theta * ctx.mpc(cot, 1)
         nodes.append(p._mpc_)
         weights.append((ctx.exp(p) * ctx.mpc(1, theta + (theta * cot - 1) * cot))._mpc_)
-    nodes = tuple((p, _complex_ints(p), abs(mpc_to_complex(p, rnd=round_nearest))) for p in nodes)
+    nodes = tuple((p, _complex_ints(p), mpc_to_complex(p, rnd=round_nearest)) for p in nodes)
     return r._mpf_, nodes, tuple(_complex_ints(w) for w in weights)
 
 
@@ -516,8 +516,8 @@ def _power_slots(m: int, prec: int, alpha: tuple) -> list:
 
 def _node_gammas(ctx, alpha, s, nodes) -> list:
     """[Gamma(-alpha, z_k) for z_k = s p_k] at the working precision of ctx, as raw
-    mpc, for the nodes p_k of ``_talbot_nodes(m, ctx.prec)``; z_k is s p_k rounded
-    to that precision, as mpmath's product forms it. From the power series
+    mpc, for the nodes p_k of ``_talbot_nodes(m, ctx.prec)``, with z_k the exact
+    product, not rounded. From the power series
         Gamma(-alpha, z) = Gamma(-alpha) - z^(-alpha) T(z),
         T(z) = sum_j (-z)^j / (j! (j - alpha)),
     with T summed by ``_series_sum`` at a scale 2^F.
@@ -531,13 +531,12 @@ def _node_gammas(ctx, alpha, s, nodes) -> list:
     result. A node whose result is smaller than the estimate, so that F fell
     short, runs again at the bits it lacked plus GAMMA_GUARD.
 
-    z^(-alpha) is s^(-alpha) p^(-alpha) (1 - alpha eps), eps = z / (s p) - 1 ~
-    2^-prec: the power of the rounded z, whose series T runs. Each p_k^(-alpha)
-    is kept per (node count, precision, alpha), at 32 bits more than F + 14
-    asked, and computed again when a later F asks for more.
+    z^(-alpha) = s^(-alpha) p_k^(-alpha), as s > 0. Each p_k^(-alpha) is kept per
+    (node count, precision, alpha), at 32 bits more than F + 14 asked, and
+    computed again when a later F asks for more.
     """
     from mpmath.libmp import (
-        from_man_exp, mpc_mul_mpf, mpc_pow_mpf, mpc_to_complex, mpf_neg, mpf_pow, round_nearest, to_fixed,
+        from_man_exp, mpc_mul_mpf, mpc_pow_mpf, mpf_neg, mpf_pow, round_nearest, to_fixed,
     )
 
     prec = ctx.prec
@@ -547,20 +546,14 @@ def _node_gammas(ctx, alpha, s, nodes) -> list:
     c_max = max(1.0 / a, 1.0 / (1.0 - a))
     least = prec + GAMMA_GUARD + math.log2(7.0 * c_max)
     sm, se = s._mpf_[1], s._mpf_[2]
+    sf = float(s)
     powers = _power_slots(len(nodes), prec, at)
     s_bits, s_power = 0, None
     out = []
-    for k, (p, (pr, pi, ep), p_size) in enumerate(nodes):
-        z = mpc_mul_mpf(p, s._mpf_, prec, round_nearest)
-        zc = mpc_to_complex(z, rnd=round_nearest)
+    for k, (p, (pr, pi, ep), pc) in enumerate(nodes):
+        xr, xi, ez = sm * pr, sm * pi, se + ep  # z = s p exactly, in ~2 prec bits
+        zc = sf * pc
         size = abs(zc)
-        xr, xi, ez = _complex_ints(z)
-        # alpha eps = alpha (z - s p) / z, as (qr + i qi) / den 2^qshift
-        e0 = min(ez, se + ep)
-        dr = (xr << (ez - e0)) - ((sm * pr) << (se + ep - e0))
-        di = (xi << (ez - e0)) - ((sm * pi) << (se + ep - e0))
-        qr, qi = (dr * xr + di * xi) * at[1], (di * xr - dr * xi) * at[1]
-        den, qshift = xr * xr + xi * xi, e0 - ez + at[2]
         above = least + _LOG2E * size - a * math.log2(size)  # F is this less log2 |Gamma|
         scale = 16 * math.ceil((above + 3 - _log2_gamma_estimate(zc, a)) / 16)
         while True:
@@ -573,18 +566,10 @@ def _node_gammas(ctx, alpha, s, nodes) -> list:
             if bits < rel:
                 p_power = mpc_pow_mpf(p, neg_alpha, rel + 32)
                 powers[k] = rel + 32, p_power
+            # each part of the product rounded to rel bits, so off by under 2^-5 max(1, |z|^-a)
+            # units, as |z^(-alpha)| 2^wscale < 2^(scale + 9) max(1, |z|^-a)
             wscale = scale + 8 + max(0, math.ceil(a * math.log2(size)))
-            pscale = rel + max(0, math.ceil(a * math.log2(p_size)))
-            factor, drop = to_fixed(s_power, rel), rel + pscale - wscale  # s^(-alpha) >= 1
-            vr = (factor * to_fixed(p_power[0], pscale)) >> drop
-            vi = (factor * to_fixed(p_power[1], pscale)) >> drop
-            qscale = wscale + 8
-            if qshift + qscale >= 0:
-                er, ei = (qr << (qshift + qscale)) // den, (qi << (qshift + qscale)) // den
-            else:
-                er, ei = (qr >> -(qshift + qscale)) // den, (qi >> -(qshift + qscale)) // den
-            wr = vr - ((vr * er - vi * ei) >> qscale)
-            wi = vi - ((vr * ei + vi * er) >> qscale)
+            wr, wi = (to_fixed(v, wscale) for v in mpc_mul_mpf(p_power, s_power, rel, round_nearest))
             gr = _gamma_int(at, scale) - ((wr * hr - wi * hi) >> wscale)
             gi = -((wr * hi + wi * hr) >> wscale)
             # F again, with the result's |Gamma| in place of the estimate

@@ -43,6 +43,29 @@ def test_parse_grid_range_and_list():
         parse_grid("0:5:-1")
 
 
+def test_parse_grid_stops_at_stop_for_a_step_below_the_slack():
+    # the slack past stop is at most step / 1000, so a step under 1e-9 does not run
+    # on to stop + 1e-9; a range of 10 steps has 11 points at any step size
+    assert len(parse_grid("0:1e-12:1e-13")) == 11
+    assert parse_grid("0:1e-299:1e-300") == (0.0,) * 11
+    assert parse_grid("0:1e-3:1e-4")[-1] == 1e-3
+
+
+@pytest.mark.parametrize("text", ["0,0", "0,-0", "3,1,3", "0:1e-12:1e-13"])
+def test_sweep_rejects_a_repeated_threshold_before_any_work(tmp_path, monkeypatch, capsys, text):
+    # 0 and -0 dB are one threshold, as are the 11 points of 0:1e-12:1e-13 once rounded
+    # to 12 decimals; each would build its cell again and write rows with one key
+    def no_sweep(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    output = tmp_path / "rows.csv"
+    assert main(["sweep", f"--tau-db={text}", "-J", "4", "-L", "1", "-o", str(output)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: each threshold may be named once") and err.count("\n") == 1
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("text", ["0:5:nan", "0:inf:1", "nan:5:1", "-inf:0:1", "0:5:inf"])
 def test_parse_grid_rejects_non_finite_parts(text, capsys):
     with pytest.raises(GeocacheError, match="finite"):
@@ -278,6 +301,16 @@ def test_flag_beats_file_beats_env_seed(tmp_path, monkeypatch):
     assert (from_file.seed, from_file.J) == (5, 12)
     config = _sweep_config(["--config", str(path), "--seed", "2", "-J", "30"])
     assert (config.seed, config.J) == (2, 30)
+
+
+def test_unnormalized_pop_file_warns_in_one_line(tmp_path, capsys):
+    # the note names the file, not the library line that found the sum
+    path = tmp_path / "un.csv"
+    path.write_text("3\n2\n1\n")
+    assert main(["solve", "--policy", "mp", "--pop-file", str(path), "-L", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == f"warning: {path}: popularity vector sums to 6; normalizing\n"
+    assert json.loads(out)["policy_name"] == "mp"
 
 
 def test_sweep_policies_accept_trailing_comma():

@@ -527,8 +527,9 @@ def test_inverted_s1_and_s2_match_their_closed_forms(beta, db):
 
 def assert_node_gammas(params, reference):
     """Each node value of both inversions of the build of params that reference(k, m)
-    names lies within 2^(8 - prec) relative of that reference at 30 more digits:
-    mpmath's incomplete gamma ("gammainc") or the earlier 1F1 form ("1f1"). For
+    names lies within 2^(8 - prec) relative of that reference at 30 more digits, at
+    the exact product s p_k the series runs on: mpmath's incomplete gamma
+    ("gammainc") or the earlier 1F1 form ("1f1"). For
     nmax <= 2, whose builds invert nothing, the two node sets of the first rung."""
     import mpmath
 
@@ -541,7 +542,7 @@ def assert_node_gammas(params, reference):
     s = ctx.mpf(params.tau) / (1 + ctx.mpf(params.tau))
     for m in (digits, coarse):
         nodes = coverage._talbot_nodes(m, ctx.prec)[1]
-        zs = [ref.convert(s * ctx.make_mpc(p)) for p, _, _ in nodes]
+        zs = [ref.convert(s) * ref.make_mpc(p) for p, _, _ in nodes]
         kinds = [reference(k, m) for k in range(m)]
         if "1f1" in kinds:
             oracle = coverage_oracles.node_gammas_1f1(ref, ref.convert(alpha), zs)
@@ -757,8 +758,33 @@ def test_sir_values_are_pinned(db):
 
 # S_n and pmf of SIR builds at other beta and with noise, as PINNED_SIR, keyed by
 # (beta, dB, W): just below 0 dB, where an inversion converges slowest, S_2 is taken
-# in closed form; beta = 2.5 has the largest 1/(1 - alpha)
+# in closed form; beta = 2.5 has the largest 1/(1 - alpha); beta = 2.5 at -14 dB
+# (nmax 26) and beta = 6 at -9 dB (nmax 8) hold the inversion to its bytes at two
+# more alpha than beta = 3
 PINNED_SIR_CELLS = {
+    (2.5, -14, 0.0): (
+        "0x1.8aa0fa21ad2afp+1 0x1.09abcfc68b2f5p+2 0x1.a316618a9a72ep+1 0x1.aa024dce1cd23p+0 "
+        "0x1.24e4c01b61c56p-1 0x1.178a291cb7de9p-3 0x1.770f0e3ea034dp-6 0x1.62f4e88bf29fcp-9 "
+        "0x1.d83391714d8b5p-13 0x1.b51ff385ebf62p-17 0x1.15121c9a3e52bp-21 0x1.d624180970db5p-27 "
+        "0x1.02edf7ea7b93ep-32 0x1.63d4a61468144p-39 0x1.21aa518859554p-46 0x1.052410a18bd36p-54 "
+        "0x1.dcf7561e6f751p-64 0x1.873a8aab4096ep-74 0x1.e7c5e8b34ae54p-86 0x1.6b2a0d41d7de3p-99 "
+        "0x1.bf9a1f277d227p-115 0x1.05b2bd16261d9p-133 0x1.71152ca282504p-142 -0x1.4cf6e7a49ceb4p-139 "
+        "0x1.c09569916fb69p-141 0x1.88752f47782f3p-141",
+        "0x1.1212cb1b227dbp-9 0x1.0759e6e74f27ap-3 0x1.d25f69a164e39p-3 0x1.1a073c6d8b185p-2 "
+        "0x1.b5cff9eb0f34ep-3 0x1.b83fd2df0a3a8p-4 0x1.243e893d4441dp-5 0x1.03d49d7bf848cp-7 "
+        "0x1.37bd253007254p-10 0x1.f91c34e05ce02p-14 0x1.12c39beb6729ep-17 0x1.8c98ce9522530p-22 "
+        "0x1.749bc0b60674cp-27 0x1.bbaa2aefeefe1p-33 0x1.42d50b25669d6p-39 0x1.11971b83dd83fp-46 "
+        "0x1.fa8f16bbc64cfp-55 0x1.d61be52914c52p-64 0x1.84f7d666fbe74p-74 0x1.e6e2f9e44a81bp-86 "
+        "0x1.6b05569eda17cp-99 0x1.bf5220aec8bacp-115 0x1.14878a24c005dp-127 0x0.0p+0 "
+        "0x1.c13a5217f5377p-133 0x0.0p+0 0x1.88752f47782f3p-141",
+    ),
+    (6.0, -9, 0.0): (
+        "0x1.a66ae631b5971p+0 0x1.b6aada1d127fap-1 0x1.e7f0be3ef3f6bp-3 0x1.131e7da0c0420p-5 "
+        "0x1.0efe902f5b7d5p-9 0x1.55df7be92aa77p-15 0x1.0fbdc8731fbd0p-23 0x1.c8c0962911c46p-38",
+        "0x1.1ab2cdc552716p-17 0x1.0dd81105ebc15p-1 0x1.4b3720413d2a7p-2 0x1.fb02045abf854p-4 "
+        "0x1.86cf5a48ece01p-6 0x1.de95876fe87a7p-10 0x1.4e71af5825a24p-15 0x1.0fa13c69bd2bep-23 "
+        "0x1.c8c0962911c46p-38",
+    ),
     (6.0, -0.01, 0.0): (
         "0x1.a7bee670dc50fp-1 0x1.45ce19573f921p-18",
         "0x1.6106f1d8c16abp-3 0x1.a7bda0a2c2f9cp-1 0x1.45ce19573f922p-18",
