@@ -30,9 +30,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", help="output directory")
     parser.add_argument("--step", type=float, default=1.0, help="dB grid step")
-    parser.add_argument("--trials", type=int, default=0,
+    parser.add_argument("--trials", type=int, default=ExperimentConfig.trials,
                         help="Monte Carlo verification trials per cell (0 = off)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     args = parser.parse_args()
 
     try:  # a bad setting ends here, before the output directory exists

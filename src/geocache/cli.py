@@ -16,9 +16,8 @@ import json
 import math
 import sys
 import time
-import typing
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 from . import coverage as cov
 from . import simulate, solvers
@@ -52,25 +51,102 @@ def db_to_linear(tau_db: float) -> float:
     return 10.0 ** (tau_db / 10.0)
 
 
+def parse_grid(text: str) -> tuple:
+    """Grid syntax: 'start:stop:step' (inclusive) or comma-separated dB values."""
+    text = text.strip()
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ParameterError(f"grid range must be start:stop:step, got {text!r}")
+        start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ParameterError(f"grid range parts must be finite, got {text!r}")
+        if step <= 0:
+            raise ParameterError("grid step must be positive")
+        # floor(ratio) + 1 points, the last at most min(1e-9, step / 1000) past stop;
+        # max(-1, .) gives a stop far below start (a ratio of -inf) no point
+        ratio = max(-1.0, (stop - start + min(1e-9, step / 1000)) / step)
+        if ratio >= GRID_POINTS_MAX:
+            raise ParameterError(f"grid range has more than {GRID_POINTS_MAX} points, got {text!r}")
+        return tuple(round(start + k * step, 12) for k in range(math.floor(ratio) + 1))
+    return tuple(float(p) for p in text.split(",") if p.strip())
+
+
+def _grid_flag(text: str) -> tuple:
+    """``parse_grid`` for ``--tau-db``: argparse shows the reason a range is bad."""
+    try:
+        return parse_grid(text)
+    except ValueError as exc:  # ParameterError included
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_policies(text: str) -> tuple:
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+
+
+_PARSE_BY_TYPE = {float: float, int: int, str: str, bool: _parse_bool}
+
+
+def _setting(default, *flags, parse=None, commands=None, one_threshold=None, help=None, **spec):
+    """An ``ExperimentConfig`` field: its default and how a flag or a config key sets it.
+
+    ``flags`` default to --<field-name-with-dashes>; ``parse`` turns flag and
+    config-file text into a value (by the default's type unless given);
+    ``commands`` take the flag (every command if None); ``one_threshold`` replaces
+    the default outside ``sweep`` (if not None); ``help`` may name it as
+    {one_threshold}; ``spec`` is the rest of the flag's add_argument arguments.
+    """
+    parse = parse or _PARSE_BY_TYPE[type(default)]
+    if parse is _parse_bool:
+        spec.update(action="store_const", const=True)
+    else:
+        spec.setdefault("type", parse)
+    spec["help"] = help and help.format(one_threshold=one_threshold)
+    return field(default=default, metadata={
+        "flags": flags, "parse": parse, "commands": commands,
+        "one_threshold": one_threshold, "add_argument": spec,
+    })
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: str = "boolean"
-    lam: float = 1.0
-    beta: float = 3.0
-    K: float = 1.0
-    power_ratio: float = 1.0  # Boolean model P/W
-    noise_w: float = 0.0  # SINR model W
-    moment_ps: float = 1.0  # SINR model E[(PS)^(2/beta)]
-    tau_db_grid: tuple = tuple(float(d) for d in range(-12, 13))
-    L: int = 5
-    J: int = 40
-    gamma: float = 0.9
-    pop_file: str = ""
-    policies: tuple = ALL_POLICIES
-    trials: int = 0
-    seed: int = 0
-    output: str = ""
-    timing: bool = False
+    """One sweep's settings; each field is also a flag and a config-file key."""
+
+    model: str = _setting("boolean", choices=("boolean", "sinr"))
+    lam: float = _setting(1.0, "--lambda", help="station density")
+    beta: float = _setting(3.0, help="path-loss exponent (>2)")
+    K: float = _setting(cov.BooleanModelParams.K, "-K", "--path-loss-constant")
+    power_ratio: float = _setting(cov.BooleanModelParams.power_ratio,
+                                  help="Boolean model P/W (linear)")
+    noise_w: float = _setting(cov.SinrModelParams.noise_W, help="SINR model noise power W")
+    moment_ps: float = _setting(cov.SinrModelParams.moment_PS,
+                                help="SINR moment E[(PS)^(2/beta)]")
+    tau_db_grid: tuple = _setting(
+        tuple(float(d) for d in range(-12, 13)), "--tau-db", parse=parse_grid, type=_grid_flag,
+        one_threshold=(0.0,), help="dB grid: 'start:stop:step' or comma list",
+    )
+    L: int = _setting(5, "-L", "--blocks", help="cache blocks")
+    J: int = _setting(40, "-J", "--catalog", help="catalog size")
+    gamma: float = _setting(0.9, help="Zipf exponent")
+    pop_file: str = _setting("", help="popularity vector (JSON or CSV)")
+    policies: tuple = _setting(ALL_POLICIES, parse=_parse_policies, commands=("sweep",))
+    trials: int = _setting(0, commands=("sweep", "simulate"), one_threshold=100_000,
+                           help="Monte Carlo trials: per sweep cell (0 = off), "
+                                "or simulate's total ({one_threshold} unless set)")
+    seed: int = _setting(0)
+    output: str = _setting("", "--output", "-o", commands=("sweep",),
+                           help="CSV output path (default stdout)")
+    timing: bool = _setting(False, commands=("sweep",),
+                            help="record wall_time_ms (breaks byte-identical reruns)")
 
     def __post_init__(self):
         if self.model not in ("boolean", "sinr"):
@@ -293,7 +369,7 @@ def parse_config_file(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise GeocacheError(f"{path}:{lineno}: expected 'key = value'")
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in lines:
@@ -303,133 +379,38 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def parse_grid(text: str) -> tuple:
-    """Grid syntax: 'start:stop:step' (inclusive) or comma-separated dB values."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"grid range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise ParameterError(f"grid range parts must be finite, got {text!r}")
-        if step <= 0:
-            raise ParameterError("grid step must be positive")
-        # floor(ratio) + 1 points, the last at most min(1e-9, step / 1000) past stop;
-        # max(-1, .) gives a stop far below start (a ratio of -inf) no point
-        ratio = max(-1.0, (stop - start + min(1e-9, step / 1000)) / step)
-        if ratio >= GRID_POINTS_MAX:
-            raise ParameterError(f"grid range has more than {GRID_POINTS_MAX} points, got {text!r}")
-        return tuple(round(start + k * step, 12) for k in range(math.floor(ratio) + 1))
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-def _grid_flag(text: str) -> tuple:
-    """``parse_grid`` for ``--tau-db``: argparse shows the reason a range is bad."""
-    try:
-        return parse_grid(text)
-    except ValueError as exc:  # ParameterError included
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_policies(text: str) -> tuple:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
-
-
-def _parse_bool(text: str) -> bool:
-    word = text.lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
-
-
-# How the text of a flag or a config-file value becomes a field value: by
-# the field's annotation, except for the two tuple fields.
-_PARSE_BY_TYPE = {float: float, int: int, str: str, bool: _parse_bool}
-_SPECIAL_PARSERS = {"tau_db_grid": parse_grid, "policies": _parse_policies}
-# Every field is set by --<field-name-with-dashes> and parsed as above
-# unless "flags" or "type" says otherwise; the rest of each entry goes to
-# add_argument.
-_FLAG_SPECS = {
-    "model": {"choices": ("boolean", "sinr")},
-    "lam": {"flags": ("--lambda",), "help": "station density"},
-    "beta": {"help": "path-loss exponent (>2)"},
-    "K": {"flags": ("-K", "--path-loss-constant")},
-    "power_ratio": {"help": "Boolean model P/W (linear)"},
-    "noise_w": {"help": "SINR model noise power W"},
-    "moment_ps": {"help": "SINR moment E[(PS)^(2/beta)]"},
-    "tau_db_grid": {"flags": ("--tau-db",), "type": _grid_flag,
-                    "help": "dB grid: 'start:stop:step' or comma list"},
-    "L": {"flags": ("-L", "--blocks"), "help": "cache blocks"},
-    "J": {"flags": ("-J", "--catalog"), "help": "catalog size"},
-    "gamma": {"help": "Zipf exponent"},
-    "pop_file": {"help": "popularity vector (JSON or CSV)"},
-    "trials": {"help": "Monte Carlo trials: per sweep cell (0 = off), "
-                        "or simulate's total (100000 unless set)"},
-    "output": {"flags": ("--output", "-o"), "help": "CSV output path (default stdout)"},
-    "timing": {"help": "record wall_time_ms (breaks byte-identical reruns)"},
-}
-# Fields only some commands take; every command takes all the others.
-_TAKEN_ONLY_BY = {
-    "policies": ("sweep",),
-    "trials": ("sweep", "simulate"),
-    "output": ("sweep",),
-    "timing": ("sweep",),
-}
-# What the one-threshold commands use where neither a flag nor the config
-# file sets a field (of them, only simulate reads trials).
-_ONE_THRESHOLD_DEFAULTS = {"tau_db_grid": (0.0,), "trials": 100_000}
-
-
-def _settable_fields() -> dict:
-    """{field name: value parser} for every field of ``ExperimentConfig``,
-    each set by a flag or a config key."""
-    hints = typing.get_type_hints(ExperimentConfig)
-    return {n: _SPECIAL_PARSERS.get(n) or _PARSE_BY_TYPE[t] for n, t in hints.items()}
-
-
 def _config_args(parser, command: str) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    for name, parse in _settable_fields().items():
-        if command not in _TAKEN_ONLY_BY.get(name, (command,)):
-            continue
-        spec = dict(_FLAG_SPECS.get(name, {}))
-        flags = spec.pop("flags", ("--" + name.replace("_", "-"),))
-        if parse is _parse_bool:
-            spec.update(action="store_const", const=True)
-        else:
-            spec.setdefault("type", parse)
-        parser.add_argument(*flags, dest=name, **spec)
+    for f in fields(ExperimentConfig):
+        meta = f.metadata
+        if command in (meta["commands"] or (command,)):
+            flags = meta["flags"] or ("--" + f.name.replace("_", "-"),)
+            parser.add_argument(*flags, dest=f.name, **meta["add_argument"])
 
 
 def _config_from_args(args) -> ExperimentConfig:
     """Each field from its CLI flag, else its config-file key, else the
-    command's default.
-
-    Outside ``sweep`` the threshold is one value, and the defaults of
-    ``_ONE_THRESHOLD_DEFAULTS`` replace the dataclass defaults.
-    """
+    command's default: outside ``sweep``, its one-threshold default if it
+    has one, and the threshold must be one value."""
     file_cfg = parse_config_file(args.config) if args.config else {}
-    parsers = _settable_fields()
-    unknown = sorted(set(file_cfg) - set(parsers))
+    settings = {f.name: f.metadata for f in fields(ExperimentConfig)}
+    unknown = sorted(set(file_cfg) - set(settings))
     if unknown:
         raise ParameterError(f"{args.config}: unknown config keys {unknown}")
     values = {}
-    for name, parse in parsers.items():
+    for name, meta in settings.items():
         value = getattr(args, name, None)
         if value is None and name in file_cfg:
             try:
-                value = parse(file_cfg[name])
+                value = meta["parse"](file_cfg[name])
             except (ValueError, GeocacheError) as exc:
                 raise ParameterError(f"{args.config}: bad value for {name}: {exc}") from None
+        if value is None and args.command != "sweep":
+            value = meta["one_threshold"]
         if value is not None:
             values[name] = value
-    if args.command != "sweep":
-        values = {**_ONE_THRESHOLD_DEFAULTS, **values}
-        if len(values["tau_db_grid"]) != 1:
-            raise ParameterError(f"this command takes one threshold, got {values['tau_db_grid']}")
+    if args.command != "sweep" and len(values["tau_db_grid"]) != 1:
+        raise ParameterError(f"this command takes one threshold, got {values['tau_db_grid']}")
     return ExperimentConfig(**values)
 
 
@@ -496,11 +477,13 @@ def _load_policy_arg(text: str):
     try:
         if not text.startswith("{"):
             source = text
-            with open(text) as fh:
+            with open(text, encoding="utf-8") as fh:
                 text = fh.read()
         return policy_from_json_dict(json.loads(text))
     except OSError as exc:
         raise ParameterError(f"{source}: cannot read policy file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{source}: policy file is not UTF-8 text: {exc.reason}") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # bad JSON or bad policy
         raise ParameterError(f"{source}: not a valid policy: {exc}") from None
 
@@ -518,6 +501,9 @@ def _cmd_bound(args) -> int:
     config = _config_from_args(args)
     if args.greedy_K > BLOCKS_MAX:
         raise ParameterError(f"--greedy-blocks must be at most {BLOCKS_MAX}, got {args.greedy_K}")
+    if args.greedy_K < config.L:
+        raise ParameterError(
+            f"--greedy-blocks must be at least L = {config.L}, got {args.greedy_K}")
     pop, dist = _instance_from_config(config)
     report = solvers.greedy_bound_check(pop, dist, config.L, args.greedy_K)
     _emit_json(report, sys.stdout)

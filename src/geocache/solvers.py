@@ -78,11 +78,16 @@ class IndPolicy:
 _SCORE_ENTRIES = 1 << 14  # scores a size search holds at once: 128 KiB, cache-sized
 
 
-def _best_sizes(prefix: np.ndarray, tail: np.ndarray, top: int, stages: int):
-    """Best size x <= top at every stage l and state n = 0..J, and value[0, 0]: value[l, n] =
-    max_x A([n+1, n+x]) * Pbar(x) + value[l+1, n+x], value[stages] = 0, -inf past J.
-    Each row of scores is one state; its first argmax is the smallest best size. Blocks of
-    states go last first, and only the values a block reads are kept."""
+def _best_sizes(pop: PopularityDistribution, dist: CoverageDistribution, stages: int,
+                blocks: int):
+    """Best size x <= top = min(J, kmax) at every stage l and state n = 0..N, and value[0, 0]:
+    value[l, n] = max_x A([n+1, n+x]) * Pbar(x) + value[l+1, n+x], value[stages] = 0, -inf
+    past N. N = min(J, blocks * max(1, top)) is the most items ``blocks`` blocks hold (a
+    forced first block has 1 item where kmax = 0), so no state past it is reached. Each row
+    of scores is one state; its first argmax is the smallest best size. Blocks of states go
+    last first, and only the values a block reads are kept."""
+    top = min(pop.size, dist.kmax)
+    prefix = pop.prefix[: min(pop.size, blocks * max(1, top)) + 1]
     J = prefix.size - 1
     window = np.lib.stride_tricks.sliding_window_view
     reach = window(np.append(prefix, np.full(top, prefix[-1])), top + 1)
@@ -95,7 +100,7 @@ def _best_sizes(prefix: np.ndarray, tail: np.ndarray, top: int, stages: int):
         rows = slice(start, start + n)
         value[:, step:] = value[:, :top]  # the block after moves step columns on, keeping top
         value[stages, :n] = 0.0
-        gains = (reach[rows] - prefix[rows, None]) * tail[: top + 1]
+        gains = (reach[rows] - prefix[rows, None]) * dist.tail[: top + 1]
         for l in reversed(range(stages)):
             scores = gains + ahead[l + 1, :n]
             choice[l, rows] = scores.argmax(axis=1)
@@ -118,11 +123,7 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
-    J = pop.size
-    top = min(J, dist.kmax)
-    prefix = pop.prefix[: min(J, L * max(1, top)) + 1]  # no state past L blocks is reached
-
-    choice, value = _best_sizes(prefix, dist.tail, top, L)
+    choice, value = _best_sizes(pop, dist, L, L)
 
     raw = []
     n = 0
@@ -138,7 +139,7 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
         diagnostics={
             "dp_value": float(value),
             "raw_sizes": raw,
-            "stage_maximizations": L * prefix.size,
+            "stage_maximizations": choice.size,
         },
     )
 
@@ -170,8 +171,7 @@ def greedy_general(pop: PopularityDistribution, dist: CoverageDistribution, K: i
     tails = dist.tail
     sizes = range(1, max(1, min(J, dist.kmax)) + 1)
 
-    # the first block is state 0's best size, which reads no prefix sum past the largest size
-    m1 = max(1, int(_best_sizes(pop.prefix[: len(sizes) + 1], tails, len(sizes), 1)[0][0, 0]))
+    m1 = max(1, int(_best_sizes(pop, dist, 1, 1)[0][0, 0]))  # the first block: state 0's best
     blocks = [frozenset(range(1, m1 + 1))]
     r = np.full(J, dist.kmax + 1, dtype=int)  # "not cached anywhere": tail[kmax + 1] is 0
     r[:m1] = m1
@@ -221,10 +221,7 @@ def greedy_disjoint(
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
-    J = pop.size
-    top = min(J, dist.kmax)
-    # the forced first block has 1 item where kmax = 0; no state past L blocks is reached
-    size = _best_sizes(pop.prefix[: min(J, L * max(1, top)) + 1], dist.tail, top, 1)[0][0]
+    size = _best_sizes(pop, dist, 1, L)[0][0]
 
     raw = [max(1, int(size[0]))]
     used = raw[0]

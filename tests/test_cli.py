@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +205,7 @@ def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path):
         a.dest: next(o for o in a.option_strings if o.startswith("--"))
         for a in parser._actions
     }
-    settable = cli._settable_fields()
+    settable = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
     assert set(settable) <= set(flags)
     for name, parse in settable.items():
         text = FIELD_TEXT.get(name) or TYPE_TEXT[parse]
@@ -215,6 +215,26 @@ def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path):
         argv = [flags[name]] if name == "timing" else [f"{flags[name]}={text}"]
         assert _sweep_config(argv) == by_file, name
         assert getattr(by_file, name) == parse(text) != getattr(ExperimentConfig(), name), name
+
+
+# the dest of every flag each command takes: the settings all five share, and each one's own
+SHARED_DESTS = {"help", "config", "model", "lam", "beta", "K", "power_ratio", "noise_w",
+                "moment_ps", "tau_db_grid", "L", "J", "gamma", "pop_file", "seed"}
+COMMAND_DESTS = {
+    "sweep": SHARED_DESTS | {"policies", "trials", "output", "timing"},
+    "solve": SHARED_DESTS | {"policy"},
+    "coverage": SHARED_DESTS,
+    "simulate": SHARED_DESTS | {"trials", "policy"},
+    "bound": SHARED_DESTS | {"greedy_K"},
+}
+
+
+def test_each_command_takes_its_own_flags_and_renders_its_help():
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(COMMAND_DESTS)
+    for command, parser in sub.choices.items():
+        assert {a.dest for a in parser._actions} == COMMAND_DESTS[command], command
+        assert parser.format_help().startswith(f"usage: geocache {command} [-h]"), command
 
 
 @pytest.mark.parametrize(
@@ -245,6 +265,16 @@ def test_config_boolean_typo_is_an_error(tmp_path, capsys, word):
         _sweep_config(["--config", str(path)])
     assert main(["sweep", "--config", str(path)]) == 1
     assert "bad value for timing" in capsys.readouterr().err
+
+
+def test_config_line_without_equals_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("J = 8\n# a comment\nL 3\n")
+    with pytest.raises(ParameterError, match="expected 'key = value'"):
+        parse_config_file(path)
+    assert main(["sweep", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}:3: expected 'key = value'\n"
 
 
 @pytest.mark.parametrize(
@@ -738,6 +768,13 @@ def test_cli_reports_errors_cleanly(capsys):
     )
 
 
+@pytest.mark.parametrize("greedy_blocks", ["3", "0", "-1"])
+def test_bound_greedy_blocks_below_L_names_the_flag(capsys, greedy_blocks):
+    assert main(["bound", "-J", "8", "-L", "5", "--greedy-blocks", greedy_blocks]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --greedy-blocks must be at least L = 5, got {greedy_blocks}\n"
+
+
 SOLVE = ["solve", "--policy", "onc", "--pop-file", "FILE"]
 SIMULATE = ["simulate", "--policy", "FILE"]
 # case: (file name, file text or None for a missing file, argv naming FILE, error text)
@@ -757,6 +794,8 @@ BAD_FILES = {
     "policy-bad-sizes": ("policy.json", '{"type": "structured", "sizes": [2, 1]}', SIMULATE,
                          "not a valid policy: nonzero block sizes must be nondecreasing"),
     "policy-not-json": ("policy.json", "sizes = 1", SIMULATE, "not a valid policy"),
+    "policy-not-utf8": ("policy.json", b'{"type": "structured", "sizes": [1]}\xff', SIMULATE,
+                        "policy file is not UTF-8 text"),
     "config-not-utf8": ("exp.cfg", b"\xff\xfeJ = 4\n", ["sweep", "--config", "FILE"],
                         "config file is not UTF-8 text"),
     "pop-file-not-utf8": ("pop.csv", b"\xff\xfe0.5\n0.5\n", SOLVE,
