@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -30,7 +31,7 @@ from .policy import (  # the benchmark tracer rebinds the two hit_probability_* 
 )
 from .popularity import PopularityDistribution, load_popularity, zipf
 
-ALL_POLICIES = ("onc", "ggb", "gdbnc", "mp", "ind")
+ALL_POLICIES = (*solvers.BLOCK_SOLVERS, "ind")
 GRID_POINTS_MAX = 100_000  # the figure sweeps use at most 33
 BLOCKS_MAX = 1000  # -L and --greedy-blocks; `bound` at J = 2000, -12 dB: ~2.2 s on a 2-vCPU Xeon
 CATALOG_MAX = 100_000  # -J; a default sweep at J = 10^5, -12 dB: ~0.45 s and 46 MiB peak, same host
@@ -420,9 +421,26 @@ def _instance_from_config(config: ExperimentConfig):
     return pop, dist
 
 
-def _emit_json(payload, stream) -> None:
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+@contextlib.contextmanager
+def _writing(stream, name: str):
+    """Write the output ``name`` to ``stream`` in the block, then flush it. A failed write
+    ends in one error line, a closed pipe in ``main``; as Python's signal docs advise,
+    ``stream`` then points at os.devnull, so its buffer cannot fail again at close or exit."""
+    try:
+        yield
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise ParameterError(f"{name}: cannot write output file: {exc.strerror}") from None
+
+
+def _emit_json(payload) -> None:
+    with _writing(sys.stdout, "stdout"):
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +448,7 @@ def _emit_json(payload, stream) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sweep(args) -> int:
-    config = _config_from_args(args)
+def _cmd_sweep(args, config: ExperimentConfig) -> int:
     pop = _build_popularity(config)  # a bad --gamma or --pop-file fails before -o creates a file
     out = contextlib.nullcontext(sys.stdout)
     if config.output:  # opened before any cell runs, so an unwritable path costs no sweep
@@ -442,12 +459,12 @@ def _cmd_sweep(args) -> int:
             raise ParameterError(f"{config.output}: cannot write output file: {reason}") from None
     with out as stream:
         rows, ok = run_sweep(config, pop)
-        write_sweep_csv(rows, config, stream)
+        with _writing(stream, config.output or "stdout"):
+            write_sweep_csv(rows, config, stream)
     return 0 if ok else 2
 
 
-def _cmd_solve(args) -> int:
-    config = _config_from_args(args)
+def _cmd_solve(args, config: ExperimentConfig) -> int:
     pop, dist = _instance_from_config(config)
     name = args.policy
     result = _run_policy(name, pop, dist, config.L)
@@ -460,14 +477,13 @@ def _cmd_solve(args) -> int:
         payload.update(b=result.policy.b.tolist(), multiplier=result.policy.multiplier)
     else:
         payload["policy"] = result.policy.to_json_dict()
-    _emit_json(payload, sys.stdout)
+    _emit_json(payload)
     return 0
 
 
-def _cmd_coverage(args) -> int:
-    config = _config_from_args(args)
-    dist = _build_coverage(_model_params(config, config.tau_db_grid[0]))
-    _emit_json(dist.to_json_dict(), sys.stdout)
+def _cmd_coverage(args, config: ExperimentConfig) -> int:
+    _, dist = _instance_from_config(config)
+    _emit_json(dist.to_json_dict())
     return 0
 
 
@@ -488,17 +504,15 @@ def _load_policy_arg(text: str):
         raise ParameterError(f"{source}: not a valid policy: {exc}") from None
 
 
-def _cmd_simulate(args) -> int:
-    config = _config_from_args(args)
+def _cmd_simulate(args, config: ExperimentConfig) -> int:
     pop, dist = _instance_from_config(config)
     policy = _load_policy_arg(args.policy)
     [report] = simulate.simulate_hits([policy], pop, [dist], config.trials, config.seed)
-    _emit_json(asdict(report), sys.stdout)
+    _emit_json(asdict(report))
     return 0
 
 
-def _cmd_bound(args) -> int:
-    config = _config_from_args(args)
+def _cmd_bound(args, config: ExperimentConfig) -> int:
     if args.greedy_K > BLOCKS_MAX:
         raise ParameterError(f"--greedy-blocks must be at most {BLOCKS_MAX}, got {args.greedy_K}")
     if args.greedy_K < config.L:
@@ -506,7 +520,7 @@ def _cmd_bound(args) -> int:
             f"--greedy-blocks must be at least L = {config.L}, got {args.greedy_K}")
     pop, dist = _instance_from_config(config)
     report = solvers.greedy_bound_check(pop, dist, config.L, args.greedy_K)
-    _emit_json(report, sys.stdout)
+    _emit_json(report)
     return 0
 
 
@@ -517,30 +531,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", help="run a threshold sweep and emit CSV")
-    _config_args(p, "sweep")
-    p.set_defaults(func=_cmd_sweep)
+    def command(name, func, help):  # one command's parser, holding its config flags
+        p = sub.add_parser(name, help=help)
+        _config_args(p, name)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="solve one instance with one policy")
-    _config_args(p, "solve")
-    p.add_argument("--policy", required=True, choices=ALL_POLICIES)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("coverage", help="tabulate the coverage-number pmf as JSON")
-    _config_args(p, "coverage")
-    p.set_defaults(func=_cmd_coverage)
-
-    p = sub.add_parser("simulate", help="Monte Carlo hit estimate for a policy")
-    _config_args(p, "simulate")
-    p.add_argument("--policy", required=True, help="policy JSON (inline or file path)")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("bound", help="greedy suboptimality bound report")
-    _config_args(p, "bound")
-    p.add_argument("--greedy-blocks", dest="greedy_K", type=int, required=True,
-                   help="number of blocks handed to the greedy (>= L)")
-    p.set_defaults(func=_cmd_bound)
-
+    command("sweep", _cmd_sweep, "run a threshold sweep and emit CSV")
+    command("solve", _cmd_solve, "solve one instance with one policy").add_argument(
+        "--policy", required=True, choices=ALL_POLICIES)
+    command("coverage", _cmd_coverage, "tabulate the coverage-number pmf as JSON")
+    command("simulate", _cmd_simulate, "Monte Carlo hit estimate for a policy").add_argument(
+        "--policy", required=True, help="policy JSON (inline or file path)")
+    command("bound", _cmd_bound, "greedy suboptimality bound report").add_argument(
+        "--greedy-blocks", dest="greedy_K", type=int, required=True,
+        help="number of blocks handed to the greedy (>= L)")
     return parser
 
 
@@ -548,7 +553,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _config_from_args(args))
+    except BrokenPipeError:  # the reader left; _writing dropped the rest of the output
+        return 1
     except GeocacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

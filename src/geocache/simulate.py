@@ -48,16 +48,18 @@ class SimReport:
 
 
 def _trial_blocks(trials: int):
-    start = 0
-    index = 0
-    while start < trials:
+    for index, start in enumerate(range(0, trials, _TRIAL_BLOCK)):
         yield index, min(_TRIAL_BLOCK, trials - start)
-        start += _TRIAL_BLOCK
-        index += 1
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(block_index)]))
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf ``Generator.choice`` builds for the pmf p; draws and cuts must both read it."""
+    cdf = np.cumsum(p)
+    return cdf / cdf[-1]
 
 
 def _inverse_cdf(p: np.ndarray):
@@ -72,8 +74,7 @@ def _inverse_cdf(p: np.ndarray):
     once, in at most ceil(log2(p.size)) passes: a long run of zero mass
     widens one bracket, not the pass count.
     """
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
+    cdf = _choice_cdf(p)
     m = 1 << (4 * cdf.size - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
     lower = guide[:-1]
@@ -103,8 +104,7 @@ def _cuts(threshold: np.ndarray, pmf: np.ndarray) -> np.ndarray:
     """Per item, ``cdf[r - 1]`` for its threshold r, or inf for r > kmax: with
     the cdf built as ``Generator.choice`` builds it, ``cut <= u`` holds
     exactly when the N that ``choice`` takes from u is >= r."""
-    cdf = np.cumsum(pmf)
-    cdf /= cdf[-1]
+    cdf = _choice_cdf(pmf)
     cdf[-1] = np.inf  # r = kmax + 1 and UNCACHED: N never exceeds kmax
     return cdf[np.minimum(threshold, cdf.size) - 1]
 

@@ -109,6 +109,22 @@ def _best_sizes(pop: PopularityDistribution, dist: CoverageDistribution, stages:
     return choice, value[0, 0]
 
 
+def _chain(rows, n: int) -> list:
+    """The sizes a chain of choices takes from state n: rows[i][n] at step i, n += it."""
+    raw = []
+    for row in rows:
+        raw.append(int(row[n]))
+        n += raw[-1]
+    return raw
+
+
+def _structured(raw, pop: PopularityDistribution, dist: CoverageDistribution,
+                **diagnostics) -> SolverResult:
+    """The structured policy of block sizes ``raw`` (any order), with its hit probability."""
+    policy = StructuredPolicy(canonical_sizes(raw))
+    return SolverResult(policy, hit_probability_structured(policy, pop, dist), diagnostics)
+
+
 def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) -> SolverResult:
     """Maximize the hit probability over structured policies by backward DP.
 
@@ -124,24 +140,9 @@ def solve_dp(pop: PopularityDistribution, dist: CoverageDistribution, L: int) ->
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     choice, value = _best_sizes(pop, dist, L, L)
-
-    raw = []
-    n = 0
-    for row in choice:
-        raw.append(int(row[n]))
-        n += raw[-1]
-
-    policy = StructuredPolicy(canonical_sizes(raw))
-    hit = hit_probability_structured(policy, pop, dist)
-    return SolverResult(
-        policy=policy,
-        hit_prob=hit,
-        diagnostics={
-            "dp_value": float(value),
-            "raw_sizes": raw,
-            "stage_maximizations": choice.size,
-        },
-    )
+    raw = _chain(choice, 0)
+    return _structured(raw, pop, dist, dp_value=float(value), raw_sizes=raw,
+                       stage_maximizations=choice.size)
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +223,9 @@ def greedy_disjoint(
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     size = _best_sizes(pop, dist, 1, L)[0][0]
-
-    raw = [max(1, int(size[0]))]
-    used = raw[0]
-    for _ in range(2, L + 1):
-        raw.append(int(size[used]))
-        used += raw[-1]
-
-    policy = StructuredPolicy(canonical_sizes(raw))
-    hit = hit_probability_structured(policy, pop, dist)
-    return SolverResult(
-        policy=policy,
-        hit_prob=hit,
-        diagnostics={"raw_sizes": raw},
-    )
+    first = max(1, int(size[0]))
+    raw = [first, *_chain([size] * (L - 1), first)]
+    return _structured(raw, pop, dist, raw_sizes=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +237,7 @@ def most_popular(pop: PopularityDistribution, dist: CoverageDistribution, L: int
     """Cache the L most popular items, one per block, no coding."""
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
-    policy = StructuredPolicy((1,) * min(L, pop.size))
-    hit = hit_probability_structured(policy, pop, dist)
-    return SolverResult(policy=policy, hit_prob=hit)
+    return _structured([1] * min(L, pop.size), pop, dist)
 
 
 # ---------------------------------------------------------------------------

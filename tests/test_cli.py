@@ -800,6 +800,8 @@ BAD_FILES = {
                         "config file is not UTF-8 text"),
     "pop-file-not-utf8": ("pop.csv", b"\xff\xfe0.5\n0.5\n", SOLVE,
                           "popularity file is not UTF-8 text"),
+    "coverage-missing-pop-file": ("pop.json", None, ["coverage", "--pop-file", "FILE"],
+                                  "cannot read popularity file"),
 }
 
 
@@ -832,6 +834,47 @@ def test_inline_policy_errors_name_the_flag(capsys):
         assert out == "" and err.startswith("error: --policy: not a valid policy"), policy
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+CLI = [sys.executable, "-m", "geocache.cli"]
+
+
+def test_closed_stdout_ends_quietly():
+    # 241 thresholds: ~80 KB of CSV, more than a pipe holds, so the write meets the closed pipe
+    argv = ["sweep", "-J", "4", "-L", "1", "--tau-db=-12:12:0.1"]
+    with subprocess.Popen(CLI + argv, env=_src_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"tau_db,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 1 and err == b""
+
+
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@DEV_FULL
+def test_failed_output_file_write_names_the_file(capsys):
+    assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "1", "-o", "/dev/full"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: /dev/full: cannot write output file: No space left on device\n"
+
+
+@DEV_FULL
+@pytest.mark.parametrize("argv", [["solve", "--policy", "onc"], ["sweep", "--tau-db", "0"]])
+def test_failed_stdout_write_names_stdout(argv):
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(CLI + argv + ["-J", "4", "-L", "1"], env=_src_env(), stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == "error: stdout: cannot write output file: No space left on device\n"
+
+
 # Boolean commands in a fresh interpreter; then one SINR command, which does load mpmath.
 LAZY_MPMATH = """
 import os, sys
@@ -855,10 +898,9 @@ assert "scipy" in sys.modules
 
 
 def test_boolean_commands_do_not_load_mpmath():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", LAZY_MPMATH], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", LAZY_MPMATH], env=_src_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -843,3 +844,69 @@ def test_bound_loose_factor_with_many_greedy_blocks():
 def test_bound_rejects_k_below_l():
     with pytest.raises(ParameterError):
         greedy_bound_check(POP4, DIST_HALF, 3, 2)
+
+
+# ---------------------------------------------------------------------------
+# pinned results
+# ---------------------------------------------------------------------------
+
+
+GGB_BLOCKS = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11], [12, 13, 14, 15, 16, 17],
+              [18, 19, 20, 21, 22, 23], [24, 25, 26, 27, 28, 29]]
+# (J, L, tau_db) -> policy -> (hit as float.hex, policy JSON or sha256 of ind's b, diagnostics)
+# on the Boolean defaults with Zipf 0.9; at 200 dB kmax = 0, and gdbnc and ggb force a
+# first block of one item
+PINNED_RESULTS = {
+    (40, 5, -6.0): {
+        "onc": ("0x1.98ceb7a264eb7p-1", {"type": "structured", "sizes": [4, 5, 5, 6, 6]},
+                {"dp_value": 0.7984521280036094, "raw_sizes": [4, 5, 5, 6, 6],
+                 "stage_maximizations": 205}),
+        "ggb": ("0x1.8bcfbb06ae0cfp-1", {"type": "general", "blocks": GGB_BLOCKS},
+                {"candidate_evaluations": 175}),
+        "gdbnc": ("0x1.8bcfbb06ae0cfp-1", {"type": "structured", "sizes": [5, 6, 6, 6, 6]},
+                  {"raw_sizes": [5, 6, 6, 6, 6]}),
+        "mp": ("0x1.eca3fbcc33c37p-2", {"type": "structured", "sizes": [1, 1, 1, 1, 1]}, {}),
+        "ind": ("0x1.819cbf3350465p-1",
+                "0a4fc85f2753ec066a6b95626dc8724c59d911be6d75c3b80f84e8e322eb7900",
+                {"mu_iterations": 36, "budget_gap": 6.469402791253742e-11}),
+    },
+    (2000, 5, -6.0): {
+        "onc": ("0x1.59503cbeedcbfp-2", {"type": "structured", "sizes": [4, 5, 5, 6, 6]},
+                {"dp_value": 0.33722014346444584, "raw_sizes": [4, 5, 5, 6, 6],
+                 "stage_maximizations": 880}),
+        "ggb": ("0x1.4e55fb86846efp-2", {"type": "general", "blocks": GGB_BLOCKS},
+                {"candidate_evaluations": 175}),
+        "gdbnc": ("0x1.4e55fb86846efp-2", {"type": "structured", "sizes": [5, 6, 6, 6, 6]},
+                  {"raw_sizes": [5, 6, 6, 6, 6]}),
+        "mp": ("0x1.a0203d83e67ddp-3", {"type": "structured", "sizes": [1, 1, 1, 1, 1]}, {}),
+        "ind": ("0x1.45c547f41272fp-2",
+                "b2fb4620152b7f9644dfab517c05cb98aa6f3d5fd876f88f062ab8bff9d10886",
+                {"mu_iterations": 35, "budget_gap": 9.151595037337756e-10}),
+    },
+    (4, 3, 200.0): {
+        "onc": ("0x0.0p+0", {"type": "structured", "sizes": [0, 0, 0]},
+                {"dp_value": 0.0, "raw_sizes": [0, 0, 0], "stage_maximizations": 12}),
+        "ggb": ("0x0.0p+0", {"type": "general", "blocks": [[1], [1], [1]]},
+                {"candidate_evaluations": 3}),
+        "gdbnc": ("0x0.0p+0", {"type": "structured", "sizes": [1, 0, 0]}, {"raw_sizes": [1, 0, 0]}),
+        "mp": ("0x0.0p+0", {"type": "structured", "sizes": [1, 1, 1]}, {}),
+        "ind": ("0x0.0p+0", "be21622c7a8e0bacaf6fd7e6a3121384467dd031da3e3d9d9ad0b18f6cf38c5b",
+                {"mu_iterations": 0, "budget_gap": 0.0}),
+    },
+}
+
+
+@pytest.mark.parametrize("J, L, tau_db", PINNED_RESULTS)
+def test_solver_results_are_pinned(J, L, tau_db):
+    # a refactor of a solver or of its result moves none of these bits
+    pop = zipf(J, 0.9)
+    dist = boolean_coverage(BooleanModelParams(lam=1.0, tau=10.0 ** (tau_db / 10.0), beta=3.0))
+    results = {}
+    for name, solve in {**solvers.BLOCK_SOLVERS, "ind": independent_caching}.items():
+        result = solve(pop, dist, L)
+        if name == "ind":
+            policy = hashlib.sha256(result.policy.b.tobytes()).hexdigest()
+        else:
+            policy = result.policy.to_json_dict()
+        results[name] = (result.hit_prob.hex(), policy, result.diagnostics)
+    assert results == PINNED_RESULTS[J, L, tau_db]
