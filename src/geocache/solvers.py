@@ -246,7 +246,10 @@ def most_popular(pop: PopularityDistribution, dist: CoverageDistribution, L: int
 
 
 _POLISH_TOL = 1e-14  # stop once every Newton iterate moves by no more than this
-_POLISH_MAX = 64  # Newton steps per solve; a start from the bisection's upper end needs a few
+_POLISH_MAX = 64  # Newton steps per solve; a start from the nearest solve above needs a few
+_SETTLE = 1e-9 + 1e-10  # a trusted sum(b) this far past L settles its side; 1e-10 for rounding
+_LN2 = math.log(2.0)  # a probe lies within a factor 2 of its midpoint
+_AIM = 1.5e-9  # a probe aims this far past L, on the side its midpoint is predicted to be on
 
 
 def hit_probability_ind(
@@ -261,10 +264,13 @@ def hit_probability_ind(
 
 def _marginals(
     mu: float, probs: np.ndarray, gp0: float, gp1: float, deriv: np.ndarray, z_right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, float]:
     """b(mu) from the KKT conditions: b_j = 1 where mu/a_j <= G'(0), 0 where
-    mu/a_j >= G'(1), else 1 - z with G'(z) = mu/a_j; and G'' at each such
-    item's last evaluated iterate (0 for the others).
+    mu/a_j >= G'(1), else 1 - z with G'(z) = mu/a_j; and the spread
+    -mu d sum(b)/dmu, the sum of G'(z)/G''(z) over those interior items, with
+    G'' at each one's last evaluated iterate. The spread is nan where the
+    solve is not to be trusted: the Newton loop stopped at ``_POLISH_MAX``,
+    or an interior item's G'' is 0, and b there depends on the start.
 
     G' (coefficients ``deriv``) has nonnegative coefficients, so it is
     nondecreasing and convex on [0, 1], and Newton steps from any z with
@@ -273,7 +279,7 @@ def _marginals(
     with mu. Each step evaluates G' and G'' as one power-matrix product.
     """
     t = np.where(probs > 0.0, mu / np.where(probs > 0.0, probs, 1.0), np.inf)
-    b, curvature = np.zeros(probs.size), np.zeros(probs.size)
+    b, spread = np.zeros(probs.size), 0.0
     b[t <= gp0] = 1.0
     mid = (t > gp0) & (t < gp1)
     if mid.any():
@@ -293,8 +299,10 @@ def _marginals(
             if abs(step).max() <= _POLISH_TOL:
                 break
         b[mid] = 1.0 - z
-        curvature[mid] = slope
-    return b, curvature
+        trusted = abs(step).max() <= _POLISH_TOL and slope.min() > 0.0
+        # z G'' >= G' - G'(0) > 0, so each G'/G'' stays below z G'/(G' - G'(0)): no overflow
+        spread = float((t / slope).sum()) if trusted else math.nan
+    return b, spread
 
 
 def independent_caching(
@@ -308,16 +316,27 @@ def independent_caching(
     s.t. sum b_j <= L, 0 <= b_j <= 1 is solved by an outer bisection on the
     dual multiplier mu, stopped once |sum(b) - L| < 1e-9. For each mu the
     KKT condition a_j G'(1-b_j) = mu is solved for all interior items at
-    once by Newton steps started from b at the bisection's upper end.
-    A midpoint whose sum(b) is surely above L + 1e-9 moves lo without a
-    solve: b_hi + (hi - mu) / (a_j G''), one Newton step from the upper end's
-    last iterate, bounds b(mu) below, as G' is convex.
+    once by Newton steps (``_marginals``), started from b at the nearest
+    solved multiplier above.
+
+    sum(b) is nonincreasing in mu, so a solve whose sum is at least
+    L + 1e-9 + 1e-10 settles every later midpoint at or below its mu as a
+    lower end, and one whose sum is at most L - 1e-9 - 1e-10 every midpoint
+    at or above as an upper end, with no solve; 1e-10 covers rounding and
+    the start. A midpoint no solve settles is first solved at probes: a
+    Newton step on sum(b) in log mu from the last solve, aimed at
+    L +- 1.5e-9 on the side the tangent puts the midpoint, taken only where
+    it lies past the midpoint on that side, within a factor 2 of it and
+    strictly inside the unsettled bracket, and repeated while each probe
+    settles a side. A midpoint still unsettled is solved itself. So the
+    midpoints, the multiplier and the mu steps are the plain bisection's, and
+    b is its b to the start dependence of a Newton solve. A solve that is not
+    to be trusted (see ``_marginals``) settles nothing and anchors no probe.
 
     Where G' is flat (constant, or flat to double precision), b(mu) jumps
     across the budget between adjacent doubles lo < hi. The bisection then
     stops and returns the point of the segment from b(hi) to b(lo) whose sum
     is L, with multiplier hi: only items at that multiplier change on it.
-    b(lo) is solved there, from its step's start.
 
     Returns a ``SolverResult`` holding an ``IndPolicy``; its diagnostics
     give the number of mu steps and the final |sum(b) - L|.
@@ -357,26 +376,59 @@ def independent_caching(
     # b(lo) overfills the budget, b(hi) does not: just above a_1 G'(1) nothing is cached,
     # as mu / a_j >= mu / a_1 for every j (a_1 >= a_j holds exactly, by the popularity's type)
     lo, hi = 0.0, float(probs[0]) * gp1
-    b_hi, ag_hi, start_lo = np.zeros(J), np.zeros(J), np.ones(J)  # ag_hi: a_j G'' at b_hi
-    floor = L + 1e-9 + 1e-10  # a step is lo once a lower bound on sum(b) passes; 1e-10 for rounding
+    solved = {lo: b_lo, hi: np.zeros(J)}  # b by mu, kept for the starts a later solve takes
+    sure_lo, sure_hi = lo, hi  # every midpoint <= sure_lo is a lower end, >= sure_hi an upper
+    anchor = None  # (mu, sum(b), spread) of the last solve, where it can anchor a probe
+
+    def solve(at):
+        """sum(b(at)), solved from the nearest solve above; and whether it settled a side."""
+        nonlocal solved, sure_lo, sure_hi, anchor
+        top = min(m for m in solved if m >= hi)  # no later solve starts from one above it
+        solved = {m: b for m, b in solved.items() if lo <= m <= top}
+        start = solved[min(m for m in solved if m > at)]
+        b, spread = _marginals(at, probs, gp0, gp1, deriv, 1.0 - start)
+        solved[at] = b
+        total = float(b.sum())
+        anchor = (at, total, spread) if spread > 0.0 else None
+        settles = abs(total - L) >= _SETTLE and not math.isnan(spread)
+        if settles and total > L:
+            sure_lo = at
+        elif settles:
+            sure_hi = at
+        return total, settles
+
+    def probe(mu):
+        """Where to solve for midpoint mu: a Newton step on sum(b) in log mu
+        from the anchor, or mu itself."""
+        log_mu_a, total, spread = math.log(anchor[0]), anchor[1], anchor[2]
+        log_mu = math.log(mu)
+        side = 1.0 if total - spread * (log_mu - log_mu_a) > L else -1.0
+        step = (total - L - side * _AIM) / spread + log_mu_a - log_mu  # log(probe / mu)
+        if 0.0 < side * step < _LN2:
+            at = mu * math.exp(step)
+            if max(lo, sure_lo) < at < min(hi, sure_hi):
+                return at
+        return mu
+
     iterations = 0
     while lo < (mu := 0.5 * (lo + hi)) < hi:
         iterations += 1
-        # a_j G'' = 0 takes no step, and a step to past b_j = 1 counts as 1 without a division
-        rise = np.divide(hi - mu, ag_hi, out=(ag_hi > 0.0).astype(float), where=ag_hi > hi - mu)
-        if float(np.minimum(1.0, b_hi + rise).sum()) > floor:
-            lo, start_lo = mu, 1.0 - b_hi
-            continue
-        b, curvature = _marginals(mu, probs, gp0, gp1, deriv, 1.0 - b_hi)
-        total = float(b.sum())
-        if abs(total - L) < 1e-9:
-            return result(b, mu, iterations)
-        if total > L:
-            lo, start_lo = mu, 1.0 - b_hi
+        while sure_lo < mu < sure_hi and anchor and (at := probe(mu)) != mu and solve(at)[1]:
+            pass
+        if sure_lo < mu < sure_hi:
+            total = solve(mu)[0]
+            if abs(total - L) < 1e-9:
+                return result(solved[mu], mu, iterations)
+            lower = total > L
         else:
-            hi, b_hi, ag_hi = mu, b, probs * curvature
-    # lo, hi are adjacent doubles: b jumps on a flat stretch of G'; meet the budget on the jump
-    b_lo = _marginals(lo, probs, gp0, gp1, deriv, start_lo)[0]
+            lower = mu <= sure_lo
+        if lower:
+            lo = mu
+        else:
+            hi = mu
+    # lo, hi are adjacent doubles: b jumps on a flat stretch of G'; meet the budget on the jump.
+    # Both ends are solved: the solve that settled an unsolved end would lie between them
+    b_lo, b_hi = solved[lo], solved[hi]
     theta = (L - b_hi.sum()) / (b_lo.sum() - b_hi.sum())
     return result(b_hi + theta * (b_lo - b_hi), hi, iterations)
 

@@ -10,7 +10,8 @@ The loop forms return what their library counterparts must return to the
 bit: the per-size search that one score matrix replaced, over every state
 0..J where the library searches only the states its blocks can reach; the
 greedy that sorted all J gains once per candidate size; and the bisection
-on the multiplier that solved every step in full.
+on the multiplier that solved every step in full, whose multiplier and mu
+steps ``ind`` must reach to the bit.
 """
 
 import math
@@ -231,11 +232,13 @@ def greedy_general(pop, dist, K):
 
 
 def _marginals(mu, probs, gp0, gp1, deriv, z_right):
-    """b(mu) by Newton steps from ``z_right`` until every step is at most 1e-14."""
+    """b(mu) by Newton steps from ``z_right`` until every step is at most 1e-14,
+    and whether the loop stopped at its 64-step cap instead."""
     t = np.where(probs > 0.0, mu / np.where(probs > 0.0, probs, 1.0), np.inf)
     b = np.zeros(probs.size)
     b[t <= gp0] = 1.0
     mid = (t > gp0) & (t < gp1)
+    capped = False
     if np.any(mid):
         t = t[mid]
         z = z_right[mid]
@@ -251,21 +254,25 @@ def _marginals(mu, probs, gp0, gp1, deriv, z_right):
             z = z - step
             if np.max(np.abs(step)) <= 1e-14:
                 break
+        else:
+            capped = True
         b[mid] = 1.0 - z
-    return b
+    return b, capped
 
 
 def independent_caching(pop, dist, L):
     """``solvers.independent_caching`` solving every bisection step in full.
 
-    Also returns the number of ``_marginals`` solves it made.
+    Also returns the number of ``_marginals`` solves it made. Its diagnostics
+    add ``capped``: whether a solve behind the returned b stopped at the
+    Newton cap, where b depends on the solve's start.
     """
     J = pop.size
     probs = pop.probs
     deriv = dist.pmf[1:] * np.arange(1, dist.pmf.size)
     solves = 0
 
-    def result(b, mu, iterations=0):
+    def result(b, mu, iterations=0, capped=False):
         policy = IndPolicy(b=b, multiplier=mu)
         return SolverResult(
             policy=policy,
@@ -273,6 +280,7 @@ def independent_caching(pop, dist, L):
             diagnostics={
                 "mu_iterations": iterations,
                 "budget_gap": abs(float(policy.b.sum()) - L),
+                "capped": capped,
             },
         ), solves
 
@@ -284,35 +292,47 @@ def independent_caching(pop, dist, L):
     b[:L] = 1.0
     if gp1 == 0.0:
         return result(b, 0.0)
-    b_lo = _marginals(0.0, probs, gp0, gp1, deriv, np.ones(J))
+    b_lo, capped_lo = _marginals(0.0, probs, gp0, gp1, deriv, np.ones(J))
     solves += 1
     if float(b_lo.sum()) <= L + 1e-12:
-        return result(b_lo, 0.0)
+        return result(b_lo, 0.0, capped=capped_lo)
     lo, hi = 0.0, float(probs[0]) * gp1
-    b_hi = np.zeros(J)
+    b_hi, capped_hi = np.zeros(J), False
     iterations = 0
     while lo < (mu := 0.5 * (lo + hi)) < hi:
         iterations += 1
-        b = _marginals(mu, probs, gp0, gp1, deriv, 1.0 - b_hi)
+        b, capped = _marginals(mu, probs, gp0, gp1, deriv, 1.0 - b_hi)
         solves += 1
         total = float(b.sum())
         if abs(total - L) < 1e-9:
-            return result(b, mu, iterations)
+            return result(b, mu, iterations, capped)
         if total > L:
-            lo, b_lo = mu, b
+            lo, b_lo, capped_lo = mu, b, capped
         else:
-            hi, b_hi = mu, b
+            hi, b_hi, capped_hi = mu, b, capped
     theta = (L - b_hi.sum()) / (b_lo.sum() - b_hi.sum())
-    return result(b_hi + theta * (b_lo - b_hi), hi, iterations)
+    return result(b_hi + theta * (b_lo - b_hi), hi, iterations, capped_lo or capped_hi)
 
 
 def assert_same_result(result, oracle):
-    """Equal policies, hex-equal hits, byte-equal b and equal diagnostics."""
+    """Equal policies, hex-equal hits and equal diagnostics.
+
+    For ``ind``: the multiplier's bits and the mu steps are the plain
+    bisection's, and the hit and every b_j agree to 1e-14, the spread that
+    the start of a Newton solve leaves. Where the oracle's own solve stopped
+    at its cap, b depends on the start by far more, and is checked only
+    through the hit and the budget.
+    """
     policy, expected = result.policy, oracle.policy
     if isinstance(expected, IndPolicy):
-        assert policy.b.tobytes() == expected.b.tobytes()
         assert policy.multiplier.hex() == expected.multiplier.hex()
-    else:
-        assert policy.to_json_dict() == expected.to_json_dict()
+        assert result.diagnostics["mu_iterations"] == oracle.diagnostics["mu_iterations"]
+        assert abs(result.hit_prob - oracle.hit_prob) <= 1e-14
+        if oracle.diagnostics["capped"]:
+            assert result.diagnostics["budget_gap"] < 1e-9
+        else:
+            np.testing.assert_allclose(policy.b, expected.b, rtol=0.0, atol=1e-14)
+        return
+    assert policy.to_json_dict() == expected.to_json_dict()
     assert result.hit_prob.hex() == oracle.hit_prob.hex()
     assert result.diagnostics == oracle.diagnostics

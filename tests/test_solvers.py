@@ -450,7 +450,7 @@ def test_ind_underflow_regime_meets_budget():
         oracle, _ = solver_oracles.independent_caching(pop, dist, 9)
     assert abs(float(result.policy.b.sum()) - 9) <= 1e-9
     assert abs(result.hit_prob - reference_hit(result.policy, pop, dist)) <= 1e-12
-    solver_oracles.assert_same_result(result, oracle)  # the plain bisection's, to the byte
+    solver_oracles.assert_same_result(result, oracle)  # the plain bisection's multiplier and mu steps
 
 
 def test_ind_boolean_cell_pinned():
@@ -485,7 +485,7 @@ def test_ind_all_or_nothing_step_splits_the_budget(monkeypatch):
     # b(mu) jumps from caching everything to caching nothing, so no mu meets the budget
     monkeypatch.setattr(
         solvers, "_marginals",
-        lambda mu, probs, *_: (np.full(probs.size, float(mu < 0.1)), np.zeros(probs.size)),
+        lambda mu, probs, *_: (np.full(probs.size, float(mu < 0.1)), 0.0),
     )
     result = independent_caching(POP4, DIST_HALF, 2)
     _assert_meets_budget(result, POP4, DIST_HALF, 2)
@@ -712,7 +712,7 @@ def test_size_searches_match_their_per_size_loops():
 
 
 def _ind_against_plain_bisection(instances):
-    """Assert each ind result equals the plain bisection's to the byte; return
+    """Assert each ind result is the plain bisection's (``assert_same_result``); return
     the bisection's count of full solves, and each result's multiplier with the
     multipliers of its ``_marginals`` calls."""
     solves, calls = 0, []
@@ -740,14 +740,38 @@ def test_ind_matches_plain_bisection_on_random_instances():
     assert sum(len(mus) for _, mus in calls) < solves
 
 
-def test_ind_jump_exit_solves_the_settled_lower_end():
-    # a bound may have settled the lower end without a solve: the exit solves b(lo) then
+def test_ind_jump_exit_splits_the_budget_between_solved_ends():
+    # a settled end would leave a solve strictly between adjacent doubles lo < hi, so the
+    # exit finds both ends solved, by their steps or by probes, and solves nothing more
     dists = [CoverageDistribution(pmf=np.array(pmf)) for pmf in FLAT_NEAR_ZERO_PMFS]
     instances = [(zipf(J, gamma), dist, L) for dist in dists
                  for J, gamma, L in ((20, 0.9, 5), (40, 1.2, 2), (8, 0.6, 3))]
     _, calls = _ind_against_plain_bisection(instances)
-    # a jump exit's last solve is at lo, below the returned multiplier hi, and new
-    assert any(mus[-1] < hi and mus[-1] not in mus[:-1] for hi, mus in calls)
+    assert all(len(set(mus)) == len(mus) for _, mus in calls)
+    assert any(math.nextafter(hi, 0.0) in mus and hi in mus for hi, mus in calls)
+
+
+def _boolean_cells(beta, cells):
+    """[(pop, dist, L)] of Boolean coverage at beta for [(J, gamma, L, tau_db)]."""
+    return [(zipf(J, gamma), boolean_coverage(BooleanModelParams(
+        lam=1.0, tau=10.0 ** (db / 10.0), beta=beta)), L) for J, gamma, L, db in cells]
+
+
+def test_ind_matches_plain_bisection_on_the_benchmark_cells():
+    # the 50 Figure 1 Boolean cells and the 5 J = 2000 catalog cells, where the plain
+    # bisection makes ~35 solves a cell: probes settle all but a few of its midpoints
+    figure = _boolean_cells(3.0, [(40, gamma, 5, db) for gamma in (0.9, 0.56)
+                                  for db in range(-12, 13)])
+    catalog = _boolean_cells(3.0, [(2000, 0.9, 5, db) for db in (-12, -6, 0, 6, 12)])
+    _, calls = _ind_against_plain_bisection(figure)
+    assert sum(len(mus) for _, mus in calls) <= 10 * len(figure)
+    _, calls = _ind_against_plain_bisection(catalog)
+    assert sum(len(mus) for _, mus in calls) <= 92
+
+
+def test_ind_matches_plain_bisection_far_below_the_figure_thresholds():
+    # beta 2.5, -30 dB: the multiplier, ~2^-227, takes 260 mu steps from a_1 G'(1) ~ 2^8
+    _ind_against_plain_bisection(_boolean_cells(2.5, [(100, 1.2, 20, -30.0)]))
 
 
 def test_ind_matches_plain_bisection_at_the_largest_catalog():
@@ -867,7 +891,7 @@ PINNED_RESULTS = {
                   {"raw_sizes": [5, 6, 6, 6, 6]}),
         "mp": ("0x1.eca3fbcc33c37p-2", {"type": "structured", "sizes": [1, 1, 1, 1, 1]}, {}),
         "ind": ("0x1.819cbf3350465p-1",
-                "0a4fc85f2753ec066a6b95626dc8724c59d911be6d75c3b80f84e8e322eb7900",
+                "aca2166799bf972c85eb6948930035e369b78ae093c78638fa43af928a8fe96f",
                 {"mu_iterations": 36, "budget_gap": 6.469402791253742e-11}),
     },
     (2000, 5, -6.0): {
@@ -880,8 +904,8 @@ PINNED_RESULTS = {
                   {"raw_sizes": [5, 6, 6, 6, 6]}),
         "mp": ("0x1.a0203d83e67ddp-3", {"type": "structured", "sizes": [1, 1, 1, 1, 1]}, {}),
         "ind": ("0x1.45c547f41272fp-2",
-                "b2fb4620152b7f9644dfab517c05cb98aa6f3d5fd876f88f062ab8bff9d10886",
-                {"mu_iterations": 35, "budget_gap": 9.151595037337756e-10}),
+                "a2729fa06f755e77717600884e003a25d17841d411deca51097795189f473035",
+                {"mu_iterations": 35, "budget_gap": 9.15161280090615e-10}),
     },
     (4, 3, 200.0): {
         "onc": ("0x0.0p+0", {"type": "structured", "sizes": [0, 0, 0]},
