@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the ind solver and the Figure 1 Boolean sweep in process; write BENCH_0.json.
+"""Time the ind solver and the Figure 1 Boolean sweep in process; write BENCH_<k>.json.
 
 What it measures, each after one untimed warm-up:
   ind_figure_cells   solvers.independent_caching on the 50 Figure 1 Boolean
@@ -15,13 +15,13 @@ Each timing gives its median, interquartile range and repeat count, in
 seconds and as a ratio to the kernel's median: the ratios are what compare
 across hosts and runs.
 
-Work counts of ind, from one untimed pass over the same cells: mu steps
-(the ``mu_iterations`` diagnostic), ``_marginals`` solves, and Newton
-item-iterations, the interior items that each Newton step of a solve moves,
-summed (``_marginals`` makes one ``np.divide`` of an array per step). Two
-runs give the same counts.
+Work counts of ind, from one untimed pass over the same cells, summed from
+its diagnostics: mu steps (``mu_iterations``), ``_marginals`` solves
+(``solves``) and Newton item-iterations, the interior items that each
+Newton step of a solve moves (``newton_item_iterations``). Two runs give the
+same counts.
 
-Usage: python3 scripts/bench.py [--out BENCH_0.json]
+Usage: python3 scripts/bench.py [--out BENCH_1.json]
 """
 
 import argparse
@@ -33,7 +33,6 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -70,38 +69,13 @@ def kernel():
     return acc
 
 
-class CountingNumpy:
-    """numpy for ``solvers``, with each ``np.divide`` of an array counting its items."""
-
-    def __init__(self):
-        self.items = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def divide(self, x, *args, **kwargs):
-        if isinstance(x, np.ndarray):
-            self.items += x.size
-        return np.divide(x, *args, **kwargs)
-
-
 def work_counts(cells):
-    counter = CountingNumpy()
-    original = solvers._marginals
-    solves = 0
-
-    def counted(*args):
-        nonlocal solves
-        solves += 1
-        return original(*args)
-
-    with mock.patch.object(solvers, "np", counter), mock.patch.object(solvers, "_marginals", counted):
-        results = solve_all(cells)
+    diagnostics = [r.diagnostics for r in solve_all(cells)]
     return {
         "cells": len(cells),
-        "mu_steps": sum(r.diagnostics["mu_iterations"] for r in results),
-        "solves": solves,
-        "newton_item_iterations": counter.items,
+        "mu_steps": sum(d["mu_iterations"] for d in diagnostics),
+        "solves": sum(d["solves"] for d in diagnostics),
+        "newton_item_iterations": sum(d["newton_item_iterations"] for d in diagnostics),
     }
 
 
@@ -118,7 +92,7 @@ def summary(samples, scale):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_0.json"), help="output JSON file")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_1.json"), help="output JSON file")
     args = parser.parse_args()
 
     figure = ind_cells(40, (0.9, 0.56), FIGURE_GRID)

@@ -248,8 +248,8 @@ def most_popular(pop: PopularityDistribution, dist: CoverageDistribution, L: int
 _POLISH_TOL = 1e-14  # stop once every Newton iterate moves by no more than this
 _POLISH_MAX = 64  # Newton steps per solve; a start from the nearest solve above needs a few
 _SETTLE = 1e-9 + 1e-10  # a trusted sum(b) this far past L settles its side; 1e-10 for rounding
-_LN2 = math.log(2.0)  # a probe lies within a factor 2 of its midpoint
-_AIM = 1.5e-9  # a probe aims this far past L, on the side its midpoint is predicted to be on
+_LN2 = math.log(2.0)  # a Newton step on sum(b) moves mu by at most a factor 2
+_AIM = 1.5e-9  # a Newton step on sum(b) aims this far across L from its solve
 
 
 def hit_probability_ind(
@@ -264,11 +264,12 @@ def hit_probability_ind(
 
 def _marginals(
     mu: float, probs: np.ndarray, gp0: float, gp1: float, deriv: np.ndarray, z_right: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, int]:
     """b(mu) from the KKT conditions: b_j = 1 where mu/a_j <= G'(0), 0 where
-    mu/a_j >= G'(1), else 1 - z with G'(z) = mu/a_j; and the spread
+    mu/a_j >= G'(1), else 1 - z with G'(z) = mu/a_j; the spread
     -mu d sum(b)/dmu, the sum of G'(z)/G''(z) over those interior items, with
-    G'' at each one's last evaluated iterate. The spread is nan where the
+    G'' at each one's last evaluated iterate; and the Newton item-iterations,
+    the steps taken times the interior items. The spread is nan where the
     solve is not to be trusted: the Newton loop stopped at ``_POLISH_MAX``,
     or an interior item's G'' is 0, and b there depends on the start.
 
@@ -279,7 +280,7 @@ def _marginals(
     with mu. Each step evaluates G' and G'' as one power-matrix product.
     """
     t = np.where(probs > 0.0, mu / np.where(probs > 0.0, probs, 1.0), np.inf)
-    b, spread = np.zeros(probs.size), 0.0
+    b, spread, items = np.zeros(probs.size), 0.0, 0
     b[t <= gp0] = 1.0
     mid = (t > gp0) & (t < gp1)
     if mid.any():
@@ -288,7 +289,7 @@ def _marginals(
         deriv2 = deriv[1:] * np.arange(1, deriv.size)
         powers = np.empty((t.size, deriv.size))
         powers[:, 0] = 1.0
-        for _ in range(_POLISH_MAX):
+        for steps in range(1, _POLISH_MAX + 1):
             powers[:, 1:] = z[:, None]
             powers.cumprod(axis=1, out=powers)
             resid = powers @ deriv - t
@@ -302,7 +303,8 @@ def _marginals(
         trusted = abs(step).max() <= _POLISH_TOL and slope.min() > 0.0
         # z G'' >= G' - G'(0) > 0, so each G'/G'' stays below z G'/(G' - G'(0)): no overflow
         spread = float((t / slope).sum()) if trusted else math.nan
-    return b, spread
+        items = steps * t.size
+    return b, spread, items
 
 
 def independent_caching(
@@ -320,18 +322,23 @@ def independent_caching(
     solved multiplier above.
 
     sum(b) is nonincreasing in mu, so a solve whose sum is at least
-    L + 1e-9 + 1e-10 settles every later midpoint at or below its mu as a
-    lower end, and one whose sum is at most L - 1e-9 - 1e-10 every midpoint
-    at or above as an upper end, with no solve; 1e-10 covers rounding and
-    the start. A midpoint no solve settles is first solved at probes: a
-    Newton step on sum(b) in log mu from the last solve, aimed at
-    L +- 1.5e-9 on the side the tangent puts the midpoint, taken only where
-    it lies past the midpoint on that side, within a factor 2 of it and
-    strictly inside the unsettled bracket, and repeated while each probe
-    settles a side. A midpoint still unsettled is solved itself. So the
-    midpoints, the multiplier and the mu steps are the plain bisection's, and
-    b is its b to the start dependence of a Newton solve. A solve that is not
-    to be trusted (see ``_marginals``) settles nothing and anchors no probe.
+    L + 1e-9 + 1e-10 settles every midpoint at or below its mu as a lower
+    end, and one whose sum is at most L - 1e-9 - 1e-10 every midpoint at or
+    above as an upper end, with no solve; 1e-10 covers rounding and the
+    start. A solve that is not to be trusted (see ``_marginals``) settles
+    nothing. The search runs in two phases:
+
+    1. Settle the band. Solve the bisection's first midpoint, then take
+       Newton steps on sum(b) in log mu from the last solve, each aimed at
+       L -+ 1.5e-9 across L from it, moving mu by at most a factor 2 and
+       taken only strictly inside the unsettled bracket. Stop once each
+       side is settled within 3e-9 of L, a step would leave the bracket, a
+       solve settles nothing, or the spread is not positive.
+    2. Run the plain bisection. A settled midpoint needs no solve; any
+       other is solved, or reuses its phase-1 solve.
+
+    So the midpoints, the multiplier and the mu steps are the plain
+    bisection's, and b is its b to the start dependence of a Newton solve.
 
     Where G' is flat (constant, or flat to double precision), b(mu) jumps
     across the budget between adjacent doubles lo < hi. The bisection then
@@ -339,13 +346,15 @@ def independent_caching(
     is L, with multiplier hi: only items at that multiplier change on it.
 
     Returns a ``SolverResult`` holding an ``IndPolicy``; its diagnostics
-    give the number of mu steps and the final |sum(b) - L|.
+    give the number of mu steps, the final |sum(b) - L|, the ``_marginals``
+    solves and their Newton item-iterations.
     """
     if L < 1:
         raise ParameterError(f"block count must be >= 1, got {L}")
     J = pop.size
     probs = pop.probs
     deriv = dist.pmf[1:] * np.arange(1, dist.pmf.size)
+    solves = items = 0
 
     def result(b, mu, iterations=0):
         policy = IndPolicy(b=b, multiplier=mu)
@@ -355,6 +364,8 @@ def independent_caching(
             diagnostics={
                 "mu_iterations": iterations,
                 "budget_gap": abs(float(policy.b.sum()) - L),
+                "solves": solves,
+                "newton_item_iterations": items,
             },
         )
 
@@ -369,54 +380,47 @@ def independent_caching(
     if gp1 == 0.0:  # never covered: every b hits 0
         return result(b, 0.0)
 
-    b_lo = _marginals(0.0, probs, gp0, gp1, deriv, np.ones(J))[0]
-    if float(b_lo.sum()) <= L + 1e-12:
-        return result(b_lo, 0.0)
-
-    # b(lo) overfills the budget, b(hi) does not: just above a_1 G'(1) nothing is cached,
-    # as mu / a_j >= mu / a_1 for every j (a_1 >= a_j holds exactly, by the popularity's type)
+    # just above a_1 G'(1) nothing is cached, as mu / a_j >= mu / a_1 for every j (a_1 >= a_j
+    # holds exactly, by the popularity's type); past the mu = 0 exit, b(lo) overfills the budget
     lo, hi = 0.0, float(probs[0]) * gp1
-    solved = {lo: b_lo, hi: np.zeros(J)}  # b by mu, kept for the starts a later solve takes
+    solved = {hi: np.zeros(J)}  # b by mu, kept for the starts a later solve takes
     sure_lo, sure_hi = lo, hi  # every midpoint <= sure_lo is a lower end, >= sure_hi an upper
-    anchor = None  # (mu, sum(b), spread) of the last solve, where it can anchor a probe
+    over = under = math.inf  # sum(b) - L at sure_lo, L - sum(b) at sure_hi, once a solve settles
 
     def solve(at):
-        """sum(b(at)), solved from the nearest solve above; and whether it settled a side."""
-        nonlocal solved, sure_lo, sure_hi, anchor
-        top = min(m for m in solved if m >= hi)  # no later solve starts from one above it
-        solved = {m: b for m, b in solved.items() if lo <= m <= top}
+        """sum(b(at)), solved from the nearest solve above; its spread; whether it settled a side."""
+        nonlocal solved, sure_lo, sure_hi, over, under, solves, items
+        # every later solve, and both ends at the jump exit, lie in [sure_lo, sure_hi]
+        solved = {m: b for m, b in solved.items() if sure_lo <= m <= sure_hi}
         start = solved[min(m for m in solved if m > at)]
-        b, spread = _marginals(at, probs, gp0, gp1, deriv, 1.0 - start)
+        b, spread, steps = _marginals(at, probs, gp0, gp1, deriv, 1.0 - start)
+        solves, items = solves + 1, items + steps
         solved[at] = b
         total = float(b.sum())
-        anchor = (at, total, spread) if spread > 0.0 else None
         settles = abs(total - L) >= _SETTLE and not math.isnan(spread)
         if settles and total > L:
-            sure_lo = at
+            sure_lo, over = at, total - L
         elif settles:
-            sure_hi = at
-        return total, settles
+            sure_hi, under = at, L - total
+        return total, spread, settles
 
-    def probe(mu):
-        """Where to solve for midpoint mu: a Newton step on sum(b) in log mu
-        from the anchor, or mu itself."""
-        log_mu_a, total, spread = math.log(anchor[0]), anchor[1], anchor[2]
-        log_mu = math.log(mu)
-        side = 1.0 if total - spread * (log_mu - log_mu_a) > L else -1.0
-        step = (total - L - side * _AIM) / spread + log_mu_a - log_mu  # log(probe / mu)
-        if 0.0 < side * step < _LN2:
-            at = mu * math.exp(step)
-            if max(lo, sure_lo) < at < min(hi, sure_hi):
-                return at
-        return mu
+    if solve(lo)[0] <= L + 1e-12:
+        return result(solved[lo], lo)
 
-    iterations = 0
+    if lo < (mu := 0.5 * (lo + hi)) < hi:  # phase 1: settle the band around L
+        total, spread, settles = solve(mu)
+        while settles and spread > 0.0 and max(over, under) > 2.0 * _AIM:
+            aim = L - _AIM if total > L else L + _AIM
+            mu *= math.exp(max(-_LN2, min(_LN2, (total - aim) / spread)))
+            if not sure_lo < mu < sure_hi:
+                break
+            total, spread, settles = solve(mu)
+
+    iterations = 0  # phase 2: the plain bisection
     while lo < (mu := 0.5 * (lo + hi)) < hi:
         iterations += 1
-        while sure_lo < mu < sure_hi and anchor and (at := probe(mu)) != mu and solve(at)[1]:
-            pass
         if sure_lo < mu < sure_hi:
-            total = solve(mu)[0]
+            total = float(solved[mu].sum()) if mu in solved else solve(mu)[0]
             if abs(total - L) < 1e-9:
                 return result(solved[mu], mu, iterations)
             lower = total > L

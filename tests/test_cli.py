@@ -1,4 +1,5 @@
 import argparse
+import csv
 import io
 import json
 import math
@@ -331,6 +332,17 @@ def test_flag_beats_file_beats_env_seed(tmp_path, monkeypatch):
     assert (from_file.seed, from_file.J) == (5, 12)
     config = _sweep_config(["--config", str(path), "--seed", "2", "-J", "30"])
     assert (config.seed, config.J) == (2, 30)
+
+
+def test_csv_pop_file_skips_blank_lines(tmp_path, capsys):
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("0.5\n0.3\n0.2\n")
+    spaced.write_text("\n0.5\n\n  \n0.3\n\n0.2\n\n")
+    outputs = []
+    for path in (plain, spaced):
+        assert main(["solve", "--policy", "onc", "--pop-file", str(path), "-L", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_unnormalized_pop_file_warns_in_one_line(tmp_path, capsys):
@@ -689,6 +701,27 @@ def test_sweep_resolves_ind_solver_at_call_time(monkeypatch):
     assert all(row["hit_prob"] is not None for row in rows)
 
 
+def test_sweep_row_of_a_failing_solver_stays_blank(monkeypatch, tmp_path, capsys):
+    # a solver failing in one cell leaves that row's hit_prob empty, warns once, and the
+    # sweep fills every other row and exits 0
+    calls = []
+
+    def fails(pop, dist, L):
+        calls.append(L)
+        if len(calls) == 1:  # the first cell, 0 dB
+            raise ParameterError("no solution here")
+        return solvers.most_popular(pop, dist, L)
+
+    monkeypatch.setitem(solvers.BLOCK_SOLVERS, "mp", fails)
+    out = tmp_path / "rows.csv"
+    args = ["sweep", "--tau-db", "0,12", "-J", "8", "-L", "2", "--policies", "mp,onc", "-o", str(out)]
+    assert main(args) == 0
+    assert capsys.readouterr().err == "warning: policy mp failed at 0.0 dB: no solution here\n"
+    rows = list(csv.DictReader(out.open()))
+    assert [(row["tau_db"], row["policy"]) for row in rows if row["hit_prob"] == ""] == [("0.0", "mp")]
+    assert len(rows) == 4
+
+
 def test_coverage_cli_schema(capsys):
     code = main(["coverage", "--tau-db", "3", "--model", "boolean"])
     assert code == 0
@@ -828,6 +861,8 @@ def test_inline_policy_errors_name_the_flag(capsys):
         '{"type": "general", "blocks": [[true, 2]]}',
         '{"type": "general", "blocks": [[1, true]]}',
         '{"type": "general", "blocks": [[1.0]]}',
+        '{"type": "ring"}',  # an unknown policy type
+        '{"type": "structured", "sizes": []}',
     ]:
         assert main(["simulate", "--policy", policy, "-J", "4", "--trials", "100"]) == 1
         out, err = capsys.readouterr()

@@ -485,7 +485,7 @@ def test_ind_all_or_nothing_step_splits_the_budget(monkeypatch):
     # b(mu) jumps from caching everything to caching nothing, so no mu meets the budget
     monkeypatch.setattr(
         solvers, "_marginals",
-        lambda mu, probs, *_: (np.full(probs.size, float(mu < 0.1)), 0.0),
+        lambda mu, probs, *_: (np.full(probs.size, float(mu < 0.1)), 0.0, 0),
     )
     result = independent_caching(POP4, DIST_HALF, 2)
     _assert_meets_budget(result, POP4, DIST_HALF, 2)
@@ -712,8 +712,9 @@ def test_size_searches_match_their_per_size_loops():
 
 
 def _ind_against_plain_bisection(instances):
-    """Assert each ind result is the plain bisection's (``assert_same_result``); return
-    the bisection's count of full solves, and each result's multiplier with the
+    """Assert each ind result is the plain bisection's (``assert_same_result``) and
+    counts its ``_marginals`` calls in its ``solves`` diagnostic; return the
+    bisection's count of full solves, and each result's multiplier with the
     multipliers of its ``_marginals`` calls."""
     solves, calls = 0, []
     original = solvers._marginals
@@ -725,6 +726,7 @@ def _ind_against_plain_bisection(instances):
         ):
             result = independent_caching(pop, dist, L)
         solver_oracles.assert_same_result(result, oracle)
+        assert result.diagnostics["solves"] == len(mus)
         solves += made
         calls.append((result.policy.multiplier, mus))
     return solves, calls
@@ -891,8 +893,9 @@ PINNED_RESULTS = {
                   {"raw_sizes": [5, 6, 6, 6, 6]}),
         "mp": ("0x1.eca3fbcc33c37p-2", {"type": "structured", "sizes": [1, 1, 1, 1, 1]}, {}),
         "ind": ("0x1.819cbf3350465p-1",
-                "aca2166799bf972c85eb6948930035e369b78ae093c78638fa43af928a8fe96f",
-                {"mu_iterations": 36, "budget_gap": 6.469402791253742e-11}),
+                "d31959446830bcc9771575bd8fbb226e5a314cb7a7bb8ac9ff8e186bb4148a6f",
+                {"mu_iterations": 36, "budget_gap": 6.469402791253742e-11, "solves": 9,
+                 "newton_item_iterations": 862}),
     },
     (2000, 5, -6.0): {
         "onc": ("0x1.59503cbeedcbfp-2", {"type": "structured", "sizes": [4, 5, 5, 6, 6]},
@@ -904,8 +907,9 @@ PINNED_RESULTS = {
                   {"raw_sizes": [5, 6, 6, 6, 6]}),
         "mp": ("0x1.a0203d83e67ddp-3", {"type": "structured", "sizes": [1, 1, 1, 1, 1]}, {}),
         "ind": ("0x1.45c547f41272fp-2",
-                "a2729fa06f755e77717600884e003a25d17841d411deca51097795189f473035",
-                {"mu_iterations": 35, "budget_gap": 9.15161280090615e-10}),
+                "b2fb4620152b7f9644dfab517c05cb98aa6f3d5fd876f88f062ab8bff9d10886",
+                {"mu_iterations": 35, "budget_gap": 9.151595037337756e-10, "solves": 10,
+                 "newton_item_iterations": 1240}),
     },
     (4, 3, 200.0): {
         "onc": ("0x0.0p+0", {"type": "structured", "sizes": [0, 0, 0]},
@@ -915,7 +919,7 @@ PINNED_RESULTS = {
         "gdbnc": ("0x0.0p+0", {"type": "structured", "sizes": [1, 0, 0]}, {"raw_sizes": [1, 0, 0]}),
         "mp": ("0x0.0p+0", {"type": "structured", "sizes": [1, 1, 1]}, {}),
         "ind": ("0x0.0p+0", "be21622c7a8e0bacaf6fd7e6a3121384467dd031da3e3d9d9ad0b18f6cf38c5b",
-                {"mu_iterations": 0, "budget_gap": 0.0}),
+                {"mu_iterations": 0, "budget_gap": 0.0, "solves": 0, "newton_item_iterations": 0}),
     },
 }
 
