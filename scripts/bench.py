@@ -3,9 +3,10 @@
 
 What it measures, each after one untimed warm-up:
   ind_figure_cells   solvers.independent_caching on the 50 Figure 1 Boolean
-                     cells (J = 40, L = 5, Zipf 0.9 and 0.56, -12..12 dB);
-  ind_catalog_cells  the same on the 5 catalog cells (J = 2000, L = 5,
-                     Zipf 0.9, -12, -6, 0, 6 and 12 dB);
+                     cells (the default sweep config at Zipf 0.9 and 0.56:
+                     J = 40, L = 5, -12..12 dB);
+  ind_catalog_cells  the same on the 5 catalog cells (the default config at
+                     J = 2000, -12, -6, 0, 6 and 12 dB);
   fig1_sweep         cli.run_sweep over both Boolean panels of Figure 1,
                      all five policies, no Monte Carlo;
   kernel             a fixed pure-Python loop, the host calibration.
@@ -21,7 +22,8 @@ its diagnostics: mu steps (``mu_iterations``), ``_marginals`` solves
 Newton step of a solve moves (``newton_item_iterations``). Two runs give the
 same counts.
 
-Usage: python3 scripts/bench.py [--out BENCH_1.json]
+Usage: python3 scripts/bench.py [--out BENCH_<k>.json]
+(the record goes to stdout unless --out names a file)
 """
 
 import argparse
@@ -39,23 +41,18 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from geocache import BooleanModelParams, boolean_coverage, cli, solvers, zipf  # noqa: E402
+from geocache import cli, solvers  # noqa: E402
 
 REPEATS = 21
-FIGURE_GRID = tuple(float(db) for db in range(-12, 13))
 CATALOG_GRID = (-12.0, -6.0, 0.0, 6.0, 12.0)
 KERNEL_STEPS = 200_000
 
 
-def ind_cells(J, gammas, grid):
-    """[(pop, dist, L = 5)] of Boolean coverage (lambda 1, beta 3) per Zipf exponent and dB."""
-    cells = []
-    for gamma in gammas:
-        pop = zipf(J, gamma)
-        for db in grid:
-            params = BooleanModelParams(lam=1.0, tau=10.0 ** (db / 10.0), beta=3.0)
-            cells.append((pop, boolean_coverage(params), 5))
-    return cells
+def ind_cells(config):
+    """[(pop, dist, L)] of ``config``'s instance at each threshold of its grid."""
+    pop = cli._build_popularity(config)
+    return [(pop, cli._build_coverage(cli._model_params(config, db)), config.L)
+            for db in config.tau_db_grid]
 
 
 def solve_all(cells):
@@ -92,13 +89,12 @@ def summary(samples, scale):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_1.json"), help="output JSON file")
+    parser.add_argument("--out", help="output JSON file (default stdout)")
     args = parser.parse_args()
 
-    figure = ind_cells(40, (0.9, 0.56), FIGURE_GRID)
-    catalog = ind_cells(2000, (0.9,), CATALOG_GRID)
-    panels = [cli.ExperimentConfig(model="boolean", gamma=gamma, tau_db_grid=FIGURE_GRID)
-              for gamma in (0.9, 0.56)]
+    panels = [cli.ExperimentConfig(gamma=gamma) for gamma in (0.9, 0.56)]
+    figure = [cell for config in panels for cell in ind_cells(config)]
+    catalog = ind_cells(cli.ExperimentConfig(J=2000, tau_db_grid=CATALOG_GRID))
     blocks = {
         "kernel": kernel,
         "ind_figure_cells": lambda: solve_all(figure),
@@ -129,8 +125,10 @@ def main() -> int:
         },
     }
     text = json.dumps(record, indent=2) + "\n"
-    Path(args.out).write_text(text)
-    sys.stdout.write(text)
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -108,7 +108,7 @@ class CoverageDistribution:
             raise ParameterError("coverage pmf must be finite")
         if np.any(pmf < -1e-12) or np.any(pmf > 1.0 + 1e-12):
             raise ParameterError("coverage pmf entries must lie in [0, 1]")
-        pmf = np.clip(pmf, 0.0, 1.0)
+        pmf = np.clip(pmf, 0.0, 1.0) + 0.0  # + 0.0 turns a -0.0 entry into +0.0
         total = math.fsum(pmf.tolist())
         if abs(total - 1.0) > 1e-6:
             raise ParameterError(f"coverage pmf sums to {total!r}, expected 1")

@@ -93,7 +93,8 @@ def zipf(J: int, gamma: float) -> PopularityDistribution:
 def load_popularity(path) -> PopularityDistribution:
     """Load a popularity vector from JSON ({"probs": [...]}) or CSV/text.
 
-    Text/CSV input carries one probability per line (a single-column CSV).
+    Text/CSV input carries one probability per line (a single-column CSV);
+    a row with more than one non-blank field is refused.
     Unnormalized vectors are normalized with a warning; values are sorted
     into nonincreasing order.
     """
@@ -119,10 +120,16 @@ def load_popularity(path) -> PopularityDistribution:
         values = []
         reader = csv.reader(text.splitlines())
         for row in reader:
-            if not row or not row[0].strip():
+            fields = [f for f in row if f.strip()]
+            if not fields:
                 continue
+            if len(fields) > 1:
+                raise ParameterError(
+                    f"{p}:{reader.line_num}: expected one probability per line, "
+                    f"got {len(fields)} fields"
+                )
             try:
-                values.append(float(row[0]))
+                values.append(float(fields[0]))
             except ValueError:
-                raise ParameterError(f"{p}:{reader.line_num}: not a number: {row[0]!r}") from None
+                raise ParameterError(f"{p}:{reader.line_num}: not a number: {fields[0]!r}") from None
     return from_probs(values)

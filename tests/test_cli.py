@@ -52,7 +52,7 @@ def test_parse_grid_stops_at_stop_for_a_step_below_the_slack():
     assert parse_grid("0:1e-3:1e-4")[-1] == 1e-3
 
 
-@pytest.mark.parametrize("text", ["0,0", "0,-0", "3,1,3", "0:1e-12:1e-13"])
+@pytest.mark.parametrize("text", ["0,0", "0,-0", "3,1,3", "0:1e-12:1e-13", "0:1e-299:1e-300"])
 def test_sweep_rejects_a_repeated_threshold_before_any_work(tmp_path, monkeypatch, capsys, text):
     # 0 and -0 dB are one threshold, as are the 11 points of 0:1e-12:1e-13 once rounded
     # to 12 decimals; each would build its cell again and write rows with one key
@@ -382,6 +382,8 @@ def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
     output = tmp_path / "rows.csv"
     big = tmp_path / "big.json"  # normalized, so that no warning line precedes the error
     big.write_text(json.dumps({"probs": [1.0 / (CATALOG_MAX + 1)] * (CATALOG_MAX + 1)}))
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps({"probs": [0.5, 0.3, 0.2]}))
     for argv, reason in [
         (["-J", "0", "-o", str(output)], "catalog size"),
         (["-L", "100000000", "-o", str(output)], f"block count L must be in 1..{BLOCKS_MAX}"),
@@ -396,6 +398,18 @@ def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
          "cannot read popularity file"),
         (["--pop-file", str(big), "-o", str(output)],
          f"big.json: catalog size must be in 1..{CATALOG_MAX}, got {CATALOG_MAX + 1} items"),
+        # the Zipf exponent is checked where a file replaces Zipf
+        (["--pop-file", str(p3), "--gamma", "-1", "-o", str(output)],
+         "Zipf exponent must be finite and >= 0"),
+        # a setting only the other model reads, and an empty policy list
+        (["--noise-w", "-1"], "noise power must be >= 0"),
+        (["--policies", ","], "policy list must be nonempty"),
+        # derived model values beyond the float range, and a Poisson mean over the limit
+        (["-K", "1e-200"], "Poisson parameter out of range"),
+        (["--lambda", "1e308"], "Poisson pmf of mean inf"),
+        (["--lambda", "1e7"], "Poisson pmf of mean 3.14159e+07"),
+        (["--model", "sinr", "--moment-ps", "1e-320", "--noise-w", "1"],
+         "noise argument W a^(-beta/2) out of range"),
     ]:
         assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "2", *argv]) == 1
         out, err = capsys.readouterr()
@@ -731,6 +745,20 @@ def test_coverage_cli_schema(capsys):
     assert sum(payload["pmf"]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_coverage_cli_prints_no_negative_zero_probability(capsys):
+    # the SIR inversion at a beta just above 2 gives -0.0 for 16 entries that underflow
+    assert main(["coverage", "--model", "sinr", "--beta", "2.000001", "--tau-db=-20"]) == 0
+    pmf = json.loads(capsys.readouterr().out)["pmf"]
+    assert pmf.count(0.0) > 0 and all(math.copysign(1.0, p) == 1.0 for p in pmf)
+
+
+def test_default_catalog_sweep_raises_no_runtime_warning(tmp_path, capsys):
+    # all five policies on the default grid at J = 2000; the suite's filterwarnings
+    # setting (pyproject.toml) turns a RuntimeWarning anywhere in it into a failure
+    assert main(["sweep", "-J", "2000", "-o", str(tmp_path / "rows.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_cli_inline_policy(capsys):
     code = main(
         [
@@ -835,6 +863,9 @@ BAD_FILES = {
                           "popularity file is not UTF-8 text"),
     "coverage-missing-pop-file": ("pop.json", None, ["coverage", "--pop-file", "FILE"],
                                   "cannot read popularity file"),
+    # item ids beside the probabilities were read as the probabilities 1, 2, 3
+    "csv-two-fields": ("pop.csv", "1,0.5\n2,0.3\n3,0.2\n", SOLVE,
+                       ":1: expected one probability per line, got 2 fields"),
 }
 
 

@@ -95,6 +95,11 @@ def test_distribution_rejects_bad_pmf():
         CoverageDistribution(pmf=np.zeros(3))  # no mass at all
 
 
+def test_a_zero_pmf_entry_is_stored_as_positive_zero():
+    dist = CoverageDistribution(pmf=[-0.0, 1.0])
+    assert math.copysign(1.0, dist.pmf[0]) == 1.0
+
+
 def test_json_round_trip():
     dist = boolean_coverage(BooleanModelParams(lam=0.7, tau=2.0, beta=3.5))
     payload = json.loads(json.dumps(dist.to_json_dict()))
