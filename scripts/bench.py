@@ -34,6 +34,7 @@ import platform
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,8 +51,7 @@ KERNEL_STEPS = 200_000
 
 def ind_cells(config):
     """[(pop, dist, L)] of ``config``'s instance at each threshold of its grid."""
-    pop = cli._build_popularity(config)
-    return [(pop, cli._build_coverage(cli._model_params(config, db)), config.L)
+    return [(*cli._instance_from_config(replace(config, tau_db_grid=(db,))), config.L)
             for db in config.tau_db_grid]
 
 

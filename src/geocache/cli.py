@@ -3,8 +3,8 @@
 Subcommands: sweep, solve, coverage, simulate, bound. Thresholds are
 given in dB on the command line and converted to linear internally. The
 sweep emits a fixed-schema CSV whose bytes are reproducible for a fixed
-config and seed. The flags and config-file keys are derived from the
-fields of ``ExperimentConfig``.
+config and seed. Each setting is a field of ``ExperimentConfig``, and its
+flag is the only way to set it.
 """
 
 from __future__ import annotations
@@ -85,68 +85,48 @@ def _parse_policies(text: str) -> tuple:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _parse_bool(text: str) -> bool:
-    word = text.lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+def _setting(default, *flags, commands=None, one_threshold=None, help=None, **spec):
+    """An ``ExperimentConfig`` field: its default and the flag that sets it.
 
-
-_PARSE_BY_TYPE = {float: float, int: int, str: str, bool: _parse_bool}
-
-
-def _setting(default, *flags, parse=None, commands=None, one_threshold=None, help=None, **spec):
-    """An ``ExperimentConfig`` field: its default and how a flag or a config key sets it.
-
-    ``flags`` default to --<field-name-with-dashes>; ``parse`` turns flag and
-    config-file text into a value (by the default's type unless given);
-    ``commands`` take the flag (every command if None); ``one_threshold`` replaces
-    the default outside ``sweep`` (if not None); ``help`` may name it as
-    {one_threshold}; ``spec`` is the rest of the flag's add_argument arguments.
+    ``flags`` default to --<field-name-with-dashes>; ``commands`` take the flag
+    (every command if None); ``one_threshold`` replaces the default outside
+    ``sweep`` (if not None); ``help`` may name it as {one_threshold}; ``spec`` is
+    the rest of the flag's add_argument arguments, its ``type`` the default's
+    type unless given or the flag has an ``action``.
     """
-    parse = parse or _PARSE_BY_TYPE[type(default)]
-    if parse is _parse_bool:
-        spec.update(action="store_const", const=True)
-    else:
-        spec.setdefault("type", parse)
+    if "action" not in spec:
+        spec.setdefault("type", type(default))
     spec["help"] = help and help.format(one_threshold=one_threshold)
     return field(default=default, metadata={
-        "flags": flags, "parse": parse, "commands": commands,
+        "flags": flags, "commands": commands,
         "one_threshold": one_threshold, "add_argument": spec,
     })
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep's settings; each field is also a flag and a config-file key."""
+    """One sweep's settings; each field is also a flag."""
 
     model: str = _setting("boolean", choices=("boolean", "sinr"))
     lam: float = _setting(1.0, "--lambda", help="station density")
     beta: float = _setting(3.0, help="path-loss exponent (>2)")
-    K: float = _setting(cov.BooleanModelParams.K, "-K", "--path-loss-constant")
-    power_ratio: float = _setting(cov.BooleanModelParams.power_ratio,
-                                  help="Boolean model P/W (linear)")
     noise_w: float = _setting(cov.SinrModelParams.noise_W, help="SINR model noise power W")
-    moment_ps: float = _setting(cov.SinrModelParams.moment_PS,
-                                help="SINR moment E[(PS)^(2/beta)]")
     tau_db_grid: tuple = _setting(
-        tuple(float(d) for d in range(-12, 13)), "--tau-db", parse=parse_grid, type=_grid_flag,
+        tuple(float(d) for d in range(-12, 13)), "--tau-db", type=_grid_flag,
         one_threshold=(0.0,), help="dB grid: 'start:stop:step' or comma list",
     )
     L: int = _setting(5, "-L", "--blocks", help="cache blocks")
     J: int = _setting(40, "-J", "--catalog", help="catalog size")
     gamma: float = _setting(0.9, help="Zipf exponent")
     pop_file: str = _setting("", help="popularity vector (JSON or CSV)")
-    policies: tuple = _setting(ALL_POLICIES, parse=_parse_policies, commands=("sweep",))
+    policies: tuple = _setting(ALL_POLICIES, type=_parse_policies, commands=("sweep",))
     trials: int = _setting(0, commands=("sweep", "simulate"), one_threshold=100_000,
                            help="Monte Carlo trials: per sweep cell (0 = off), "
                                 "or simulate's total ({one_threshold} unless set)")
     seed: int = _setting(0)
     output: str = _setting("", "--output", "-o", commands=("sweep",),
                            help="CSV output path (default stdout)")
-    timing: bool = _setting(False, commands=("sweep",),
+    timing: bool = _setting(False, action="store_true", commands=("sweep",),
                             help="record wall_time_ms (breaks byte-identical reruns)")
 
     def __post_init__(self):
@@ -195,12 +175,11 @@ def _build_popularity(config: ExperimentConfig) -> PopularityDistribution:
 
 
 def _model_params(config: ExperimentConfig, tau_db: float):
-    """The coverage-model parameters of ``config`` at threshold ``tau_db``; the
-    settings only the other model reads are checked too, but not that model's
-    cost limit. Of the SINR checks, only the support limit reads tau beyond the
-    checks both share, so a Boolean run builds its SINR parameters at tau = 1.
-    The Boolean Poisson mean reads every setting, so a SINR run checks only
-    the Boolean P/W."""
+    """The coverage-model parameters of ``config`` at threshold ``tau_db``. A
+    Boolean run checks the SINR settings too, but not the SINR cost limit: of
+    the SINR checks, only the support limit reads tau beyond the checks both
+    share, so a Boolean run builds its SINR parameters at tau = 1. The Boolean
+    model reads no setting the SINR model does not."""
     try:
         tau = db_to_linear(tau_db)
     except OverflowError:
@@ -211,19 +190,14 @@ def _model_params(config: ExperimentConfig, tau_db: float):
         lam=config.lam,
         tau=tau if config.model == "sinr" else 1.0,
         beta=config.beta,
-        K=config.K,
         noise_W=config.noise_w,
-        moment_PS=config.moment_ps,
     )
     if config.model == "sinr":
-        cov.check_power_ratio(config.power_ratio)
         return sinr
     return cov.BooleanModelParams(
         lam=config.lam,
         tau=tau,
         beta=config.beta,
-        K=config.K,
-        power_ratio=config.power_ratio,
     )
 
 
@@ -353,35 +327,7 @@ def write_sweep_csv(rows, config: ExperimentConfig, stream) -> None:
 # ---------------------------------------------------------------------------
 
 
-def parse_config_file(path) -> dict:
-    """Flat ``key = value`` config text; '#' starts a comment. Values stay
-    text, and a key may appear once."""
-    values = {}
-    lines = {}  # key -> line of its first use
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParameterError(f"{path}: cannot open config file: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{path}: config file is not UTF-8 text: {exc.reason}") from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in lines:
-            raise ParameterError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
-        lines[key] = lineno
-        values[key] = value.strip()
-    return values
-
-
 def _config_args(parser, command: str) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
     for f in fields(ExperimentConfig):
         meta = f.metadata
         if command in (meta["commands"] or (command,)):
@@ -390,26 +336,16 @@ def _config_args(parser, command: str) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """Each field from its CLI flag, else its config-file key, else the
-    command's default: outside ``sweep``, its one-threshold default if it
-    has one, and the threshold must be one value."""
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    settings = {f.name: f.metadata for f in fields(ExperimentConfig)}
-    unknown = sorted(set(file_cfg) - set(settings))
-    if unknown:
-        raise ParameterError(f"{args.config}: unknown config keys {unknown}")
+    """Each field from its CLI flag, else the command's default: outside
+    ``sweep``, its one-threshold default if it has one, and the threshold
+    must be one value."""
     values = {}
-    for name, meta in settings.items():
-        value = getattr(args, name, None)
-        if value is None and name in file_cfg:
-            try:
-                value = meta["parse"](file_cfg[name])
-            except (ValueError, GeocacheError) as exc:
-                raise ParameterError(f"{args.config}: bad value for {name}: {exc}") from None
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is None and args.command != "sweep":
-            value = meta["one_threshold"]
+            value = f.metadata["one_threshold"]
         if value is not None:
-            values[name] = value
+            values[f.name] = value
     if args.command != "sweep" and len(values["tau_db_grid"]) != 1:
         raise ParameterError(f"this command takes one threshold, got {values['tau_db_grid']}")
     return ExperimentConfig(**values)

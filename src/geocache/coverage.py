@@ -5,8 +5,11 @@ location. Everything downstream consumes only its pmf {p_k} and tail
 Pbar(k) = Pr{N >= k}.
 
 Boolean model: N is Poisson with parameter
-    lam' = lam * pi * tau^(-2/beta) * (P/W)^(2/beta) / K^2,
+    lam' = lam * pi * tau^(-2/beta),
 the mean cell area times the station density (SNR >= tau disk radius).
+The paper's path-loss constant K and power ratio P/W enter lam' only
+through lam (P/W)^(2/beta) / K^2, so ``lam`` is that product, and they
+have no parameters of their own.
 The pmf is built in plain Python by the ratio recurrence from the mode
 and cut where the tail mass Pr{N > k} drops below ``MASS_CUTOFF``; a mean
 above ``MAX_POISSON_MEAN`` is refused when the parameters are built.
@@ -32,8 +35,9 @@ the parameters are built, as its build would take minutes. For tau > 1/2
 (nmax <= 2) S_1 = E[N] = tau^(-alpha) sin(pi alpha) / (pi alpha) and
 S_2, through 2F1, are taken in closed form at 32 digits instead. Noise W
 multiplies S_n by ``noise_factor``, I_{n,beta}(x) / I_{n,beta}(0), where
-x = W a^(-beta/2) and a = lam * pi * E[(P S)^(2/beta)] / K^2. Each S_n
-carries an error estimate: its change under a second inversion with the
+x = W a^(-beta/2) and a = lam * pi: K, the power P and the shadowing S
+enter only through lam E[(P S)^(2/beta)] / K^2, which ``lam`` is here.
+Each S_n carries an error estimate: its change under a second inversion with the
 next smaller node count of that ladder (24 below 32) at the same digits,
 or that of the closed form at 48 digits, plus the error of the noise
 factor. The builds at one digit count share one mpmath context. The form
@@ -166,7 +170,6 @@ class _ModelParams:
     lam: float
     tau: float
     beta: float
-    K: float = 1.0
 
     def __post_init__(self):
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
@@ -175,30 +178,17 @@ class _ModelParams:
             raise ParameterError(f"threshold must be positive and finite, got {self.tau}")
         if not (self.beta > 2.0 and math.isfinite(self.beta)):
             raise ParameterError(f"path-loss exponent must exceed 2, got {self.beta}")
-        if not (self.K > 0.0 and math.isfinite(self.K)):
-            raise ParameterError(f"path-loss constant must be positive, got {self.K}")
-
-
-def check_power_ratio(power_ratio: float) -> None:
-    """The Boolean model's rule for P/W: positive and finite."""
-    if not (power_ratio > 0.0 and math.isfinite(power_ratio)):
-        raise ParameterError(
-            f"P/W must be positive and finite for the Boolean model; got {power_ratio}"
-        )
 
 
 @dataclass(frozen=True)
 class BooleanModelParams(_ModelParams):
     """Noise-limited Boolean model parameters (all linear units)."""
 
-    power_ratio: float = 1.0  # P/W; must be finite for the Boolean model
-
     def __post_init__(self):
         super().__post_init__()
-        check_power_ratio(self.power_ratio)
         try:
             mu = self.poisson_parameter
-        except ArithmeticError as exc:  # K**2 or tau**(-2/beta) beyond the float range
+        except ArithmeticError as exc:  # tau**(-2/beta) beyond the float range
             raise ParameterError(f"Poisson parameter out of range: {exc}") from None
         if not mu <= MAX_POISSON_MEAN:  # inf and NaN too
             raise ParameterError(
@@ -208,24 +198,21 @@ class BooleanModelParams(_ModelParams):
 
     @property
     def poisson_parameter(self) -> float:
-        """lam' = lam * pi * tau^(-2/beta) * (P/W)^(2/beta) / K^2."""
+        """lam' = lam * pi * tau^(-2/beta)."""
         e = 2.0 / self.beta
-        return self.lam * math.pi * self.tau ** (-e) * self.power_ratio**e / self.K**2
+        return self.lam * math.pi * self.tau ** (-e)
 
 
 @dataclass(frozen=True)
 class SinrModelParams(_ModelParams):
-    """SINR model parameters; moment_PS = E[(P*S)^(2/beta)] (1 = no shadowing)."""
+    """SINR model parameters (all linear units)."""
 
     noise_W: float = 0.0
-    moment_PS: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
         if not (self.noise_W >= 0.0 and math.isfinite(self.noise_W)):
             raise ParameterError(f"noise power must be >= 0, got {self.noise_W}")
-        if not (self.moment_PS > 0.0 and math.isfinite(self.moment_PS)):
-            raise ParameterError(f"moment_PS must be positive, got {self.moment_PS}")
         if not 1.0 / self.tau <= SINR_NMAX_MAX:  # nmax = ceil(1/tau); 1/tau = inf too
             raise ParameterError(
                 f"SINR support bound ceil(1/tau) must be at most {SINR_NMAX_MAX} (tau >= "
@@ -240,8 +227,8 @@ class SinrModelParams(_ModelParams):
 
     @property
     def a(self) -> float:
-        """Propagation constant a = lam * pi * E[(PS)^(2/beta)] / K^2."""
-        return self.lam * math.pi * self.moment_PS / self.K**2
+        """Propagation constant a = lam * pi."""
+        return self.lam * math.pi
 
     @property
     def nmax(self) -> int:
@@ -293,8 +280,6 @@ def boolean_coverage(params: BooleanModelParams) -> CoverageDistribution:
             "lambda": params.lam,
             "tau": params.tau,
             "beta": params.beta,
-            "K": params.K,
-            "power_ratio": params.power_ratio,
             "poisson_parameter": mu,
             "mass_cutoff": MASS_CUTOFF,
         },
@@ -810,11 +795,9 @@ def sinr_coverage(params: SinrModelParams) -> CoverageDistribution:
             "lambda": params.lam,
             "tau": params.tau,
             "beta": params.beta,
-            "K": params.K,
             "noise_W": params.noise_W,
-            "moment_PS": params.moment_PS,
             "nmax": nmax,
-            "sn": [float(v) for v in sn],
+            "sn": [float(v) + 0.0 for v in sn],  # + 0.0 turns an underflowed -0.0 into +0.0
             "sn_error_estimates": errs,
             "pmf_error_estimate": pmf_errs[worst],
         },

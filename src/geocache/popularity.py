@@ -116,6 +116,10 @@ def load_popularity(path) -> PopularityDistribution:
         for i, value in enumerate(values):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ParameterError(f"{p}: probs[{i}] is not a number: {value!r}")
+            try:
+                float(value)
+            except OverflowError:  # an integer beyond the float range
+                raise ParameterError(f"{p}: probs[{i}] is too large for a float") from None
     else:
         values = []
         reader = csv.reader(text.splitlines())

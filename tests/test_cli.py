@@ -19,7 +19,6 @@ from geocache.cli import (
     ExperimentConfig,
     db_to_linear,
     main,
-    parse_config_file,
     parse_grid,
     run_sweep,
 )
@@ -95,22 +94,6 @@ def test_tau_db_flag_reports_why_a_range_is_bad(text, reason, capsys):
     assert f"argument --tau-db: {reason}\n" in capsys.readouterr().err
 
 
-def test_parse_config_file(tmp_path):
-    path = tmp_path / "exp.cfg"
-    path.write_text(
-        "# experiment\nmodel = boolean\nlam = 2.5\ntau_db_grid = 0,3\n\nL=4\n"
-    )
-    cfg = parse_config_file(path)
-    assert cfg == {"model": "boolean", "lam": "2.5", "tau_db_grid": "0,3", "L": "4"}
-
-
-def test_parse_config_file_rejects_garbage(tmp_path):
-    path = tmp_path / "exp.cfg"
-    path.write_text("just some words\n")
-    with pytest.raises(GeocacheError):
-        parse_config_file(path)
-
-
 def test_config_validation():
     with pytest.raises(GeocacheError):
         ExperimentConfig(model="hexagonal")
@@ -137,24 +120,19 @@ def test_config_validation():
         # the coverage model's own checks, at every grid threshold
         {"beta": 1.5},
         {"lam": -1.0},
-        {"K": 0.0},
-        {"power_ratio": -1.0},
         {"model": "sinr", "noise_w": -1.0},
-        {"model": "sinr", "moment_ps": 0.0},
         {"tau_db_grid": (0.0, -4000.0)},  # 0 in linear units
         {"tau_db_grid": (0.0, 4000.0)},  # overflows
         {"policies": ()},
         # a setting only the other model reads is checked too
         {"noise_w": -1.0},
-        {"moment_ps": 0.0},
-        {"model": "sinr", "power_ratio": -1.0},
         # and so is the Zipf exponent where a file replaces Zipf
         {"pop_file": "pop.json", "gamma": -1.0},
-        # derived values beyond the float range: K**2 underflows, the Poisson
+        # derived values beyond the float range: tau**(-2/beta) overflows, the Poisson
         # parameter overflows, a**(-beta/2) overflows
-        {"K": 1e-200},
+        {"beta": 2.01, "tau_db_grid": (-3200.0,)},
         {"lam": 1e308},
-        {"model": "sinr", "moment_ps": 1e-320, "noise_w": 1.0},
+        {"model": "sinr", "lam": 1e-300, "noise_w": 1.0},
         # a Poisson mean above MAX_POISSON_MEAN
         {"lam": 1e7},
         # a catalog above the limit (J = 10^12 ran out of memory)
@@ -191,36 +169,44 @@ def test_sweep_defaults_are_the_dataclass_defaults():
     assert _sweep_config([]) == ExperimentConfig()
 
 
-# a non-default value for every settable field, as flag / config-file text
+# a non-default value for every settable field, as flag text
 FIELD_TEXT = {
     "model": "sinr", "tau_db_grid": "-3:3:3", "policies": "onc,mp,",
-    "pop_file": "pop.json", "output": "rows.csv", "timing": "true",
+    "pop_file": "pop.json", "output": "rows.csv",
 }
 TYPE_TEXT = {float: "2.5", int: "7"}
 
 
-def test_every_field_set_alike_by_flag_and_by_config_key(tmp_path):
+def test_every_field_set_by_its_flag():
     parser = argparse.ArgumentParser()
     cli._config_args(parser, "sweep")
     flags = {
         a.dest: next(o for o in a.option_strings if o.startswith("--"))
         for a in parser._actions
     }
-    settable = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
-    assert set(settable) <= set(flags)
-    for name, parse in settable.items():
-        text = FIELD_TEXT.get(name) or TYPE_TEXT[parse]
-        path = tmp_path / f"{name}.cfg"
-        path.write_text(f"{name} = {text}\n")
-        by_file = _sweep_config(["--config", str(path)])
-        argv = [flags[name]] if name == "timing" else [f"{flags[name]}={text}"]
-        assert _sweep_config(argv) == by_file, name
-        assert getattr(by_file, name) == parse(text) != getattr(ExperimentConfig(), name), name
+    settable = fields(ExperimentConfig)
+    assert len(settable) == 14 and {f.name for f in settable} <= set(flags)
+    for f in settable:
+        default = getattr(ExperimentConfig(), f.name)
+        if f.name == "timing":  # a store_true flag
+            argv, value = [flags[f.name]], True
+        else:
+            text = FIELD_TEXT.get(f.name) or TYPE_TEXT[type(default)]
+            argv, value = [f"{flags[f.name]}={text}"], f.metadata["add_argument"]["type"](text)
+        assert getattr(_sweep_config(argv), f.name) == value != default, f.name
+
+
+@pytest.mark.parametrize("flag", ["--config", "-K", "--power-ratio", "--moment-ps"])
+def test_config_files_and_folded_model_coordinates_have_no_flag(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", flag, "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # the dest of every flag each command takes: the settings all five share, and each one's own
-SHARED_DESTS = {"help", "config", "model", "lam", "beta", "K", "power_ratio", "noise_w",
-                "moment_ps", "tau_db_grid", "L", "J", "gamma", "pop_file", "seed"}
+SHARED_DESTS = {"help", "model", "lam", "beta", "noise_w", "tau_db_grid", "L", "J", "gamma",
+                "pop_file", "seed"}
 COMMAND_DESTS = {
     "sweep": SHARED_DESTS | {"policies", "trials", "output", "timing"},
     "solve": SHARED_DESTS | {"policy"},
@@ -239,75 +225,6 @@ def test_each_command_takes_its_own_flags_and_renders_its_help():
 
 
 @pytest.mark.parametrize(
-    "line", ["gama = 0.5", "modle = sinr", "seed_ = 1", "integration = 0", "J = forty",
-             "tau_db = 0:5", "lambda = 2", "gauss_nodes = 48", "tensor_dim_limit = 4",
-             "rel_tol_1d = 1e-9", "qmc_points = 8", "qmc_replicates = 2", "tau_db_grid = 0:1e12:1"],
-)
-def test_bad_config_line_names_key_and_file(tmp_path, capsys, line):
-    path = tmp_path / "exp.cfg"
-    path.write_text(f"L = 3\n{line}\n")
-    assert main(["sweep", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert line.split("=")[0].strip() in err and str(path) in err
-
-
-@pytest.mark.parametrize("word", ["1", "TRUE", "yes", "On", "0", "false", "NO", "off"])
-def test_config_booleans_read_every_spelling(tmp_path, word):
-    path = tmp_path / "exp.cfg"
-    path.write_text(f"timing = {word}\n")
-    assert _sweep_config(["--config", str(path)]).timing is (word.lower() in ("1", "true", "yes", "on"))
-
-
-@pytest.mark.parametrize("word", ["flase", "ture", "2", "y", ""])
-def test_config_boolean_typo_is_an_error(tmp_path, capsys, word):
-    path = tmp_path / "exp.cfg"
-    path.write_text(f"timing = {word}\n")
-    with pytest.raises(ParameterError, match="bad value for timing"):
-        _sweep_config(["--config", str(path)])
-    assert main(["sweep", "--config", str(path)]) == 1
-    assert "bad value for timing" in capsys.readouterr().err
-
-
-def test_config_line_without_equals_names_file_and_line(tmp_path, capsys):
-    path = tmp_path / "exp.cfg"
-    path.write_text("J = 8\n# a comment\nL 3\n")
-    with pytest.raises(ParameterError, match="expected 'key = value'"):
-        parse_config_file(path)
-    assert main(["sweep", "--config", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {path}:3: expected 'key = value'\n"
-
-
-@pytest.mark.parametrize(
-    "text, line, key",
-    [
-        ("J = 8\nL = 2\nJ = 12\n", 3, "'J' repeats line 1"),
-        ("tau_db_grid = 0,3\n# the same key again\ntau_db_grid = 6\n", 3,
-         "'tau_db_grid' repeats line 1"),
-    ],
-)
-def test_config_repeated_key_is_an_error(tmp_path, capsys, text, line, key):
-    path = tmp_path / "exp.cfg"
-    path.write_text(text)
-    with pytest.raises(ParameterError, match=f"{line}: key {key}"):
-        parse_config_file(path)
-    assert main(["sweep", "--config", str(path)]) == 1
-    assert f"{path}:{line}: key {key}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key", ["tau_db_grid"])
-def test_tau_db_key_read_by_every_command(tmp_path, key):
-    path = tmp_path / "exp.cfg"
-    path.write_text(f"{key} = 3\n")
-    for command in ("sweep", "coverage", "solve"):
-        argv = [command, "--config", str(path)]
-        if command == "solve":
-            argv += ["--policy", "onc"]
-        args = cli.build_parser().parse_args(argv)
-        assert cli._config_from_args(args).tau_db_grid == (3.0,)
-
-
-@pytest.mark.parametrize(
     "argv",
     [
         ["solve", "--policy", "onc"],
@@ -323,15 +240,9 @@ def test_single_threshold_commands(argv, capsys):
     assert "one threshold" in capsys.readouterr().err
 
 
-def test_flag_beats_file_beats_env_seed(tmp_path, monkeypatch):
+def test_env_seed_is_not_read(monkeypatch):
     monkeypatch.setenv("GEOCACHE_SEED", "9")  # not a seed source: the default stays 0
-    path = tmp_path / "exp.cfg"
-    path.write_text("seed = 5\nJ = 12\n")
     assert _sweep_config([]).seed == 0
-    from_file = _sweep_config(["--config", str(path)])
-    assert (from_file.seed, from_file.J) == (5, 12)
-    config = _sweep_config(["--config", str(path), "--seed", "2", "-J", "30"])
-    assert (config.seed, config.J) == (2, 30)
 
 
 def test_csv_pop_file_skips_blank_lines(tmp_path, capsys):
@@ -405,10 +316,10 @@ def test_cli_rejects_bad_config_before_any_work(tmp_path, monkeypatch, capsys):
         (["--noise-w", "-1"], "noise power must be >= 0"),
         (["--policies", ","], "policy list must be nonempty"),
         # derived model values beyond the float range, and a Poisson mean over the limit
-        (["-K", "1e-200"], "Poisson parameter out of range"),
+        (["--beta", "2.01", "--tau-db=-3200"], "Poisson parameter out of range"),
         (["--lambda", "1e308"], "Poisson pmf of mean inf"),
         (["--lambda", "1e7"], "Poisson pmf of mean 3.14159e+07"),
-        (["--model", "sinr", "--moment-ps", "1e-320", "--noise-w", "1"],
+        (["--model", "sinr", "--lambda", "1e-300", "--noise-w", "1"],
          "noise argument W a^(-beta/2) out of range"),
     ]:
         assert main(["sweep", "--tau-db", "0", "-J", "4", "-L", "2", *argv]) == 1
@@ -746,10 +657,12 @@ def test_coverage_cli_schema(capsys):
 
 
 def test_coverage_cli_prints_no_negative_zero_probability(capsys):
-    # the SIR inversion at a beta just above 2 gives -0.0 for 16 entries that underflow
+    # the SIR inversion at a beta just above 2 gives -0.0 for 16 entries of the pmf and
+    # of sn that underflow
     assert main(["coverage", "--model", "sinr", "--beta", "2.000001", "--tau-db=-20"]) == 0
-    pmf = json.loads(capsys.readouterr().out)["pmf"]
-    assert pmf.count(0.0) > 0 and all(math.copysign(1.0, p) == 1.0 for p in pmf)
+    payload = json.loads(capsys.readouterr().out)
+    for values in (payload["pmf"], payload["meta"]["sn"]):
+        assert values.count(0.0) > 0 and all(math.copysign(1.0, v) == 1.0 for v in values)
 
 
 def test_default_catalog_sweep_raises_no_runtime_warning(tmp_path, capsys):
@@ -772,13 +685,9 @@ def test_simulate_cli_inline_policy(capsys):
     assert 0.0 <= payload["estimate"] <= 1.0
 
 
-def test_simulate_trials_from_flag_then_config_then_default(tmp_path, capsys):
-    path = tmp_path / "exp.cfg"
-    path.write_text("trials = 5000\nJ = 8\n")
+def test_simulate_trials_from_flag_then_default(capsys):
     argv = ["simulate", "--policy", '{"type": "structured", "sizes": [1]}']
-    assert main(argv + ["--config", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["trials"] == 5000
-    assert main(argv + ["--config", str(path), "--trials", "700"]) == 0
+    assert main(argv + ["-J", "8", "--trials", "700"]) == 0
     assert json.loads(capsys.readouterr().out)["trials"] == 700
     assert cli._config_from_args(cli.build_parser().parse_args(argv)).trials == 100_000
 
@@ -840,7 +749,6 @@ SOLVE = ["solve", "--policy", "onc", "--pop-file", "FILE"]
 SIMULATE = ["simulate", "--policy", "FILE"]
 # case: (file name, file text or None for a missing file, argv naming FILE, error text)
 BAD_FILES = {
-    "missing-config": ("exp.cfg", None, ["sweep", "--config", "FILE"], "cannot open config file"),
     "missing-pop-file": ("pop.csv", None, SOLVE, "cannot read popularity file"),
     "csv-header": ("pop.csv", "prob\n0.5\n0.5\n", SOLVE, ":1: not a number: 'prob'"),
     "csv-word": ("pop.csv", "0.5\n0.3\nn/a\n",
@@ -849,6 +757,8 @@ BAD_FILES = {
     "json-string-prob": ("pop.json", '{"probs": [0.5, "x"]}', SOLVE,
                          "probs[1] is not a number: 'x'"),
     "json-truncated": ("pop.json", '{"probs": [0.5, 0.5', SOLVE, "not valid JSON"),
+    "json-int-beyond-float": ("pop.json", '{"probs": [1' + "0" * 400 + ', 1]}', SOLVE,
+                              "probs[0] is too large for a float"),
     "missing-policy": ("policy.json", None, SIMULATE, "cannot read policy file"),
     "policy-list": ("policy.json", "[1, 2]", SIMULATE, "not a valid policy"),
     "policy-no-sizes": ("policy.json", '{"type": "structured"}', SIMULATE, "not a valid policy"),
@@ -857,8 +767,6 @@ BAD_FILES = {
     "policy-not-json": ("policy.json", "sizes = 1", SIMULATE, "not a valid policy"),
     "policy-not-utf8": ("policy.json", b'{"type": "structured", "sizes": [1]}\xff', SIMULATE,
                         "policy file is not UTF-8 text"),
-    "config-not-utf8": ("exp.cfg", b"\xff\xfeJ = 4\n", ["sweep", "--config", "FILE"],
-                        "config file is not UTF-8 text"),
     "pop-file-not-utf8": ("pop.csv", b"\xff\xfe0.5\n0.5\n", SOLVE,
                           "popularity file is not UTF-8 text"),
     "coverage-missing-pop-file": ("pop.json", None, ["coverage", "--pop-file", "FILE"],

@@ -114,7 +114,7 @@ def test_json_round_trip():
 
 
 def test_boolean_unit_parameters_give_poisson_pi():
-    params = BooleanModelParams(lam=1.0, tau=1.0, beta=3.0, K=1.0, power_ratio=1.0)
+    params = BooleanModelParams(lam=1.0, tau=1.0, beta=3.0)
     assert params.poisson_parameter == pytest.approx(math.pi, rel=1e-15)
     dist = boolean_coverage(params)
     assert dist.pmf[0] == pytest.approx(math.exp(-math.pi), rel=1e-9)
@@ -122,8 +122,9 @@ def test_boolean_unit_parameters_give_poisson_pi():
 
 
 def test_boolean_mean_matches_disk_area_formula():
-    # E[N] = pi * lam * tau^(-2/beta) * (P/W)^(2/beta) / K^2
-    params = BooleanModelParams(lam=2.0, tau=0.5, beta=4.0, K=1.5, power_ratio=3.0)
+    # E[N] = pi * lam * tau^(-2/beta) * (P/W)^(2/beta) / K^2, the last two factors
+    # (P/W = 3, K = 1.5) folded into the density
+    params = BooleanModelParams(lam=2.0 * 3.0**0.5 / 1.5**2, tau=0.5, beta=4.0)
     expected = math.pi * 2.0 * 0.5 ** (-0.5) * 3.0**0.5 / 1.5**2
     assert mean_coverage(boolean_coverage(params)) == pytest.approx(expected, rel=1e-9)
 
@@ -159,15 +160,7 @@ def test_boolean_variance_equals_mean():
     assert second - mean * mean == pytest.approx(mean, abs=1e-6)
 
 
-def test_boolean_larger_power_means_more_coverage():
-    base = BooleanModelParams(lam=1.0, tau=1.0, beta=3.0, power_ratio=1.0)
-    boosted = BooleanModelParams(lam=1.0, tau=1.0, beta=3.0, power_ratio=4.0)
-    assert boosted.poisson_parameter > base.poisson_parameter
-
-
 def test_boolean_rejects_bad_parameters():
-    with pytest.raises(ParameterError):
-        BooleanModelParams(lam=1.0, tau=1.0, beta=3.0, power_ratio=math.inf)
     with pytest.raises(ParameterError):
         BooleanModelParams(lam=-1.0, tau=1.0, beta=3.0)
     with pytest.raises(ParameterError):
