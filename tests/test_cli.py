@@ -137,6 +137,13 @@ def test_config_validation():
         {"lam": 1e7},
         # a catalog above the limit (J = 10^12 ran out of memory)
         {"J": CATALOG_MAX + 1},
+        # 0 and -0 dB are one threshold
+        {"tau_db_grid": (0.0, -0.0)},
+        # the edges of the open ranges: beta > 2, 0 < lambda < inf
+        {"beta": 2.0},
+        {"lam": 0.0},
+        {"lam": float("inf")},
+        {"gamma": float("nan")},
     ],
 )
 def test_config_rejects_bad_values_up_front(overrides):
